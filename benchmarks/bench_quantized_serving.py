@@ -124,7 +124,6 @@ def shortlist_parity_check(params, seed, mode="ivfpq_m8_opq", num_queries=256):
     index = IVFPQIndex(**config).build(services)
     probe, top_k = queries[:num_queries], params["top_k"]
     shrunk_ids, _ = index.search(probe, top_k)
-    index.take_shortlist_stats()
     index.shrink_margin = None
     full_ids, _ = index.search(probe, top_k)
     return bool(recall_at_k(shrunk_ids, full_ids, top_k) == 1.0)

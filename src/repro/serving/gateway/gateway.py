@@ -5,8 +5,10 @@ deployment story (Sec. V-F).  One instance owns
 
 * a :class:`~repro.serving.gateway.store.VersionedEmbeddingStore` holding
   the daily-refreshed embedding snapshots,
-* a :class:`~repro.serving.gateway.index.RetrievalIndex` built per snapshot
-  version (rebuilt atomically on hot-swap),
+* a :class:`~repro.serving.gateway.index.RetrievalIndex` *derived from*
+  each snapshot (built before the version flip, memoised on the snapshot and
+  shared by every gateway on the store that asks for the same kind and
+  parameters — the gateway itself holds no index),
 * an :class:`~repro.serving.gateway.scheduler.AsyncBatchScheduler`
   coalescing concurrent requests into vectorised searches (reached through
   the synchronous :class:`~repro.serving.gateway.scheduler.BatchScheduler`
@@ -33,7 +35,6 @@ straight into the A/B-test simulator.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -63,10 +64,13 @@ class ServingGateway(SnapshotListener):
     :class:`~repro.serving.gateway.store.SnapshotListener`: every publish —
     whether driven through :meth:`hot_swap` or directly on the store —
     builds the new version's index *before* the version flip and invalidates
-    the superseded cache entries right after it.  Subclasses (the sharded
-    tier) override :meth:`_search_backend` / :meth:`_search_backend_async`
-    and the listener hooks to swap the single-process index for a worker
-    pool without touching the request/cache path.
+    the superseded cache entries right after it.  The build never shares a
+    lock with readers: a request pinned to version ``v`` finds ``v``'s index
+    with one dict lookup while ``v + 1`` is still building.  Subclasses (the
+    sharded tier) override :meth:`_search_backend` /
+    :meth:`_search_backend_async` and the listener hooks to swap the
+    single-process index for a worker pool without touching the
+    request/cache path.
 
     Loop-front-end knobs:
 
@@ -124,8 +128,14 @@ class ServingGateway(SnapshotListener):
         self.default_deadline_s = default_deadline_s
         self.loop_confined = loop_confined
         self._clock = clock
-        self._index_lock = threading.Lock()
-        self._indexes: Dict[int, RetrievalIndex] = {}
+        # What this gateway asks a snapshot to derive: gateways with equal
+        # (kind, params) on one store share one built index per version.
+        # Unhashable params get a private key — own build, never a wrong share.
+        try:
+            self._index_key = ("index", index,
+                               frozenset(self.index_params.items()))
+        except TypeError:
+            self._index_key = ("index", object())
         self._owns_cpu_executor = False
         if cpu_executor == "thread":
             cpu_executor = ThreadPoolExecutor(
@@ -141,6 +151,11 @@ class ServingGateway(SnapshotListener):
         self.telemetry = GatewayTelemetry(clock=clock,
                                           thread_safe=not loop_confined,
                                           enabled=telemetry_enabled)
+        # A shared index is read-only while searching: its shortlist counts
+        # come back through the call, into this gateway's telemetry.
+        self._search_kwargs = (
+            {"shortlist_stats": self.telemetry.record_shortlist}
+            if index == "ivfpq" else {})
         self.flight_recorder = FlightRecorder(
             capacity=flight_recorder_capacity,
             sample_every=trace_sample_every,
@@ -173,40 +188,34 @@ class ServingGateway(SnapshotListener):
             self.cache.invalidate_version(previous)
             self.telemetry.record_swap(snapshot.version)
 
-    def retire(self, version: int) -> None:
-        """Aborted publish: drop the index prepared for the dead version."""
-        with self._index_lock:
-            self._indexes.pop(version, None)
-
-
     def _index_for(self, snapshot) -> RetrievalIndex:
         """The index built from exactly this snapshot's service matrix.
 
-        Indexes are kept per store version so a batch that pinned snapshot
-        ``v`` mid-hot-swap still searches the version-``v`` index — never a
-        mixed-version pairing.  Only the two newest versions are retained.
+        The index is memoised on the snapshot, so a batch that pinned
+        snapshot ``v`` mid-hot-swap searches the version-``v`` index — never
+        a mixed-version pairing — after one lock-free dict lookup, and the
+        index lives exactly as long as its snapshot is pinned: an aborted
+        publish leaves nothing to retire.
+        """
+        return snapshot.derived(self._index_key, self._build_index)
+
+    def _build_index(self, snapshot) -> RetrievalIndex:
+        """Restore or build this gateway's kind of index for ``snapshot``.
 
         When the store published an int8 table with the snapshot and the
         index kind can consume one (``int8`` scans it, ``ivfpq`` refines
         against it), the published table is shared instead of re-quantizing
         the catalogue at every build.
         """
-        with self._index_lock:
-            index = self._indexes.get(snapshot.version)
-            if index is None:
-                index = self._restore_index(snapshot)
-            if index is None:
-                params = dict(self.index_params)
-                if self.index_kind in ("int8", "ivfpq"):
-                    published = getattr(snapshot, "quantized", {}).get("int8")
-                    if published is not None:
-                        params.setdefault("int8_table", published)
-                index = build_index(self.index_kind, snapshot.all_services(),
-                                    **params)
-            self._indexes.setdefault(snapshot.version, index)
-            for stale in sorted(self._indexes)[:-2]:
-                del self._indexes[stale]
-            return self._indexes[snapshot.version]
+        index = self._restore_index(snapshot)
+        if index is not None:
+            return index
+        params = dict(self.index_params)
+        if self.index_kind in ("int8", "ivfpq"):
+            published = getattr(snapshot, "quantized", {}).get("int8")
+            if published is not None:
+                params.setdefault("int8_table", published)
+        return build_index(self.index_kind, snapshot.all_services(), **params)
 
     def _restore_index(self, snapshot) -> Optional[RetrievalIndex]:
         """A persisted index payload for this snapshot, or ``None``.
@@ -267,29 +276,18 @@ class ServingGateway(SnapshotListener):
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """One vectorised top-k search at exactly ``snapshot``'s version.
 
-        The single-process backend answers from the per-version index; the
+        The single-process backend answers from the snapshot's index; the
         sharded subclass overrides this with a scatter/gather over its
         worker pool.  ``spans`` (when the batch carries traced requests)
         receives a ``score`` span covering the scan.
         """
         index = self._index_for(snapshot)
-        if spans is None:
-            result = index.search(query_matrix, k)
-        else:
-            started = self._clock()
-            result = index.search(query_matrix, k)
+        started = self._clock() if spans is not None else 0.0
+        result = index.search(query_matrix, k, **self._search_kwargs)
+        if spans is not None:
             spans.add("score", started, self._clock(),
                       queries=query_matrix.shape[0], k=k)
-        self._drain_shortlist_stats(index)
         return result
-
-    def _drain_shortlist_stats(self, index: RetrievalIndex) -> None:
-        """Move a quantized index's shortlist-shrink counters to telemetry."""
-        take = getattr(index, "take_shortlist_stats", None)
-        if take is not None:
-            candidates, kept = take()
-            if candidates:
-                self.telemetry.record_shortlist(candidates, kept)
 
     async def _search_backend_async(self, snapshot, query_matrix: np.ndarray,
                                     k: int, spans: Optional[BatchSpans] = None
@@ -601,8 +599,8 @@ class ServingGateway(SnapshotListener):
         """Detach from the store's publish protocol and stop the scheduler.
 
         A store can outlive the gateways serving it; without unsubscribing,
-        every future publish would keep building (and retaining) indexes for
-        a gateway nobody queries any more.
+        every future publish would keep building indexes for a gateway
+        nobody queries any more.
         """
         self.store.unsubscribe(self)
         self.scheduler.close()

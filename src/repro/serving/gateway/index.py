@@ -25,9 +25,10 @@ quantized residual codes, :class:`~repro.serving.quant.ivfpq.Int8Index`
 int8 exact scan) register under the same interface as ``"ivfpq"`` and
 ``"int8"``; :func:`build_index` loads them on demand.
 
-All indexes are immutable once built; the gateway rebuilds them on embedding
-hot-swap, which keeps index state trivially consistent with the store
-version it was built from.
+All indexes are immutable once built and ``search`` writes nothing to them:
+an index is built once per published snapshot, memoised on that snapshot and
+shared by every gateway asking for the same kind and parameters, which keeps
+index state trivially consistent with the store version it was built from.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,9 @@ class SnapshotListener:
     pinned it mid-flip).
 
     ``retire(version)`` drops any state held for ``version`` (abort path).
+    Structures memoised on the snapshot itself
+    (:meth:`EmbeddingSnapshot.derived`) need no retiring: the store drops
+    the dead snapshot and they go with it.
     """
 
     def prepare(self, snapshot: "EmbeddingSnapshot") -> None:  # pragma: no cover
@@ -105,6 +108,11 @@ class EmbeddingSnapshot:
     to the compressed service table built from exactly this version's ``services``
     matrix — row-aligned with it, so shard ranges and service ids carry
     over unchanged.
+
+    Search structures computed from this version's tables (a gateway's ANN
+    index) are memoised *on the snapshot* through :meth:`derived`, so they
+    live exactly as long as something pins the snapshot, and every consumer
+    of one store that asks for the same structure shares one build.
     """
 
     version: int
@@ -117,6 +125,30 @@ class EmbeddingSnapshot:
     # when the store publishes with a ``durable_dir``.  Consumers use it to
     # hydrate from the manifest instead of shipping arrays over IPC.
     durable: Optional[object] = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _derived_lock: threading.Lock = field(default_factory=threading.Lock,
+                                          init=False, repr=False, compare=False)
+
+    def derived(self, key: Hashable,
+                build: Callable[["EmbeddingSnapshot"], object]) -> object:
+        """``build(self)``, computed at most once per ``key`` (single flight).
+
+        A hit is one dict lookup and takes no lock, so a reader of this
+        version never waits on anyone.  Only a miss takes this snapshot's
+        own lock: concurrent first callers of one key wait for a single
+        build instead of each running their own, and nobody holding another
+        version's snapshot is involved.  A ``build`` that raises stores
+        nothing.  The value must be safe to share — read-only once built.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        with self._derived_lock:
+            if key not in self._derived:
+                self._derived[key] = build(self)
+            return self._derived[key]
 
     @property
     def num_queries(self) -> int:

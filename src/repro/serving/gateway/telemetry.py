@@ -307,12 +307,13 @@ class GatewayTelemetry:
             self._gathered.inc(int(candidates))
 
     def record_shortlist(self, candidates: int, kept: int) -> None:
-        """Refinement shortlist counts drained from a quantized index.
+        """Refinement shortlist counts of one quantized-index search.
 
         ``candidates`` is what the static ``refine_factor * k`` shortlist
         would have re-scored; ``kept`` is what survived the ADC-margin
-        shrink (:meth:`IVFPQIndex.take_shortlist_stats`).  Their ratio is
-        the observable saving of the adaptive shrink.
+        shrink (the ``shortlist_stats`` callback of
+        :meth:`IVFPQIndex.search`).  Their ratio is the observable saving
+        of the adaptive shrink.
         """
         if not self.enabled:
             return

@@ -29,19 +29,20 @@ Two deviations from the textbook layout keep the pure-numpy scan fast:
   point at an extra always ``-inf`` column appended to each query's ADC
   table, so padding is masked by the same sum that scores real candidates.
 
-Like every gateway index both classes are immutable once built; the daily
-hot-swap (Sec. V-F / Fig. 9) rebuilds them from the freshly published
-snapshot.
+Like every gateway index both classes are immutable once built — ``search``
+writes nothing to the index, so one built index can serve every gateway on a
+store — and the daily hot-swap (Sec. V-F / Fig. 9) rebuilds them from the
+freshly published snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.gateway.index import RetrievalIndex
-from repro.serving.quant.kmeans import kmeans
+from repro.serving.quant.kmeans import grouped_mean, kmeans
 from repro.serving.quant.opq import OPQQuantizer
 from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Table, quantize_int8
@@ -189,8 +190,6 @@ class IVFPQIndex(RetrievalIndex):
         self.shrink_margin = shrink_margin
         self._prebuilt_int8 = int8_table
         self.seed = seed
-        self._shortlist_candidates = 0
-        self._shortlist_kept = 0
         self._pq: Optional[ProductQuantizer] = None
         self._refine_table: Optional[Int8Table] = None
         self._centroids: Optional[np.ndarray] = None     # (cells, dim) float32
@@ -221,10 +220,9 @@ class IVFPQIndex(RetrievalIndex):
         assignment = _balanced_assign(services, centroids, self.slack)
         # Re-fit centroids on the balanced membership so residuals (and the
         # probing affinity) reflect the lists actually being scanned.
-        for cell in range(num_lists):
-            members = assignment == cell
-            if np.any(members):
-                centroids[cell] = services[members].mean(axis=0)
+        means, counts = grouped_mean(services, assignment, num_lists)
+        live = counts > 0
+        centroids[live] = means[live]
         residuals = services - centroids[assignment]
         if self.rotation == "opq":
             pq: ProductQuantizer = OPQQuantizer(
@@ -496,7 +494,18 @@ class IVFPQIndex(RetrievalIndex):
     # ------------------------------------------------------------------ #
     # Search: rectangular probe expansion + one ADC gather + batched top-k
     # ------------------------------------------------------------------ #
-    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def search(self, queries: np.ndarray, k: int,
+               shortlist_stats: Optional[Callable[[int, int], None]] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` per query row; the index itself is left untouched.
+
+        ``shortlist_stats(candidates, kept)`` is called once with this
+        search's refinement counts: ``candidates`` is the work the static
+        ``refine_factor * k`` shortlist would have cost, ``kept`` what the
+        adaptive shrink actually re-scored.  The counts go to the caller,
+        not into the index, so gateways sharing one built index each see
+        their own.
+        """
         if self._pq is None or self._centroids is None:
             raise RuntimeError("index not built")
         queries = self._check_queries(queries, k).astype(np.float32)
@@ -554,8 +563,8 @@ class IVFPQIndex(RetrievalIndex):
         before = keep.shape[1]
         if refining and self.shrink_margin is not None and before > k:
             keep = self._shrink_shortlist(scores, keep, k)
-        self._shortlist_candidates += batch * before
-        self._shortlist_kept += batch * keep.shape[1]
+        if shortlist_stats is not None:
+            shortlist_stats(batch * before, batch * keep.shape[1])
         # Map kept columns back to slots (cheap: shortlist-sized only).
         short_cells = np.take_along_axis(probed, keep // size, axis=1)
         short_ids = self._slot_ids[short_cells * size + keep % size]
@@ -564,18 +573,6 @@ class IVFPQIndex(RetrievalIndex):
         else:
             short_scores = np.take_along_axis(scores, keep, axis=1)
         return _batched_rank(short_ids, short_scores, k)
-
-    def take_shortlist_stats(self) -> Tuple[int, int]:
-        """``(candidates, kept)`` shortlist counts since the last call.
-
-        ``candidates`` is the refinement work the static ``refine_factor *
-        k`` shortlist would have cost; ``kept`` is what the adaptive shrink
-        actually re-scored.  The gateway drains this into its telemetry.
-        """
-        stats = (self._shortlist_candidates, self._shortlist_kept)
-        self._shortlist_candidates = 0
-        self._shortlist_kept = 0
-        return stats
 
     def _shrink_shortlist(self, scores: np.ndarray, keep: np.ndarray,
                           k: int) -> np.ndarray:

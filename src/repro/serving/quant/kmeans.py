@@ -8,9 +8,11 @@ assignment step uses the expanded-distance identity
 
     argmin_c ||x - c||^2  ==  argmax_c  x.c - ||c||^2 / 2
 
-so each iteration is one BLAS matmul instead of a pairwise-distance tensor.
-Empty cells are re-seeded on a random point, which keeps all ``k`` centroids
-live even on degenerate inputs (fewer distinct points than cells).
+so each iteration is one BLAS matmul instead of a pairwise-distance tensor,
+and the update step is one :func:`grouped_mean` over all cells instead of a
+python loop of per-cell masks.  Empty cells are re-seeded on a random point,
+which keeps all ``k`` centroids live even on degenerate inputs (fewer
+distinct points than cells).
 
 Initialisation defaults to **k-means++** (the ROADMAP's "smarter PQ
 codebooks" first step): each successive seed is sampled proportionally to
@@ -58,6 +60,26 @@ def _kmeanspp_init(points: np.ndarray, num_clusters: int,
     return points[chosen].copy()
 
 
+def grouped_mean(points: np.ndarray, assignment: np.ndarray,
+                 num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean row of every group at once: ``(means, counts)``.
+
+    Equal, bit for bit, to ``points[assignment == g].mean(axis=0)`` per
+    group: ``np.add.at`` is unbuffered, so each group's rows accumulate in
+    index order in the input's float dtype — the arithmetic of the
+    per-group loop without its ``num_groups`` full-length masks, and without
+    a sorted copy of ``points``.  Empty groups come back as zero rows with
+    count 0.
+    """
+    sums = np.zeros((num_groups, points.shape[1]),
+                    dtype=np.result_type(points.dtype, np.float32))
+    np.add.at(sums, assignment, points)
+    counts = np.bincount(assignment, minlength=num_groups)
+    live = counts > 0
+    sums[live] /= counts[live, None].astype(sums.dtype)
+    return sums, counts
+
+
 def kmeans(points: np.ndarray, num_clusters: int, iters: int = 8,
            rng: RngLike = 0, init: str = "kmeans++") -> Tuple[np.ndarray, np.ndarray]:
     """Cluster ``points`` into ``num_clusters`` cells.
@@ -91,12 +113,9 @@ def kmeans(points: np.ndarray, num_clusters: int, iters: int = 8,
     for _ in range(iters):
         affinity = points @ centroids.T - 0.5 * np.sum(centroids ** 2, axis=1)
         assignment = np.argmax(affinity, axis=1)
-        for cell in range(num_clusters):
-            members = assignment == cell
-            if np.any(members):
-                centroids[cell] = points[members].mean(axis=0)
-            else:  # re-seed empty cells on a random point
-                centroids[cell] = points[rng.integers(num_points)]
+        centroids, counts = grouped_mean(points, assignment, num_clusters)
+        for cell in np.flatnonzero(counts == 0):  # re-seed on a random point
+            centroids[cell] = points[rng.integers(num_points)]
     return centroids, assignment
 
 

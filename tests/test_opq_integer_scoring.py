@@ -166,11 +166,12 @@ class TestIVFPQRotation:
         index = IVFPQIndex(num_subspaces=4, rotation="opq",
                            refine_factor=12).build(services)
         probe = queries[:96]
-        shrunk_ids, _ = index.search(probe, 10)
-        candidates, kept = index.take_shortlist_stats()
+        stats = []
+        shrunk_ids, _ = index.search(
+            probe, 10, shortlist_stats=lambda *counts: stats.append(counts))
+        # One report per search, handed to the caller: the index keeps none.
+        [(candidates, kept)] = stats
         assert candidates >= kept > 0
-        # take_* drains: a second read reports nothing until a new search.
-        assert index.take_shortlist_stats() == (0, 0)
         index.shrink_margin = None
         full_ids, _ = index.search(probe, 10)
         assert recall_at_k(shrunk_ids, full_ids, 10) == 1.0

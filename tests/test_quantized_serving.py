@@ -36,6 +36,7 @@ from repro.serving.quant import (
     quantize_pq,
     quantize_table,
 )
+from repro.serving.quant.kmeans import grouped_mean
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,50 @@ class TestKMeans:
             kmeans(points[0], 2)
         with pytest.raises(ValueError):
             kmeans(points, 2, init="farthest-point")
+
+    @staticmethod
+    def _reference_kmeans(points, num_clusters, iters, rng):
+        """The per-cell mask loop ``kmeans`` ran before the grouped mean."""
+        from repro.serving.quant.kmeans import _kmeanspp_init
+
+        centroids = _kmeanspp_init(points, num_clusters, rng)
+        for _ in range(iters):
+            affinity = points @ centroids.T - 0.5 * np.sum(centroids ** 2, axis=1)
+            assignment = np.argmax(affinity, axis=1)
+            for cell in range(num_clusters):
+                members = assignment == cell
+                if np.any(members):
+                    centroids[cell] = points[members].mean(axis=0)
+                else:
+                    centroids[cell] = points[rng.integers(points.shape[0])]
+        return centroids, assignment
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_mean_update_equals_per_cell_loop(self, clustered, dtype):
+        _, services = clustered
+        # Same arithmetic in the same order, so equality is exact; the
+        # duplicate-heavy input empties cells and takes the re-seed path.
+        duplicates = np.repeat(services[:6], 30, axis=0)
+        for points, cells in ((services[:1500], 40), (duplicates, 16)):
+            points = points.astype(dtype)
+            rng, reference_rng = (np.random.default_rng(4) for _ in range(2))
+            centroids, assignment = kmeans(points, cells, iters=6, rng=rng)
+            expected, expected_assignment = self._reference_kmeans(
+                points, cells, 6, reference_rng)
+            assert centroids.dtype == dtype
+            assert np.array_equal(centroids, expected)
+            assert np.array_equal(assignment, expected_assignment)
+            # Empty cells drew from the generator exactly as the loop did.
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_grouped_mean_reports_empty_groups(self):
+        points = np.arange(12, dtype=np.float64).reshape(6, 2)
+        means, counts = grouped_mean(points, np.array([2, 0, 2, 2, 0, 0]), 4)
+        assert counts.tolist() == [3, 0, 3, 0]
+        assert np.array_equal(means[[0, 2]],
+                              [points[[1, 4, 5]].mean(axis=0),
+                               points[[0, 2, 3]].mean(axis=0)])
+        assert not means[[1, 3]].any()
 
     def test_kmeanspp_init_is_deterministic_and_spreads_seeds(self, clustered):
         _, services = clustered
