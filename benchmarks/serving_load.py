@@ -9,13 +9,12 @@ environments.
 
 Three drive protocols:
 
-* :func:`drive` — the PR-1 closed loop: submit one micro-batch, flush,
-  wait, repeat.  Offered load adapts to service rate, so it measures peak
-  batch throughput but can never observe queueing.
+* :func:`drive` — the synchronous closed loop: one ``rank_batch`` per
+  micro-batch, repeat.  Offered load adapts to service rate, so it measures
+  peak batch throughput but can never observe queueing.
 * :func:`drive_concurrent` — the async closed loop at high fan-out: up to
-  ``concurrency`` requests are held in flight on one event loop (the
-  regime the thread-per-wait scheduler could not reach), each new request
-  admitted the moment a slot frees.
+  ``concurrency`` requests are held in flight on one event loop, each new
+  request admitted the moment a slot frees.
 * :func:`drive_open_loop` — the async *open* loop: arrivals follow a
   seeded Poisson process at ``rate_qps`` and are submitted regardless of
   completions, exactly like independent user traffic.  Offered load no
@@ -75,13 +74,7 @@ def drive(gateway, stream, batch_size: int) -> float:
     """Push the whole stream through in micro-batches; returns wall seconds."""
     started = time.perf_counter()
     for offset in range(0, len(stream), batch_size):
-        handles = [
-            gateway.submit(int(query_id))
-            for query_id in stream[offset : offset + batch_size]
-        ]
-        gateway.flush()
-        for handle in handles:
-            handle.result(0)
+        gateway.rank_batch(stream[offset : offset + batch_size])
     return time.perf_counter() - started
 
 
@@ -94,8 +87,8 @@ def load_report(
     deadline_missed: int = 0,
     max_in_flight: int = 0,
 ) -> dict:
-    """One drive run's report row (shared by the async and thread drivers,
-    so percentile math and column names cannot drift between the modes a
+    """One drive run's report row (shared by every async driver, so
+    percentile math and column names cannot drift between the modes a
     bench compares).  Percentiles come from the shared helper in
     :mod:`repro.serving.obs.metrics` — the same definition the eval layer
     uses."""
@@ -190,8 +183,7 @@ async def drive_concurrent(
         for query_id, session_id in zip(stream, sessions)
     ]
     await asyncio.gather(*tasks)
-    # Timestamp before the drain: the thread path's report excludes its
-    # scheduler stop too, so the modes' sustained_qps stay comparable.
+    # Timestamp before the drain: sustained_qps covers serving, not shutdown.
     elapsed = time.perf_counter() - started
     await gateway.stop_async()
     return state.report(elapsed, len(stream))

@@ -170,11 +170,7 @@ def main() -> None:
                                  cache_capacity=cache_capacity)
         started = time.perf_counter()
         for offset in range(0, len(stream), batch_size):
-            handles = [gateway.submit(int(query_id))
-                       for query_id in stream[offset:offset + batch_size]]
-            gateway.flush()
-            for handle in handles:
-                handle.result(0)
+            gateway.rank_batch(stream[offset:offset + batch_size])
         elapsed = time.perf_counter() - started
         gateway.recall_probe(k=top_k, num_queries=256, seed=1)
         summaries.append(summarize_gateway(mode, gateway, elapsed_s=elapsed))
@@ -205,11 +201,7 @@ def main() -> None:
                              cache_capacity=0)
     started = time.perf_counter()
     for offset in range(0, len(stream), batch_size):
-        handles = [gateway.submit(int(query_id))
-                   for query_id in stream[offset:offset + batch_size]]
-        gateway.flush()
-        for handle in handles:
-            handle.result(0)
+        gateway.rank_batch(stream[offset:offset + batch_size])
     elapsed = time.perf_counter() - started
     gateway.recall_probe(k=top_k, num_queries=256, seed=1)
     quant = summarize_gateway("ivfpq", gateway, elapsed_s=elapsed)
@@ -233,11 +225,7 @@ def main() -> None:
                              max_batch_size=batch_size, cache_capacity=0)
     started = time.perf_counter()
     for offset in range(0, len(stream), batch_size):
-        handles = [gateway.submit(int(query_id))
-                   for query_id in stream[offset:offset + batch_size]]
-        gateway.flush()
-        for handle in handles:
-            handle.result(0)
+        gateway.rank_batch(stream[offset:offset + batch_size])
     elapsed = time.perf_counter() - started
     gateway.recall_probe(k=top_k, num_queries=256, seed=1)
     sharded = summarize_gateway("sharded exact", gateway, elapsed_s=elapsed)

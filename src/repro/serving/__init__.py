@@ -12,15 +12,16 @@ The production deployment runs a hybrid offline–online pipeline:
    inner product for latency reasons, Sec. V-F.1) and returns the ranked list.
 
 The high-throughput production variant of step 3 lives in
-:mod:`repro.serving.gateway`: approximate (IVF / LSH) retrieval indexes, a
-versioned embedding store with atomic daily hot-swap, an asyncio-native
-micro-batching request scheduler (bounded admission queue, per-request
-deadlines, cooperative cancellation — with a synchronous facade over the
-same core) plus an LRU+TTL result cache, and serving telemetry.  Its
+:mod:`repro.serving.gateway`: approximate (IVF / IVF-PQ) and int8
+retrieval indexes, a versioned embedding store with atomic daily hot-swap,
+an asyncio-native micro-batching request scheduler (bounded admission
+queue, per-request deadlines, cooperative cancellation — the gateway's
+synchronous ``search`` / ``rank`` / ``rank_batch`` run the same coroutines
+to completion) plus an LRU+TTL result cache, and serving telemetry.  Its
 scale-out deployment lives in :mod:`repro.serving.sharded`: one worker per
 store shard (serial / thread / process backends) behind a scatter/gather
 gateway with exact top-K merging and per-shard telemetry; the scatter
-overlaps per-shard work on the event loop for async callers.  The
+overlaps per-shard work on the event loop.  The
 experimentation tier lives in :mod:`repro.serving.abtest`: deterministic
 bucketed traffic routing over gateway arms with joint CTR + serving-cost
 reporting (the paper's Fig. 10 bucket test replayed *through* the serving
@@ -74,7 +75,7 @@ from repro.serving.obs import (
 from repro.serving.pipeline import ServingPipeline, deploy_model
 from repro.serving.ranking import RankedService, RankingModule
 from repro.serving.retrieval import InnerProductRetriever, ModelScoringRetriever
-from repro.serving.sharded import ShardedGateway, ShardedRetriever
+from repro.serving.sharded import ShardedGateway
 from repro.serving.snapshot import (
     SnapshotError,
     SnapshotIntegrityError,
@@ -107,7 +108,6 @@ __all__ = [
     "ServingGateway",
     "ServingPipeline",
     "ShardedGateway",
-    "ShardedRetriever",
     "SnapshotError",
     "SnapshotIntegrityError",
     "SnapshotNotFoundError",

@@ -8,8 +8,8 @@ know about:
 * **membership state** (:class:`~repro.serving.fleet.health.ReplicaHealth`,
   driven by the router's probe cadence);
 * an injectable **fault surface** for the chaos controller.  Faults are
-  installed by wrapping the gateway's ``_search_backend_async`` — the same
-  executor boundary the sharded tier overrides — so a killed replica fails
+  installed by wrapping the gateway's ``_search_backend_async`` — the one
+  backend hook, which the sharded tier overrides — so a killed replica fails
   whole in-flight batches exactly the way a dead process would (the
   scheduler propagates the executor's exception to every request of the
   batch), a stalled replica blocks its batch pipeline (queue builds,
@@ -196,9 +196,6 @@ class FleetReplica:
     # ------------------------------------------------------------------ #
     async def stop_async(self) -> None:
         await self.gateway.stop_async()
-
-    async def drain_async(self) -> None:
-        await self.gateway.drain_async()
 
     def close(self) -> None:
         self.gateway.close()

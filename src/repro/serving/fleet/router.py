@@ -402,14 +402,10 @@ class FleetRouter:
     # Lifecycle
     # ------------------------------------------------------------------ #
     async def stop_async(self) -> None:
-        """Stop every replica's drive task on the current loop (drains)."""
+        """Drain every replica on the current loop: queued work finishes,
+        the drive tasks stop, the replicas stay up for the next submit."""
         for replica in self._replicas.values():
             await replica.stop_async()
-
-    async def drain_async(self) -> None:
-        """Gracefully drain every replica (finish queued work, stay up)."""
-        for replica in self._replicas.values():
-            await replica.drain_async()
 
     def close(self) -> None:
         for replica in self._replicas.values():

@@ -11,10 +11,9 @@ component onto the paper's deployment:
 Paper (Sec. V-F)        Gateway component
 =====================  =======================================================
 Inner-product head      :mod:`~repro.serving.gateway.index` —
-(latency-motivated      :class:`RetrievalIndex` with an exact scan plus
-MIPS retrieval)         pure-numpy ANN indexes (:class:`IVFIndex` coarse
-                        quantizer, :class:`LSHIndex` hyperplane hashing) and
-                        the quantized indexes from
+(latency-motivated      :class:`RetrievalIndex` with an exact scan plus the
+MIPS retrieval)         pure-numpy :class:`IVFIndex` (k-means coarse
+                        quantizer) and the quantized indexes from
                         :mod:`repro.serving.quant` (:class:`IVFPQIndex`
                         coarse cells + PQ residual codes, :class:`Int8Index`
                         int8 exact scan)
@@ -24,9 +23,10 @@ refresh (Fig. 9)        :class:`VersionedEmbeddingStore`, shard-aware with
                         quantized (int8 / PQ) snapshot tables published
                         alongside the fp arrays
 Online serving under    :mod:`~repro.serving.gateway.scheduler` —
-heavy traffic           :class:`BatchScheduler` micro-batching with a
-                        max-wait deadline; :mod:`~repro.serving.gateway.cache`
-                        — :class:`LRUTTLCache` keyed by (query, k, version)
+heavy traffic           :class:`AsyncBatchScheduler` micro-batching on one
+                        event loop with a max-wait deadline;
+                        :mod:`~repro.serving.gateway.cache` —
+                        :class:`LRUTTLCache` keyed by (query, k, version)
 Deployment metrics      :mod:`~repro.serving.gateway.telemetry` —
 (CTR uplift aside)      QPS, p50/p95/p99 latency, cache hit rate and ANN
                         recall@K against the exact scan
@@ -34,7 +34,9 @@ Deployment metrics      :mod:`~repro.serving.gateway.telemetry` —
 
 :class:`ServingGateway` ties the pieces together and speaks the same
 ``rank(query_id, k)`` protocol as the seed pipeline, so the A/B simulator
-and the case-study tooling work on top of it unchanged.
+and the case-study tooling work on top of it unchanged.  The request path is
+``await gateway.search_async(...)``; ``search`` / ``rank`` / ``rank_batch``
+run that same path to completion for synchronous callers.
 """
 
 from repro.serving.gateway.cache import LRUTTLCache
@@ -42,14 +44,12 @@ from repro.serving.gateway.gateway import IndexRetriever, ServingGateway, deploy
 from repro.serving.gateway.index import (
     ExactIndex,
     IVFIndex,
-    LSHIndex,
     RetrievalIndex,
     build_index,
     index_kinds,
 )
 from repro.serving.gateway.scheduler import (
     AsyncBatchScheduler,
-    BatchScheduler,
     DeadlineExceededError,
     OverloadError,
     PendingRequest,
@@ -72,7 +72,6 @@ from repro.serving.quant.ivfpq import Int8Index, IVFPQIndex
 
 __all__ = [
     "AsyncBatchScheduler",
-    "BatchScheduler",
     "DeadlineExceededError",
     "EmbeddingSnapshot",
     "ExactIndex",
@@ -82,7 +81,6 @@ __all__ = [
     "IndexRetriever",
     "Int8Index",
     "LRUTTLCache",
-    "LSHIndex",
     "OverloadError",
     "PendingRequest",
     "RetrievalIndex",

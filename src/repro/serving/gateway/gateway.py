@@ -10,22 +10,20 @@ deployment story (Sec. V-F).  One instance owns
   shared by every gateway on the store that asks for the same kind and
   parameters — the gateway itself holds no index),
 * an :class:`~repro.serving.gateway.scheduler.AsyncBatchScheduler`
-  coalescing concurrent requests into vectorised searches (reached through
-  the synchronous :class:`~repro.serving.gateway.scheduler.BatchScheduler`
-  facade for thread-based callers),
+  coalescing concurrent requests into vectorised searches,
 * an :class:`~repro.serving.gateway.cache.LRUTTLCache` keyed by
   ``(query_id, k, version)`` so hot-swaps are self-invalidating, and
 * a :class:`~repro.serving.gateway.telemetry.GatewayTelemetry` recording
   QPS, latency percentiles, cache hit rate, ANN recall, queue depth,
   overload/deadline shedding and event-loop lag.
 
-The request path is asyncio-native end to end: :meth:`ServingGateway.
-search_async` submits into the async scheduler and awaits the result on the
-caller's event loop, with backpressure (bounded admission queue), deadline
-propagation and cooperative cancellation.  The synchronous surface
-(:meth:`search` / :meth:`rank` / :meth:`submit` + ``flush``) is a thin
-wrapper that drives the *same* async core on a private loop — one request
-path, two calling conventions.
+There is one request path and it is asyncio-native end to end:
+:meth:`ServingGateway.search_async` submits into the scheduler and awaits
+the result on the caller's event loop, with backpressure (bounded admission
+queue), deadline propagation and cooperative cancellation.  The synchronous
+surface — :meth:`~ServingGateway.search`, :meth:`~ServingGateway.rank`,
+:meth:`~ServingGateway.rank_batch` — runs those same coroutines to
+completion on a loop the gateway creates on the first such call.
 
 The gateway satisfies the same ``rank(query_id, k)`` protocol as
 :class:`~repro.serving.pipeline.ServingPipeline`, so it can be dropped
@@ -35,9 +33,11 @@ straight into the A/B-test simulator.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,7 @@ import numpy as np
 from repro.eval.serving_metrics import recall_at_k
 from repro.serving.gateway.cache import LRUTTLCache
 from repro.serving.gateway.index import ExactIndex, RetrievalIndex, build_index
-from repro.serving.gateway.scheduler import BatchScheduler, PendingRequest
+from repro.serving.gateway.scheduler import AsyncBatchScheduler, PendingRequest
 from repro.serving.gateway.store import (
     SnapshotListener,
     StaleVersionError,
@@ -55,6 +55,7 @@ from repro.serving.gateway.telemetry import GatewayTelemetry
 from repro.serving.obs.flight import FlightRecorder
 from repro.serving.obs.health import HealthSnapshot
 from repro.serving.obs.tracing import BatchSpans, Tracer
+from repro.serving.retrieval import InnerProductRetriever
 
 
 class ServingGateway(SnapshotListener):
@@ -67,10 +68,9 @@ class ServingGateway(SnapshotListener):
     the superseded cache entries right after it.  The build never shares a
     lock with readers: a request pinned to version ``v`` finds ``v``'s index
     with one dict lookup while ``v + 1`` is still building.  Subclasses (the
-    sharded tier) override :meth:`_search_backend` /
-    :meth:`_search_backend_async` and the listener hooks to swap the
-    single-process index for a worker pool without touching the
-    request/cache path.
+    sharded tier) override :meth:`_search_backend_async` and the listener
+    hooks to swap the single-process index for a worker pool without
+    touching the request/cache path.
 
     Loop-front-end knobs:
 
@@ -163,11 +163,16 @@ class ServingGateway(SnapshotListener):
         )
         self.tracer = Tracer(clock=clock, recorder=self.flight_recorder,
                              seed=trace_seed, enabled=tracing)
-        self.scheduler = BatchScheduler(
+        self.scheduler = AsyncBatchScheduler(
             self._execute_batch_async, max_batch_size=max_batch_size,
             max_wait_s=max_wait_s, clock=clock, max_queue=max_queue,
             overload=overload, telemetry=self.telemetry, tracer=self.tracer,
         )
+        # Synchronous callers (search / rank / rank_batch) run the request
+        # coroutines on a loop made on the first such call; they take turns
+        # on the lock because a loop runs one ``run_until_complete`` at a time.
+        self._sync_loop: Optional[asyncio.AbstractEventLoop] = None
+        self._sync_lock = threading.Lock()
         self._active_version: Optional[int] = None
         # Subscribing prepares + activates the current snapshot eagerly, so
         # the first request never pays an index build.
@@ -271,85 +276,92 @@ class ServingGateway(SnapshotListener):
             )
         return durable.save_index(self._index_for(snapshot), kind or self.index_kind)
 
-    def _search_backend(self, snapshot, query_matrix: np.ndarray, k: int,
-                        spans: Optional[BatchSpans] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+    async def _search_backend_async(self, snapshot, query_matrix: np.ndarray,
+                                    k: int, spans: Optional[BatchSpans] = None
+                                    ) -> Tuple[np.ndarray, np.ndarray]:
         """One vectorised top-k search at exactly ``snapshot``'s version.
 
         The single-process backend answers from the snapshot's index; the
         sharded subclass overrides this with a scatter/gather over its
-        worker pool.  ``spans`` (when the batch carries traced requests)
-        receives a ``score`` span covering the scan.
+        worker pool.  The CPU-bound scan is pushed through ``cpu_executor``
+        when one is configured, so the event loop keeps admitting and
+        timing out requests while numpy scans the catalogue; without one it
+        runs inline (deterministic).  ``spans`` (when the batch carries
+        traced requests) receives a ``score`` span covering the scan.
         """
         index = self._index_for(snapshot)
+        offloaded = self._cpu_executor is not None
         started = self._clock() if spans is not None else 0.0
-        result = index.search(query_matrix, k, **self._search_kwargs)
+        if offloaded:
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._cpu_executor,
+                partial(index.search, query_matrix, k, **self._search_kwargs))
+        else:
+            result = index.search(query_matrix, k, **self._search_kwargs)
         if spans is not None:
             spans.add("score", started, self._clock(),
-                      queries=query_matrix.shape[0], k=k)
+                      queries=query_matrix.shape[0], k=k, offloaded=offloaded)
         return result
 
-    async def _search_backend_async(self, snapshot, query_matrix: np.ndarray,
-                                    k: int, spans: Optional[BatchSpans] = None
-                                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The async face of the backend search (the executor boundary).
-
-        CPU-bound scoring is pushed through ``cpu_executor`` when one is
-        configured, so the event loop keeps admitting and timing out
-        requests while numpy scans the catalogue; without one the scan runs
-        inline (deterministic, and correct for the sync facade which has no
-        loop to protect).  The sharded subclass overrides this with a
-        loop-driven scatter/gather instead.
-        """
-        if self._cpu_executor is not None:
-            loop = asyncio.get_running_loop()
-            started = self._clock()
-            result = await loop.run_in_executor(
-                self._cpu_executor, self._search_backend,
-                snapshot, query_matrix, k)
-            if spans is not None:
-                spans.add("score", started, self._clock(),
-                          queries=query_matrix.shape[0], k=k, offloaded=True)
-            return result
-        return self._search_backend(snapshot, query_matrix, k, spans=spans)
-
     # ------------------------------------------------------------------ #
-    # Request path (async core + sync wrappers)
+    # Request path (async; the sync surface runs it on the gateway's loop)
     # ------------------------------------------------------------------ #
-    def submit(self, query_id: int, k: Optional[int] = None,
-               deadline_s: Optional[float] = None,
-               tag: Optional[str] = None) -> PendingRequest:
-        """Enqueue one request for micro-batched execution.
+    def _run(self, coro):
+        """Run one request coroutine to completion for a synchronous caller.
 
-        ``tag`` attributes the request's telemetry (answered latency,
-        deadline miss, overload rejection, cancellation) to a named stream —
-        the experimentation tier passes the A/B bucket here, and
-        :meth:`GatewayTelemetry.bucket_rows` reports per-bucket cost.
+        Refuses — before anything is admitted — when the calling thread is
+        already inside a running event loop: that caller must ``await`` the
+        ``*_async`` form instead.
         """
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        return self.scheduler.submit(
-            query_id, k if k is not None else self.top_k, deadline_s=deadline_s,
-            tag=tag)
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            pass
+        else:
+            coro.close()
+            raise RuntimeError(
+                "the synchronous gateway surface cannot run inside a running "
+                "event loop; await search_async / rank_async / "
+                "rank_batch_async instead")
+        with self._sync_lock:
+            if self._sync_loop is None:
+                self._sync_loop = asyncio.new_event_loop()
+            return self._sync_loop.run_until_complete(self._settle(coro))
 
-    def poll(self) -> int:
-        return self.scheduler.poll()
+    async def _settle(self, coro):
+        """Await ``coro``, dispatching what it enqueues without delay.
 
-    def flush(self) -> int:
-        return self.scheduler.flush()
+        A synchronous caller is the only submitter on this loop, so no
+        later arrival could join its batch: waiting out ``max_wait_s``
+        would only add latency.  The drive task is stopped before
+        returning, which leaves the scheduler idle and free to rebind to a
+        caller's own loop.
+        """
+        task = asyncio.ensure_future(coro)
+        try:
+            await asyncio.sleep(0)  # the task runs up to its first wait
+            while not task.done():
+                await self.scheduler.flush()
+                await asyncio.sleep(0)
+            return task.result()
+        finally:
+            await self.scheduler.stop()
 
     def search(self, query_id: int, k: Optional[int] = None,
                deadline_s: Optional[float] = None,
                tag: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Synchronous single search: ``(ids, scores)`` for one query.
+        """Synchronous :meth:`search_async`: ``(ids, scores)`` for one query."""
+        return self._run(
+            self.search_async(query_id, k, deadline_s=deadline_s, tag=tag))
 
-        A thin wrapper over the async core: the request is admitted to the
-        same scheduler queue and executed by the same batch path as
-        :meth:`search_async`, driven to completion on the facade's loop.
-        """
-        pending = self.submit(query_id, k, deadline_s=deadline_s, tag=tag)
-        self.scheduler.flush()
-        return pending.result()
+    def rank(self, query_id: int, k: Optional[int] = None) -> List[int]:
+        """Synchronous single request (the A/B simulator's ranker protocol)."""
+        return self._run(self.rank_async(query_id, k))
+
+    def rank_batch(self, query_ids: Sequence[int],
+                   k: Optional[int] = None) -> List[List[int]]:
+        """Synchronous :meth:`rank_batch_async`."""
+        return self._run(self.rank_batch_async(query_ids, k))
 
     async def search_async(self, query_id: int, k: Optional[int] = None,
                            deadline_s: Optional[float] = None,
@@ -383,13 +395,12 @@ class ServingGateway(SnapshotListener):
         wait without re-implementing admission.  Raises ``OverloadError``
         at admission like ``search_async`` does.
         """
-        core = self.scheduler.async_scheduler
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        pending = await core.submit(
+        pending = await self.scheduler.submit(
             query_id, k if k is not None else self.top_k, deadline_s=deadline_s,
             tag=tag)
-        core.start()  # idempotent: the drive task for the current loop
+        self.scheduler.start()  # idempotent: the drive task for the current loop
         return pending
 
     async def rank_async(self, query_id: int, k: Optional[int] = None,
@@ -400,35 +411,33 @@ class ServingGateway(SnapshotListener):
                                          tag=tag)
         return [int(service_id) for service_id in ids]
 
-    async def stop_async(self) -> None:
-        """Stop the drive task on the current loop, draining the queue."""
-        await self.scheduler.async_scheduler.stop()
+    async def rank_batch_async(self, query_ids: Sequence[int],
+                               k: Optional[int] = None) -> List[List[int]]:
+        """Rank many queries concurrently; the scheduler batches them.
 
-    async def drain_async(self) -> None:
-        """Drain hook for replica lifecycle: finish queued work, stay up.
-
-        Completes (or sheds, per deadline) everything already admitted and
-        stops the drive task; the next ``submit_async`` restarts it.  A
-        fleet uses this to retire a replica gracefully — drain, then stop
-        routing to it — without failing in-flight requests the way
-        ``close()`` would.
+        Every request settles before the first failure (if any) is raised,
+        so no request of the call is left running behind the caller's back.
         """
-        await self.scheduler.async_scheduler.stop(drain=True)
+        ranked = await asyncio.gather(
+            *(self.rank_async(query_id, k) for query_id in query_ids),
+            return_exceptions=True)
+        for outcome in ranked:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return ranked
 
-    def rank(self, query_id: int, k: Optional[int] = None) -> List[int]:
-        """Synchronous single request (the A/B simulator's ranker protocol)."""
-        ids, _ = self.search(query_id, k)
-        return [int(service_id) for service_id in ids]
+    async def stop_async(self) -> None:
+        """Stop the drive task on the current loop, draining the queue.
 
-    def rank_batch(self, query_ids: Sequence[int],
-                   k: Optional[int] = None) -> List[List[int]]:
-        """Submit many requests, let the scheduler batch them, gather results."""
-        handles = [self.submit(query_id, k) for query_id in query_ids]
-        self.scheduler.flush()
-        return [[int(service_id) for service_id in handle.result()[0]] for handle in handles]
+        Completes (or sheds, per deadline) everything already admitted; the
+        next ``submit_async`` restarts the drive task.  A fleet retires a
+        replica gracefully this way — drain, then stop routing to it —
+        without failing in-flight requests the way ``close()`` would.
+        """
+        await self.scheduler.stop()
 
     # ------------------------------------------------------------------ #
-    # Batch execution (the scheduler's executor — one path, sync or async)
+    # Batch execution (the scheduler's executor)
     # ------------------------------------------------------------------ #
     async def _execute_batch_async(self, batch: Sequence[PendingRequest]) -> List:
         """Scheduler executor with version re-pinning.
@@ -572,7 +581,8 @@ class ServingGateway(SnapshotListener):
         query_ids = rng.choice(snapshot.num_queries, size=sample_size, replace=False)
         query_matrix = snapshot.query(query_ids)
         exact_ids, _ = ExactIndex().build(snapshot.all_services()).search(query_matrix, k)
-        approx_ids, _ = self._search_backend(snapshot, query_matrix, k)
+        approx_ids, _ = self._run(
+            self._search_backend_async(snapshot, query_matrix, k))
         recall = recall_at_k(approx_ids, exact_ids, k)
         self.telemetry.record_recall(recall, k)
         return recall
@@ -596,14 +606,17 @@ class ServingGateway(SnapshotListener):
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Detach from the store's publish protocol and stop the scheduler.
+        """Detach from the store's publish protocol and close the sync loop.
 
         A store can outlive the gateways serving it; without unsubscribing,
         every future publish would keep building indexes for a gateway
         nobody queries any more.
         """
         self.store.unsubscribe(self)
-        self.scheduler.close()
+        with self._sync_lock:
+            loop, self._sync_loop = self._sync_loop, None
+        if loop is not None:
+            loop.close()
         if self._owns_cpu_executor and self._cpu_executor is not None:
             self._cpu_executor.shutdown(wait=False)
             self._cpu_executor = None
@@ -699,22 +712,21 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
     return ServingGateway(store, index=index, index_params=index_params, **gateway_kwargs)
 
 
-class IndexRetriever:
-    """Adapter exposing a :class:`RetrievalIndex` through the seed retriever
-    protocol (``retrieve(query_id, k, candidate_ids)``), so the existing
-    :class:`~repro.serving.ranking.RankingModule` and
+class IndexRetriever(InnerProductRetriever):
+    """:class:`~repro.serving.retrieval.InnerProductRetriever` whose
+    *unrestricted* top-K goes through a :class:`RetrievalIndex`, so the
+    existing :class:`~repro.serving.ranking.RankingModule` and
     :class:`~repro.serving.pipeline.ServingPipeline` can use ANN retrieval
     interchangeably with the exact scan.
 
-    Candidate-restricted calls fall back to an exact scan over the subset
-    (the restriction already bounds the cost); unrestricted calls go through
-    the index.  The index tracks the store version and rebuilds after a
-    refresh.
+    Candidate-restricted calls keep the inherited exact scan over the subset
+    (the restriction already bounds the cost).  The index tracks the store
+    version and rebuilds after a refresh.
     """
 
     def __init__(self, store, index: str = "ivf",
                  index_params: Optional[dict] = None) -> None:
-        self.store = store
+        super().__init__(store)
         self.index_kind = index
         self.index_params = dict(index_params or {})
         self._index: Optional[RetrievalIndex] = None
@@ -731,18 +743,10 @@ class IndexRetriever:
     def retrieve(self, query_id: int, k: int,
                  candidate_ids: Optional[Sequence[int]] = None
                  ) -> Tuple[np.ndarray, np.ndarray]:
+        if candidate_ids is not None:
+            return super().retrieve(query_id, k, candidate_ids)
         if k <= 0:
             raise ValueError("k must be positive")
-        query_embedding = self.store.query([query_id])[0]
-        if candidate_ids is not None:
-            candidates = np.asarray(candidate_ids, dtype=np.int64)
-            if candidates.size == 0:
-                return np.zeros(0, dtype=np.int64), np.zeros(0)
-            scores = self.store.all_services()[candidates] @ query_embedding
-            limit = min(k, candidates.size)
-            top = np.argpartition(-scores, limit - 1)[:limit]
-            order = top[np.argsort(-scores[top], kind="stable")]
-            return candidates[order], scores[order]
-        ids, scores = self._current_index().search(query_embedding[None, :], k)
+        ids, scores = self._current_index().search(self.store.query([query_id]), k)
         valid = ids[0] >= 0
         return ids[0][valid], scores[0][valid]

@@ -4,9 +4,9 @@ The paper's deployment (Sec. V-F.1) replaces the MLP click head with an
 inner product so that online retrieval reduces to a maximum-inner-product
 search (MIPS) over the exported service embeddings.  The seed substrate
 performs that search as an exact brute-force scan; at production catalogue
-sizes the scan dominates request latency, so the gateway offers two
-pure-numpy approximate indexes behind a common :class:`RetrievalIndex`
-interface:
+sizes the scan dominates request latency, so the gateway offers a
+pure-numpy approximate index beside it, behind a common
+:class:`RetrievalIndex` interface:
 
 * :class:`ExactIndex` — the reference brute-force scan, vectorised over a
   whole micro-batch of queries (one BLAS matmul instead of per-request
@@ -14,10 +14,7 @@ interface:
 * :class:`IVFIndex` — an inverted-file index: a k-means coarse quantizer
   partitions the catalogue into lists and each query only scans the
   ``num_probes`` lists whose centroids score highest, cutting the scanned
-  fraction to roughly ``num_probes / num_lists``;
-* :class:`LSHIndex` — signed random hyperplane LSH with multi-probing:
-  candidates are gathered from hash buckets across several tables and
-  re-ranked exactly.
+  fraction to roughly ``num_probes / num_lists``.
 
 The quantized indexes from :mod:`repro.serving.quant.ivfpq`
 (:class:`~repro.serving.quant.ivfpq.IVFPQIndex` coarse cells + product-
@@ -286,169 +283,9 @@ class IVFIndex(RetrievalIndex):
         return out_ids, out_scores
 
 
-class LSHIndex(RetrievalIndex):
-    """Signed random hyperplane LSH with single-bit multi-probing.
-
-    Each of ``num_tables`` tables hashes a vector to ``num_bits`` hyperplane
-    signs packed into an integer bucket key.  A query gathers the union of
-    its own bucket across all tables, plus (multi-probe) every bucket at
-    Hamming distance one, then re-ranks the candidates exactly.
-
-    Buckets are stored CSR-style (sorted unique keys + member offsets), so
-    candidate gathering is *batched*: every probe key of the whole
-    micro-batch resolves through one ``searchsorted`` per table, bucket
-    members expand through one repeat-trick, and per-query de-duplication is
-    a single ``unique`` over ``(query, candidate)`` pairs — the per-query
-    python-dict lookups that used to dominate at 10k+ services are gone.
-    """
-
-    name = "lsh"
-
-    def __init__(self, num_tables: int = 8, num_bits: int = 8,
-                 multiprobe: bool = True, seed: int = 0) -> None:
-        if num_tables <= 0 or num_bits <= 0:
-            raise ValueError("num_tables and num_bits must be positive")
-        if num_bits > 60:
-            raise ValueError("num_bits must fit an int64 bucket key")
-        self.num_tables = num_tables
-        self.num_bits = num_bits
-        self.multiprobe = multiprobe
-        self.seed = seed
-        self._services: Optional[np.ndarray] = None
-        self._planes: Optional[np.ndarray] = None
-        self._bucket_keys: List[np.ndarray] = []    # per table: sorted unique keys
-        self._bucket_starts: List[np.ndarray] = []  # per table: CSR offsets
-        self._bucket_members: List[np.ndarray] = [] # per table: members, key-major
-
-    def build(self, services: np.ndarray) -> "LSHIndex":
-        services = np.asarray(services, dtype=np.float64)
-        if services.ndim != 2:
-            raise ValueError("services must be a (num_services, dim) matrix")
-        rng = np.random.default_rng(self.seed)
-        dim = services.shape[1]
-        self._planes = rng.normal(size=(self.num_tables, self.num_bits, dim))
-        powers = 1 << np.arange(self.num_bits, dtype=np.int64)
-        self._bucket_keys, self._bucket_starts, self._bucket_members = [], [], []
-        for table in range(self.num_tables):
-            bits = (services @ self._planes[table].T) > 0
-            keys = bits @ powers
-            order = np.argsort(keys, kind="stable")
-            unique_keys, counts = np.unique(keys, return_counts=True)
-            self._bucket_keys.append(unique_keys)
-            self._bucket_starts.append(
-                np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            )
-            self._bucket_members.append(order.astype(np.int64))
-        self._services = services
-        return self
-
-    @property
-    def num_services(self) -> int:
-        if self._services is None:
-            raise RuntimeError("index not built")
-        return self._services.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        if self._services is None:
-            raise RuntimeError("index not built")
-        return int(
-            self._services.nbytes
-            + self._planes.nbytes
-            + sum(keys.nbytes for keys in self._bucket_keys)
-            + sum(starts.nbytes for starts in self._bucket_starts)
-            + sum(members.nbytes for members in self._bucket_members)
-        )
-
-    def _probe_keys(self, keys: np.ndarray) -> np.ndarray:
-        """All probed bucket keys per (table, query): own key + 1-bit flips."""
-        if not self.multiprobe:
-            return keys[:, :, None]
-        flips = np.concatenate(([0], 1 << np.arange(self.num_bits, dtype=np.int64)))
-        return keys[:, :, None] ^ flips
-
-    def _batch_candidates(self, keys: np.ndarray, batch: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate ``(query_row, service_id)`` pairs for a whole batch.
-
-        ``keys`` is the ``(tables, batch)`` bucket-key matrix.  All probes of
-        all queries resolve with one ``searchsorted`` per table; the result
-        is de-duplicated per query in a single ``unique``.
-        """
-        probe_keys = self._probe_keys(keys)  # (tables, batch, probes)
-        probes = probe_keys.shape[2]
-        row_of_probe = np.repeat(np.arange(batch, dtype=np.int64), probes)
-        pair_rows: List[np.ndarray] = []
-        pair_ids: List[np.ndarray] = []
-        for table in range(self.num_tables):
-            unique_keys = self._bucket_keys[table]
-            if unique_keys.size == 0:
-                continue
-            starts = self._bucket_starts[table]
-            members = self._bucket_members[table]
-            flat_keys = probe_keys[table].reshape(-1)
-            bucket = np.searchsorted(unique_keys, flat_keys)
-            bucket_clipped = np.minimum(bucket, unique_keys.size - 1)
-            hit = unique_keys[bucket_clipped] == flat_keys
-            bucket = bucket_clipped[hit]
-            lengths = starts[bucket + 1] - starts[bucket]
-            total = int(lengths.sum())
-            if total == 0:
-                continue
-            # Expand each hit bucket's member slice with one repeat-trick.
-            segment_starts = np.cumsum(lengths) - lengths
-            positions = (np.arange(total, dtype=np.int64)
-                         + np.repeat(starts[bucket] - segment_starts, lengths))
-            pair_ids.append(members[positions])
-            pair_rows.append(np.repeat(row_of_probe[hit], lengths))
-        if not pair_ids:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        rows = np.concatenate(pair_rows)
-        ids = np.concatenate(pair_ids)
-        # De-duplicate per query.  A (batch, services) bitmap + nonzero is
-        # one dense scatter/scan and returns row-sorted pairs; fall back to
-        # sorting packed keys when the bitmap would be unreasonably large.
-        num_services = self.num_services
-        if batch * num_services <= 1 << 26:
-            seen = np.zeros((batch, num_services), dtype=bool)
-            seen[rows, ids] = True
-            return [np.asarray(axis) for axis in np.nonzero(seen)]
-        combined = rows * np.int64(num_services) + ids
-        combined.sort()
-        keep = np.empty(combined.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(combined[1:], combined[:-1], out=keep[1:])
-        combined = combined[keep]
-        return combined // num_services, combined % num_services
-
-    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self._services is None or self._planes is None:
-            raise RuntimeError("index not built")
-        queries = self._check_queries(queries, k)
-        batch = queries.shape[0]
-        powers = 1 << np.arange(self.num_bits, dtype=np.int64)
-        # (tables, batch) bucket keys in two tensordots.
-        bits = np.einsum("tbd,qd->tqb", self._planes, queries) > 0
-        keys = bits @ powers
-        cand_rows, cand_ids = self._batch_candidates(keys, batch)
-        row_starts = np.searchsorted(cand_rows, np.arange(batch + 1))
-        out_ids = np.empty((batch, k), dtype=np.int64)
-        out_scores = np.empty((batch, k))
-        for row in range(batch):
-            candidates = cand_ids[row_starts[row]:row_starts[row + 1]]
-            scores = (
-                self._services[candidates] @ queries[row]
-                if candidates.size
-                else np.zeros(0)
-            )
-            out_ids[row], out_scores[row] = self._top_k(candidates, scores, k)
-        return out_ids, out_scores
-
-
 _INDEX_REGISTRY = {
     ExactIndex.name: ExactIndex,
     IVFIndex.name: IVFIndex,
-    LSHIndex.name: LSHIndex,
 }
 
 
@@ -467,7 +304,7 @@ def _register_quantized_indexes() -> None:
 
 def build_index(kind: str, services: np.ndarray, **params) -> RetrievalIndex:
     """Build a retrieval index by registry name
-    (``exact`` / ``ivf`` / ``lsh`` / ``ivfpq`` / ``int8``)."""
+    (``exact`` / ``ivf`` / ``ivfpq`` / ``int8``)."""
     if kind not in _INDEX_REGISTRY:
         _register_quantized_indexes()
     try:

@@ -1,4 +1,4 @@
-"""Micro-batching request scheduler: an asyncio-native core + a sync shim.
+"""Micro-batching request scheduler on one asyncio event loop.
 
 Single-request serving wastes the hardware: scoring one query against the
 catalogue is a matvec, while scoring 64 queued queries together is one BLAS
@@ -9,19 +9,19 @@ concurrent requests into such batches under a latency contract:
 * when the *oldest* queued request has waited ``max_wait_s`` (the deadline),
   whichever comes first.
 
-:class:`AsyncBatchScheduler` is the single batching implementation.  The
-thread-per-wait design it replaces parked one thread on an ``Event`` per
-in-flight request, capping a process at hundreds of concurrent requests;
-here every request is an ``asyncio``-completable handle and one loop task
-drives the deadline flushes, so thousands of requests can be in flight at
-the same micro-batch deadlines.  On top of the PR-1 batching contract it
-adds the request-lifecycle controls a loop front-end needs:
+:class:`AsyncBatchScheduler` is the only batching implementation and has no
+synchronous twin: every request is an ``asyncio``-completable handle and one
+loop task drives the deadline flushes, so thousands of requests can be in
+flight at the same micro-batch deadlines.  Synchronous callers reach it
+through :class:`~repro.serving.gateway.gateway.ServingGateway`'s ``search``
+/ ``rank`` / ``rank_batch``, which run the same coroutines to completion on
+a loop the gateway owns.  On top of the batching contract it adds the
+request-lifecycle controls a loop front-end needs:
 
 * **admission control** — a bounded queue (``max_queue``) with two
   backpressure policies: ``overload="reject"`` fails the submit with
-  :class:`OverloadError` immediately, ``overload="wait"`` parks the *async*
-  submitter on a FIFO waiter future until a slot frees (the sync
-  ``submit_nowait`` always rejects when full — there is no loop to park on);
+  :class:`OverloadError` immediately, ``overload="wait"`` parks the
+  submitter on a FIFO waiter future until a slot frees;
 * **deadline propagation** — a request may carry a deadline; requests past
   it are failed with :class:`DeadlineExceededError` *before* scoring, so an
   overloaded queue sheds work it could no longer answer in time;
@@ -30,33 +30,21 @@ adds the request-lifecycle controls a loop front-end needs:
 * **graceful shutdown** — :meth:`AsyncBatchScheduler.stop` cancels the
   drive task and drains the queue, completing every in-flight future.
 
-:class:`BatchScheduler` is the backwards-compatible synchronous facade: the
-same ``submit`` / ``poll`` / ``flush`` / ``start`` / ``stop`` surface as the
-PR-1 thread scheduler, now implemented as a thin shim that drives the async
-core on a private event loop (``run_until_complete`` for the explicit
-``poll``/``flush`` protocol, a single loop thread for :meth:`~BatchScheduler.
-start`).  It is a wrapper, not a sibling implementation: every batch —
-sync or async — is formed and executed by the same core.
-
 The clock is injectable so deadline semantics are unit-testable without
-sleeping (drive ``poll`` explicitly, as the benches and the examples do).
+sleeping (``await`` :meth:`~AsyncBatchScheduler.poll` explicitly, as the
+deterministic test suites do).
 """
 
 from __future__ import annotations
 
 import asyncio
 import inspect
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.serving.obs.metrics import Histogram
-from repro.serving.obs.tracing import (
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_SHED,
-)
+from repro.serving.obs.tracing import STATUS_ERROR, STATUS_SHED
 
 OVERLOAD_POLICIES = ("wait", "reject")
 
@@ -70,13 +58,13 @@ class DeadlineExceededError(TimeoutError):
 
 
 class PendingRequest:
-    """Completable handle for one enqueued request (sync *and* async).
+    """Completable handle for one enqueued request.
 
-    The synchronous side blocks on :meth:`result`; the asynchronous side
-    ``await``\\ s the handle (an :class:`asyncio.Future` is attached lazily
-    on the awaiting loop).  :meth:`cancel` is cooperative: a request
-    cancelled while queued is dropped when its batch is formed — its slot
-    is never scored.
+    ``await`` the handle (or :meth:`wait`) for the result; an
+    :class:`asyncio.Future` is attached lazily on the awaiting loop, so a
+    request that completes before anyone waits costs no future.
+    :meth:`cancel` is cooperative: a request cancelled while queued is
+    dropped when its batch is formed — its slot is never scored.
     """
 
     def __init__(
@@ -99,7 +87,7 @@ class PendingRequest:
         #: when tracing is off; instrumentation sites guard on it.
         self.trace = trace
         self.completed_at: Optional[float] = None
-        self._event = threading.Event()
+        self._done = False
         self._value: Any = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
@@ -107,7 +95,7 @@ class PendingRequest:
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     @property
     def cancelled(self) -> bool:
@@ -115,28 +103,20 @@ class PendingRequest:
 
     def cancel(self) -> bool:
         """Cooperatively cancel; returns False when already completed."""
-        if self._event.is_set():
+        if self._done:
             return False
         self._cancelled = True
         self._error = asyncio.CancelledError("request cancelled")
-        self._event.set()
+        self._done = True
         if self._future is not None and not self._future.done():
             self._future.cancel()
         if self.trace is not None:
             self.trace.finish("cancelled")
         return True
 
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Block until the batch containing this request has executed."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request not completed within timeout")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
     async def wait(self) -> Any:
         """Await completion on the current event loop."""
-        if self._event.is_set():
+        if self._done:
             if self._error is not None:
                 raise self._error
             return self._value
@@ -148,20 +128,20 @@ class PendingRequest:
         return self.wait().__await__()
 
     def _complete(self, value: Any, completed_at: float) -> None:
-        if self._event.is_set():  # already cancelled or failed: drop the value
+        if self._done:  # already cancelled or failed: drop the value
             return
         self._value = value
         self.completed_at = completed_at
-        self._event.set()
+        self._done = True
         if self._future is not None and not self._future.done():
             self._future.set_result(value)
 
     def _fail(self, error: BaseException, completed_at: float) -> None:
-        if self._event.is_set():
+        if self._done:
             return
         self._error = error
         self.completed_at = completed_at
-        self._event.set()
+        self._done = True
         if self._future is not None and not self._future.done():
             self._future.set_exception(error)
 
@@ -173,14 +153,13 @@ class AsyncBatchScheduler:
     batch and returns one result per request (same order); it may be a
     plain callable or a coroutine function.  A raised exception propagates
     to every request of the failed batch; an exception *returned* in place
-    of a single result fails only that request.  A plain-callable executor
-    can be pushed off the loop through ``cpu_executor`` (any
-    :class:`concurrent.futures.Executor`) so scoring never blocks it.
+    of a single result fails only that request.
 
     The scheduler binds to an event loop lazily (first coroutine that
     touches it) and may rebind when idle — which is how one scheduler can
-    serve the sync facade's private loop and a caller's ``asyncio.run``
-    in the same process, just not concurrently.
+    serve the gateway's own loop (its synchronous ``search`` / ``rank``)
+    and a caller's ``asyncio.run`` in the same process, just not
+    concurrently.
 
     ``telemetry`` (optionally a
     :class:`~repro.serving.gateway.telemetry.GatewayTelemetry`) receives
@@ -194,7 +173,6 @@ class AsyncBatchScheduler:
         max_wait_s: float = 0.002,
         max_queue: Optional[int] = None,
         overload: str = "wait",
-        cpu_executor=None,
         clock: Callable[[], float] = time.monotonic,
         telemetry=None,
         tracer=None,
@@ -213,7 +191,6 @@ class AsyncBatchScheduler:
         self.max_wait_s = max_wait_s
         self.max_queue = max_queue
         self.overload = overload
-        self.cpu_executor = cpu_executor
         self.telemetry = telemetry
         self.tracer = tracer
         self._clock = clock
@@ -243,11 +220,11 @@ class AsyncBatchScheduler:
     def check_rebind(self, loop: Optional[asyncio.AbstractEventLoop]) -> None:
         """Raise if this scheduler is pinned to a different live loop.
 
-        Queued requests without an attached future are loop-agnostic (their
-        sync side is a plain Event); what actually pins the old loop is an
-        awaited future, a parked admission waiter, or a live drive task.
-        Sync callers check *before* enqueueing so a cross-loop mistake
-        fails cleanly instead of leaving a phantom request behind.
+        Queued requests without an attached future are loop-agnostic; what
+        actually pins the old loop is an awaited future, a parked admission
+        waiter, or a live drive task.  ``submit`` checks *before*
+        enqueueing, so a cross-loop mistake fails cleanly instead of
+        leaving a phantom request behind.
         """
         if self._loop is None or self._loop is loop:
             return
@@ -335,15 +312,6 @@ class AsyncBatchScheduler:
         self._notify()
         return pending
 
-    def submit_nowait(
-        self, query_id: int, k: int, deadline_s: Optional[float] = None,
-        tag: Optional[str] = None,
-    ) -> PendingRequest:
-        """Enqueue without awaiting; a full bounded queue always rejects."""
-        if self.max_queue is not None and len(self._queue) >= self.max_queue:
-            self._reject_overload(tag=tag, query_id=query_id)
-        return self._enqueue(self._make_pending(query_id, k, deadline_s, tag=tag))
-
     async def submit(
         self, query_id: int, k: int, deadline_s: Optional[float] = None,
         tag: Optional[str] = None,
@@ -422,11 +390,6 @@ class AsyncBatchScheduler:
         return batch
 
     async def _call_executor(self, live: Sequence[PendingRequest]) -> Sequence[Any]:
-        if self.cpu_executor is not None and not asyncio.iscoroutinefunction(
-            self.executor
-        ):
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self.cpu_executor, self.executor, live)
         result = self.executor(live)
         if inspect.isawaitable(result):
             return await result
@@ -542,7 +505,7 @@ class AsyncBatchScheduler:
         return dispatched
 
     # ------------------------------------------------------------------ #
-    # The drive loop (one task per scheduler, replaces the poll thread)
+    # The drive loop (one task per scheduler)
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Ensure the deadline-driving task runs on the current loop."""
@@ -576,13 +539,16 @@ class AsyncBatchScheduler:
                 if self.telemetry is not None and lag > 0:
                     self.telemetry.record_loop_lag(lag)
 
-    async def stop(self, drain: bool = True) -> None:
-        """Cancel the drive task; drain (default) or cancel in-flight work.
+    async def stop(self) -> None:
+        """Cancel the drive task and drain the queue.
 
+        Everything already admitted is completed (or shed, per deadline).
         Parked admission waiters (``overload="wait"`` submitters) are
         cancelled — their ``submit`` raises :class:`asyncio.CancelledError`
         instead of enqueueing into a scheduler that no longer dispatches.
+        The next :meth:`start` resumes dispatching.
         """
+        self._bind_running_loop()
         if self._drive_task is not None:
             self._drive_task.cancel()
             try:
@@ -590,23 +556,14 @@ class AsyncBatchScheduler:
             except asyncio.CancelledError:
                 pass
             self._drive_task = None
-        if drain:
-            while self._queue or self._waiters or self._reserved:
-                self._cancel_waiters()
-                await self.flush()
-                # A waiter the drain released before we cancelled (it holds
-                # a reserved slot) resumes on the next tick and enqueues;
-                # give it that tick, then sweep again until nothing is
-                # queued, parked, or holding a granted slot.
-                await asyncio.sleep(0)
-        else:
-            while self._queue or self._waiters or self._reserved:
-                self._cancel_waiters()
-                while self._queue:
-                    pending = self._queue.popleft()
-                    if pending.cancel():
-                        self.cancelled_requests += 1
-                await asyncio.sleep(0)
+        while self._queue or self._waiters or self._reserved:
+            self._cancel_waiters()
+            await self.flush()
+            # A waiter the drain released before we cancelled (it holds
+            # a reserved slot) resumes on the next tick and enqueues;
+            # give it that tick, then sweep again until nothing is
+            # queued, parked, or holding a granted slot.
+            await asyncio.sleep(0)
 
     def _cancel_waiters(self) -> None:
         while self._waiters:
@@ -644,170 +601,3 @@ class AsyncBatchScheduler:
             "cancelled_requests": float(self.cancelled_requests),
             "max_queue_depth": float(self.max_queue_depth),
         }
-
-
-class BatchScheduler:
-    """Synchronous facade over :class:`AsyncBatchScheduler` (the PR-1 API).
-
-    ``submit`` / ``poll`` / ``flush`` drive the async core to completion on
-    a private event loop, so explicit-poll callers (tests, benches, the
-    deterministic FakeClock suites) see the exact PR-1 semantics — full
-    batches dispatch inside ``submit``, ``poll`` honours the oldest
-    request's deadline.  :meth:`start` runs the core's drive task on a
-    single background loop thread (replacing the PR-1 poll thread); every
-    producer-thread call is then marshalled onto that loop, keeping all
-    scheduler state loop-confined.
-    """
-
-    def __init__(
-        self,
-        executor: Callable[[Sequence[PendingRequest]], Sequence[Any]],
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
-        **async_kwargs,
-    ) -> None:
-        self.async_scheduler = AsyncBatchScheduler(
-            executor,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            clock=clock,
-            **async_kwargs,
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        # Legacy multi-threaded producers may drive poll/flush concurrently;
-        # the private loop can only run one coroutine at a time, so sync
-        # driving serialises here (the background/async paths never take it).
-        self._sync_lock = threading.Lock()
-
-    # Delegated configuration / counters (the PR-1 attribute surface).
-    @property
-    def executor(self):
-        return self.async_scheduler.executor
-
-    @property
-    def max_batch_size(self) -> int:
-        return self.async_scheduler.max_batch_size
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.async_scheduler.max_wait_s
-
-    @property
-    def pending_count(self) -> int:
-        return self.async_scheduler.pending_count
-
-    @property
-    def in_flight_count(self) -> int:
-        return self.async_scheduler.in_flight_count
-
-    @property
-    def batches_dispatched(self) -> int:
-        return self.async_scheduler.batches_dispatched
-
-    @property
-    def requests_dispatched(self) -> int:
-        return self.async_scheduler.requests_dispatched
-
-    @property
-    def execute_latency(self) -> Histogram:
-        return self.async_scheduler.execute_latency
-
-    def stats(self) -> dict:
-        return self.async_scheduler.stats()
-
-    # ------------------------------------------------------------------ #
-    # Driving the async core from synchronous callers
-    # ------------------------------------------------------------------ #
-    def _own_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None or self._loop.is_closed():
-            self._loop = asyncio.new_event_loop()
-        return self._loop
-
-    def _background(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _run_sync(self, factory: Callable[[], Any]) -> Any:
-        """Run one core coroutine to completion from the calling thread."""
-        if self._background():
-            return asyncio.run_coroutine_threadsafe(factory(), self._loop).result()
-        with self._sync_lock:
-            return self._own_loop().run_until_complete(factory())
-
-    def submit(
-        self, query_id: int, k: int, deadline_s: Optional[float] = None,
-        tag: Optional[str] = None,
-    ) -> PendingRequest:
-        """Enqueue one request; dispatches immediately on a full batch."""
-        core = self.async_scheduler
-        if self._background():
-            return self._run_sync(lambda: core.submit(query_id, k, deadline_s, tag))
-        # Fail a cross-loop mistake (sync call while the core serves a live
-        # async loop) BEFORE enqueueing, so no phantom request is left in
-        # the foreign loop's queue.
-        core.check_rebind(self._loop)
-        pending = core.submit_nowait(query_id, k, deadline_s, tag=tag)
-        if core.pending_count >= core.max_batch_size:
-            self._run_sync(core.poll)
-        return pending
-
-    def poll(self) -> int:
-        """Dispatch batches whose size or deadline trigger fired."""
-        return self._run_sync(self.async_scheduler.poll)
-
-    def flush(self) -> int:
-        """Dispatch everything queued regardless of deadlines."""
-        return self._run_sync(self.async_scheduler.flush)
-
-    # ------------------------------------------------------------------ #
-    # Background deadline driver (one loop thread, not one thread per wait)
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Run the core's drive task on a background event-loop thread."""
-        if self._background():
-            return
-        loop = self._own_loop()
-        ready = threading.Event()
-
-        def _serve() -> None:
-            asyncio.set_event_loop(loop)
-            loop.call_soon(ready.set)
-            loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=_serve, name="batch-scheduler", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=5.0)
-
-        async def _start() -> None:
-            self.async_scheduler.start()
-
-        asyncio.run_coroutine_threadsafe(_start(), loop).result(timeout=5.0)
-
-    def stop(self) -> None:
-        """Stop the background loop thread and drain the queue."""
-        if self._background():
-            asyncio.run_coroutine_threadsafe(
-                self.async_scheduler.stop(), self._loop
-            ).result(timeout=30.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5.0)
-        self._thread = None
-        self.flush()
-
-    def close(self) -> None:
-        """Release the private loop; the scheduler is unusable afterwards."""
-        if self._background():
-            self.stop()
-        if self._loop is not None and not self._loop.is_closed():
-            if not self._loop.is_running():
-                self._loop.close()
-            self._loop = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass

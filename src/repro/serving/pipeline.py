@@ -6,7 +6,7 @@ trained model into an :class:`~repro.serving.embedding_store.EmbeddingStore`
 requests through retrieval + ranking and can be handed directly to the
 A/B-test simulator (it satisfies the ``rank(query_id, k)`` ranker protocol).
 
-Three scoring modes are supported:
+Scoring modes:
 
 * ``"model"`` (default) — every candidate service is scored with the model's
   own click head; exact but O(catalogue) per request.  Affordable at
@@ -15,9 +15,9 @@ Three scoring modes are supported:
   head is replaced by an inner product over exported embeddings so retrieval
   reduces to a maximum-inner-product search.
 * ``"ann"`` — the gateway's approximate variant of the same search: an
-  :class:`~repro.serving.gateway.index.RetrievalIndex` (IVF by default,
-  ``ann_index="lsh"`` for hyperplane LSH) answers the MIPS query from an
-  index instead of a brute-force scan.  For the full serving stack
+  :class:`~repro.serving.gateway.index.RetrievalIndex` (``ann_index``
+  names the kind, IVF by default) answers the MIPS query from an index
+  instead of a brute-force scan.  For the full serving stack
   (micro-batching, caching, hot-swap, telemetry) use
   :func:`repro.serving.gateway.deploy_gateway`.
 * ``"ivfpq"`` / ``"int8"`` — quantized MIPS over compressed service tables
@@ -25,22 +25,18 @@ Three scoring modes are supported:
   exactly (4x smaller than float32, recall ~1), ``"ivfpq"`` probes coarse
   IVF cells and scores product-quantized residual codes with ADC lookup
   tables.  Sugar for ``scoring="ann"`` with the matching index kind.
-* ``"sharded"`` — the scatter/gather tier
-  (:mod:`repro.serving.sharded`): the catalogue is split into
-  ``num_shards`` contiguous ranges, each with its own per-shard index
-  (``ann_index`` names the kind; pick ``"exact"`` for bit-exact parity
-  with the single-index ranking), and per-shard top-K lists are merged
-  exactly.  For the full multi-process deployment (worker pool, two-phase
-  hot-swap, per-shard telemetry) use
-  :func:`repro.serving.gateway.deploy_gateway` with ``num_shards > 1``.
+
+For the sharded scatter/gather deployment (worker pool, two-phase hot-swap,
+per-shard telemetry) use :func:`repro.serving.gateway.deploy_gateway` with
+``num_shards > 1``.
 
 For *concurrent* serving use the gateway tier directly: every gateway
 returned by :func:`repro.serving.gateway.deploy_gateway` is asyncio-native —
 ``await gateway.search_async(query_id)`` holds thousands of in-flight
 requests as futures on one event loop at the same micro-batch deadlines,
 with bounded-queue admission control, per-request deadline shedding and
-cooperative cancellation; the synchronous ``rank`` / ``search`` surface this
-pipeline shares is a thin wrapper over that same async core.  See
+cooperative cancellation; the gateway's synchronous ``rank`` / ``search``
+run that same path to completion.  See
 ``src/repro/serving/README.md`` for the layered architecture and when to
 pick each scoring mode.
 """
@@ -61,9 +57,8 @@ class ServingPipeline:
     def __init__(self, store: EmbeddingStore, dataset: Optional[ServiceSearchDataset] = None,
                  top_k: int = 5, normalize: bool = False, model=None,
                  scoring: str = "inner_product", ann_index: str = "ivf",
-                 ann_index_params: Optional[dict] = None,
-                 num_shards: int = 4) -> None:
-        if scoring not in ("inner_product", "model", "ann", "ivfpq", "int8", "sharded"):
+                 ann_index_params: Optional[dict] = None) -> None:
+        if scoring not in ("inner_product", "model", "ann", "ivfpq", "int8"):
             raise ValueError(f"unknown scoring mode {scoring!r}")
         if scoring == "model" and model is None:
             raise ValueError("scoring='model' requires the trained model")
@@ -71,12 +66,6 @@ class ServingPipeline:
         self.scoring = scoring
         if scoring == "model":
             self.retriever = ModelScoringRetriever(model, store.num_services)
-        elif scoring == "sharded":
-            from repro.serving.sharded import ShardedRetriever
-
-            self.retriever = ShardedRetriever(store, num_shards=num_shards,
-                                              index=ann_index,
-                                              index_params=ann_index_params)
         elif scoring in ("ann", "ivfpq", "int8"):
             from repro.serving.gateway import IndexRetriever
 
@@ -105,10 +94,9 @@ class ServingPipeline:
 def deploy_model(model, dataset: Optional[ServiceSearchDataset] = None,
                  top_k: int = 5, normalize: bool = False,
                  scoring: str = "model", ann_index: str = "ivf",
-                 ann_index_params: Optional[dict] = None,
-                 num_shards: int = 4) -> ServingPipeline:
+                 ann_index_params: Optional[dict] = None) -> ServingPipeline:
     """Export a trained model's embeddings and wrap them in a serving pipeline."""
     store = EmbeddingStore.from_model(model)
     return ServingPipeline(store, dataset=dataset, top_k=top_k, normalize=normalize,
                            model=model, scoring=scoring, ann_index=ann_index,
-                           ann_index_params=ann_index_params, num_shards=num_shards)
+                           ann_index_params=ann_index_params)

@@ -12,14 +12,13 @@ gateway:
   vectorised k-way merging of per-shard top-K candidate lists, preserving
   single-process results bit for bit for exact scoring backends;
 * :mod:`~repro.serving.sharded.pool` — serial / thread / process execution
-  backends behind one :class:`WorkerPool` surface; the process backend
-  hands tables off through shared memory and the in-process backends are
-  bit-identical to it, which is what keeps tests and CI deterministic;
+  backends behind one :class:`WorkerPool` surface whose only scatter is the
+  coroutine ``search_async``; the process backend hands tables off through
+  shared memory and the in-process backends are bit-identical to it, which
+  is what keeps tests and CI deterministic;
 * :mod:`~repro.serving.sharded.gateway` — :class:`ShardedGateway`: the
   PR-1 request path (micro-batching, caching, telemetry, staleness) with a
-  scatter/gather backend and per-shard telemetry breakdowns;
-* :mod:`~repro.serving.sharded.retriever` — :class:`ShardedRetriever`: the
-  light in-process variant behind ``ServingPipeline(scoring="sharded")``.
+  scatter/gather backend and per-shard telemetry breakdowns.
 
 ``deploy_gateway(model, num_shards=4)`` is the one-call entry point: it
 builds the sharded store, subscribes the worker pool to the store's
@@ -39,7 +38,6 @@ from repro.serving.sharded.pool import (
     make_pool,
     resolve_workers,
 )
-from repro.serving.sharded.retriever import ShardedRetriever
 from repro.serving.sharded.worker import ShardVersion, ShardWorker
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "ShardVersion",
     "ShardWorker",
     "ShardedGateway",
-    "ShardedRetriever",
     "ThreadPool",
     "WORKER_KINDS",
     "WorkerPool",

@@ -85,35 +85,19 @@ class ShardedGateway(ServingGateway):
     # ------------------------------------------------------------------ #
     # Scatter/gather backend search
     # ------------------------------------------------------------------ #
-    def _search_backend(
+    async def _search_backend_async(
         self, snapshot, query_matrix: np.ndarray, k: int, spans=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Scatter the batch to all shards, gather, exact-merge the top-K.
 
-        Each reply carries the version the shard actually served; anything
-        other than exactly the pinned snapshot version on every shard is a
+        Shard work overlaps via the event loop (executor futures for the
+        thread backend, pipe-fd readers for the process backend).  Each
+        reply carries the version the shard actually served; anything other
+        than exactly the pinned snapshot version on every shard is a
         consistency violation and fails the batch.  When ``spans`` is a
         traced batch, the pool receives the pipe-portable trace context and
         every reply carries a worker-side child span.
         """
-        trace_ctx = spans.pipe_context() if spans is not None else None
-        t0 = spans.clock() if spans is not None else 0.0
-        replies = self.pool.search(
-            snapshot.version, query_matrix, k, trace_ctx=trace_ctx
-        )
-        t1 = spans.clock() if spans is not None else 0.0
-        return self._merge_replies(
-            snapshot, query_matrix.shape[0], replies, k,
-            spans=spans, window=(t0, t1),
-        )
-
-    async def _search_backend_async(
-        self, snapshot, query_matrix: np.ndarray, k: int, spans=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The asyncio-native scatter/gather: shard work overlaps via the
-        event loop (executor futures for in-process workers, pipe-fd readers
-        for the process backend) instead of a thread fan-out, then the same
-        exact merge and version check as the sync path."""
         trace_ctx = spans.pipe_context() if spans is not None else None
         t0 = spans.clock() if spans is not None else 0.0
         replies = await self.pool.search_async(

@@ -6,8 +6,9 @@ results are bit-identical for a given snapshot — which is what lets the test
 suite pin the deterministic in-process backends while production deployments
 run one OS process per shard:
 
-* :class:`SerialPool` — shard searches run in a loop on the calling thread.
-  Zero concurrency, zero overhead; the reference backend for tests/CI.
+* :class:`SerialPool` — shard searches run back to back inside the scatter
+  coroutine.  Zero concurrency, zero overhead; the reference backend for
+  tests/CI.
 * :class:`ThreadPool` — one pool thread per shard.  numpy releases the GIL
   inside the BLAS scans, so shard scans overlap on multi-core hosts without
   any serialization cost.
@@ -22,7 +23,10 @@ run one OS process per shard:
 
 :func:`make_pool` resolves a backend name (``"serial"`` / ``"thread"`` /
 ``"process"`` / ``"auto"``) into a pool; ``"auto"`` picks processes when the
-host actually has more than one CPU and threads otherwise.
+host actually has more than one CPU and threads otherwise.  A pool's only
+scatter is ``await pool.search_async(version, queries, k)``; the two-phase
+flip (``prepare`` / ``activate`` / ``retire``) stays synchronous because
+publishes are driven from a publisher thread.
 """
 
 from __future__ import annotations
@@ -114,15 +118,6 @@ class WorkerPool:
     def retire(self, version: int) -> None:
         raise NotImplementedError
 
-    def search(
-        self,
-        version: int,
-        queries: np.ndarray,
-        k: int,
-        trace_ctx: Optional[Tuple[int, int]] = None,
-    ) -> List[ShardReply]:
-        raise NotImplementedError
-
     async def search_async(
         self,
         version: int,
@@ -130,17 +125,13 @@ class WorkerPool:
         k: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> List[ShardReply]:
-        """Async scatter/gather; the base runs the sync scatter inline.
-
-        The serial backend has nothing to overlap, so inline is exact; the
-        thread and process backends override this so per-shard work overlaps
-        on the caller's event loop instead of a thread fan-out.
+        """Scatter one micro-batch to every shard and gather the replies.
 
         ``trace_ctx`` is the ``(trace-context id, parent span id)`` pair of
         a traced scatter; when present, every reply carries a worker-side
         span dict.
         """
-        return self.search(version, queries, k, trace_ctx=trace_ctx)
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release every worker resource; idempotent."""
@@ -215,13 +206,14 @@ class SerialPool(WorkerPool):
             span=span,
         )
 
-    def search(
+    async def search_async(
         self,
         version: int,
         queries: np.ndarray,
         k: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> List[ShardReply]:
+        """Nothing to overlap: the shard scans run inline, in shard order."""
         return [
             self._one(worker, version, queries, k, trace_ctx)
             for worker in self.workers
@@ -243,19 +235,6 @@ class ThreadPool(SerialPool):
         self._executor = ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="shard-worker"
         )
-
-    def search(
-        self,
-        version: int,
-        queries: np.ndarray,
-        k: int,
-        trace_ctx: Optional[Tuple[int, int]] = None,
-    ) -> List[ShardReply]:
-        futures = [
-            self._executor.submit(self._one, worker, version, queries, k, trace_ctx)
-            for worker in self.workers
-        ]
-        return [future.result() for future in futures]
 
     async def search_async(
         self,
@@ -409,22 +388,21 @@ class ProcessPool(WorkerPool):
         index: str = "exact",
         index_params: Optional[dict] = None,
         timeout_s: float = 60.0,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__(num_shards)
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.timeout_s = timeout_s
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        context = multiprocessing.get_context(start_method)
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            context = multiprocessing.get_context("spawn")
         self._conns = []
         self._processes = []
         self._closed = False
         # The pipes carry strictly paired command/reply cycles; concurrent
-        # callers (producer threads dispatching full batches, the publisher
-        # preparing a hot-swap) must not interleave their sends and recvs.
+        # callers (the loop's scatters, a publisher thread preparing a
+        # hot-swap) must not interleave their sends and recvs.
         self._io_lock = threading.Lock()
         try:
             for shard in range(num_shards):
@@ -581,23 +559,8 @@ class ProcessPool(WorkerPool):
         self._broadcast(("retire", version), expect="ok")
 
     # ------------------------------------------------------------------ #
-    # Scatter/gather
+    # Scatter/gather: the framed-pipe cycle driven by loop readers
     # ------------------------------------------------------------------ #
-    def search(
-        self,
-        version: int,
-        queries: np.ndarray,
-        k: int,
-        trace_ctx: Optional[Tuple[int, int]] = None,
-    ) -> List[ShardReply]:
-        queries = np.ascontiguousarray(queries)
-        with self._io_lock:
-            self._drain_stale()
-            for conn in self._conns:
-                conn.send(("search", version, int(k), queries, trace_ctx))
-            raw_replies = self._recv_all()
-        return self._replies_from_raw(raw_replies)
-
     @staticmethod
     def _replies_from_raw(raw_replies: List[tuple]) -> List[ShardReply]:
         replies = []
@@ -617,9 +580,6 @@ class ProcessPool(WorkerPool):
             )
         return replies
 
-    # ------------------------------------------------------------------ #
-    # Async scatter/gather: the framed-pipe cycle driven by loop readers
-    # ------------------------------------------------------------------ #
     async def _recv_raw_async(self, shard: int) -> tuple:
         """One raw reply, awaited through ``loop.add_reader``.
 
@@ -672,9 +632,9 @@ class ProcessPool(WorkerPool):
         """Scatter on the loop; per-shard replies overlap via fd readers.
 
         The pipe pairing contract still holds: the command/reply cycle runs
-        under ``_io_lock`` (acquired off-loop so a concurrent sync caller —
-        a hot-swap preparing tables, a legacy thread dispatch — never stalls
-        the event loop while it holds the pipes), and the *whole* cycle is
+        under ``_io_lock`` (acquired off-loop so a publisher thread holding
+        the pipes while it prepares a hot-swap never stalls the event
+        loop), and the *whole* cycle is
         shielded from caller cancellation: once the scatter was sent, the
         workers' reply frames must be drained — abandoning them would hand
         the next cycle stale replies.  The shielded cycle finishes (bounded

@@ -9,7 +9,7 @@ contiguous row range ``[lo, hi)`` of the service catalogue:
   the int8 rows keep the *global* per-dimension scales, which is what makes
   sharded ``int8`` scoring bit-identical to the single-process scan,
 * a per-shard :class:`~repro.serving.gateway.index.RetrievalIndex` of any
-  registered kind (``exact`` / ``ivf`` / ``lsh`` / ``int8`` / ``ivfpq``).
+  registered kind (``exact`` / ``ivf`` / ``int8`` / ``ivfpq``).
 
 Workers are versioned like the store: :meth:`prepare` builds a new version's
 tables and index while older versions keep serving, :meth:`activate` retires

@@ -4,9 +4,10 @@ Covers the :class:`~repro.serving.gateway.scheduler.AsyncBatchScheduler`
 failure modes the loop front-end introduces (overload rejection under a
 bounded queue, await-slot backpressure, cancellation mid-batch, deadline
 misses, graceful shutdown with in-flight futures), the gateway's async
-surface (``search_async`` parity with the sync wrapper, end-to-end deadline
-and overload shedding, the lock-free loop-confined mode), and the sharded
-tier's async scatter/gather across all three worker backends.
+surface (``search_async`` parity with the sync wrappers, the sync → async →
+sync handover on one gateway, end-to-end deadline and overload shedding,
+the lock-free loop-confined mode), and the sharded tier's scatter/gather
+across all three worker backends.
 """
 
 import asyncio
@@ -19,6 +20,7 @@ import pytest
 from repro.serving.gateway import (
     AsyncBatchScheduler,
     DeadlineExceededError,
+    ExactIndex,
     OverloadError,
     ServingGateway,
     VersionedEmbeddingStore,
@@ -77,7 +79,7 @@ class TestAsyncBatchScheduler:
             assert await handle.wait() == 10
             handles = [await scheduler.submit(q, 5) for q in (2, 3, 4)]
             assert await scheduler.poll() == 3  # full batch, no deadline needed
-            assert [h.result(0) for h in handles] == [20, 30, 40]
+            assert [await h.wait() for h in handles] == [20, 30, 40]
             assert batches == [[(1, 5)], [(2, 5), (3, 5), (4, 5)]]
 
         asyncio.run(scenario())
@@ -91,10 +93,8 @@ class TestAsyncBatchScheduler:
             await scheduler.submit(1, 1)
             with pytest.raises(OverloadError):
                 await scheduler.submit(2, 1)
-            with pytest.raises(OverloadError):
-                scheduler.submit_nowait(3, 1)
-            assert scheduler.overload_rejections == 2
-            assert scheduler.stats()["overload_rejections"] == 2.0
+            assert scheduler.overload_rejections == 1
+            assert scheduler.stats()["overload_rejections"] == 1.0
             # Draining frees the slots; admission recovers.
             await scheduler.flush()
             await scheduler.submit(4, 1)
@@ -115,7 +115,7 @@ class TestAsyncBatchScheduler:
             await scheduler.flush()  # dispatch frees slots and wakes it
             handle = await parked
             await scheduler.flush()
-            assert handle.result(0) == 30
+            assert await handle.wait() == 30
             assert scheduler.overload_rejections == 0
 
         asyncio.run(scenario())
@@ -157,10 +157,8 @@ class TestAsyncBatchScheduler:
             await scheduler.flush()
             # The cancelled slot never reached the executor.
             assert batches == [[(1, 5), (3, 5)]]
-            assert first.result(0) == 10 and last.result(0) == 30
+            assert await first.wait() == 10 and await last.wait() == 30
             assert doomed.cancelled and scheduler.cancelled_requests == 1
-            with pytest.raises(asyncio.CancelledError):
-                doomed.result(0)
             with pytest.raises(asyncio.CancelledError):
                 await doomed.wait()
 
@@ -175,8 +173,8 @@ class TestAsyncBatchScheduler:
             await scheduler.flush()
             assert batches == [[(2, 5)]]  # the missed slot was shed unscored
             with pytest.raises(DeadlineExceededError):
-                missed.result(0)
-            assert alive.result(0) == 20
+                await missed.wait()
+            assert await alive.wait() == 20
             assert scheduler.deadline_misses == 1
             assert scheduler.stats()["deadline_misses"] == 1.0
 
@@ -189,7 +187,7 @@ class TestAsyncBatchScheduler:
             handles = [await scheduler.submit(q, 1) for q in range(3)]
             assert not any(handle.done for handle in handles)
             await scheduler.stop()  # drain: every in-flight future completes
-            assert [handle.result(0) for handle in handles] == [0, 10, 20]
+            assert [await handle.wait() for handle in handles] == [0, 10, 20]
             assert scheduler._drive_task is None
 
         asyncio.run(scenario())
@@ -208,7 +206,7 @@ class TestAsyncBatchScheduler:
             await asyncio.sleep(0)
             assert not any(task.done() for task in parked)
             await asyncio.wait_for(scheduler.stop(), timeout=2.0)
-            assert [handle.result(0) for handle in queued] == [10, 20]
+            assert [await handle.wait() for handle in queued] == [10, 20]
             for task in parked:
                 assert task.done()
                 with pytest.raises(asyncio.CancelledError):
@@ -233,7 +231,7 @@ class TestAsyncBatchScheduler:
             assert scheduler._reserved == 1 and not granted.done()
             await asyncio.wait_for(scheduler.stop(), timeout=2.0)
             handle = await granted
-            assert handle.result(0) == 30
+            assert await handle.wait() == 30
             assert scheduler._reserved == 0 and scheduler.pending_count == 0
 
         asyncio.run(scenario())
@@ -256,7 +254,7 @@ class TestAsyncBatchScheduler:
             stale = await parked
             await scheduler.flush()  # ...and sheds it before scoring
             with pytest.raises(DeadlineExceededError):
-                stale.result(0)
+                await stale.wait()
             assert all((3, 1) not in batch for batch in batches)
             assert scheduler.deadline_misses == 1
 
@@ -313,14 +311,94 @@ class TestAsyncGateway:
         gateway.close()
 
     def test_sync_path_routes_through_the_async_core(self, clustered):
-        """One batching implementation: the sync wrapper's batches are
-        dispatched (and counted) by the AsyncBatchScheduler."""
+        """One batching implementation: a sync call's batch is dispatched
+        (and counted) by the gateway's AsyncBatchScheduler."""
         gateway = self.make_gateway(clustered)
         gateway.search(3)
-        core = gateway.scheduler.async_scheduler
-        assert core.batches_dispatched == 1
-        assert core.requests_dispatched == 1
+        assert isinstance(gateway.scheduler, AsyncBatchScheduler)
+        assert gateway.scheduler.batches_dispatched == 1
+        assert gateway.scheduler.requests_dispatched == 1
         gateway.close()
+
+    def test_sync_then_async_then_sync_on_one_gateway(self, clustered):
+        """The scheduler rebinds between the gateway's own loop and a
+        caller's loop whenever it is idle, and every hop answers like the
+        exact oracle."""
+        queries, services = clustered
+        oracle, _ = ExactIndex().build(services).search(queries[:6], 10)
+        expected = [[int(i) for i in row] for row in oracle]
+        gateway = self.make_gateway(clustered, cache_capacity=0)
+        ids, _ = gateway.search(0)
+        assert ids.tolist() == expected[0]
+
+        async def scenario():
+            ids, _ = await gateway.search_async(1)
+            return ids.tolist()  # no stop_async: the run's teardown ends the drive task
+
+        assert asyncio.run(scenario()) == expected[1]
+        assert gateway.rank_batch(range(2, 6)) == expected[2:6]
+        assert gateway.scheduler.requests_dispatched == 6
+        gateway.close()
+
+    def test_sync_call_inside_a_running_loop_is_refused_before_admission(
+        self, clustered
+    ):
+        """A sync call from a coroutine must fail without enqueueing: a
+        phantom request would be scored with the next batch and counted."""
+        gateway = self.make_gateway(clustered, cache_capacity=0)
+
+        async def scenario():
+            for call in (lambda: gateway.search(0), lambda: gateway.rank(0),
+                         lambda: gateway.rank_batch([0, 1])):
+                with pytest.raises(RuntimeError, match="search_async"):
+                    call()
+            assert gateway.scheduler.pending_count == 0
+            await gateway.search_async(1)
+            await gateway.stop_async()
+
+        asyncio.run(scenario())
+        assert gateway.summary()["requests"] == 1
+        assert gateway.scheduler.requests_dispatched == 1
+        gateway.close()
+
+    def test_concurrent_sync_callers_and_close_leaves_nothing_behind(
+        self, clustered
+    ):
+        """Threads calling ``rank`` take turns on the gateway's loop; after
+        ``close()`` no thread, child process or open loop survives."""
+        queries, services = clustered
+        oracle, _ = ExactIndex().build(services).search(queries[:40], 10)
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        threads_before = set(threading.enumerate())
+        gateway = ShardedGateway(store, index="exact", workers="process",
+                                 top_k=10, cache_capacity=0)
+        answers, errors = {}, []
+
+        def caller(offset):
+            try:
+                for query_id in range(offset, 40, 4):
+                    answers[query_id] = gateway.rank(query_id)
+            except BaseException as error:
+                errors.append(error)
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert [answers[q] for q in range(40)] == [
+            [int(i) for i in row] for row in oracle
+        ]
+        loop = gateway._sync_loop
+        workers = list(gateway.pool._processes)
+        gateway.close()
+        assert loop.is_closed() and gateway._sync_loop is None
+        assert not any(process.is_alive() for process in workers)
+        for thread in set(threading.enumerate()) - threads_before:
+            thread.join(timeout=5.0)  # the closed loop's executor threads exit
+        assert set(threading.enumerate()) <= threads_before
 
     def test_search_async_coalesces_concurrent_requests(self, clustered):
         gateway = self.make_gateway(clustered, max_wait_s=0.001)
@@ -343,13 +421,18 @@ class TestAsyncGateway:
         queries, services = clustered
         store = VersionedEmbeddingStore(queries, services, clock=clock)
         gateway = ServingGateway(
-            store, index="exact", default_deadline_s=0.005, clock=clock
+            store, index="exact", default_deadline_s=0.005, max_wait_s=60.0,
+            clock=clock,
         )
-        pending = gateway.submit(1)
-        clock.advance(0.006)
-        gateway.flush()
-        with pytest.raises(DeadlineExceededError):
-            pending.result(0)
+
+        async def scenario():
+            pending = await gateway.submit_async(1)
+            clock.advance(0.006)
+            await gateway.stop_async()  # drains: the request is shed, not scored
+            with pytest.raises(DeadlineExceededError):
+                await pending.wait()
+
+        asyncio.run(scenario())
         assert gateway.telemetry.deadline_misses == 1
         assert gateway.telemetry.backend_queries == 0  # shed before scoring
         # A fresh request with a fresh deadline is served normally.
@@ -358,15 +441,35 @@ class TestAsyncGateway:
 
     def test_overload_reject_end_to_end(self, clustered):
         gateway = self.make_gateway(
-            clustered, max_batch_size=64, max_queue=2, overload="reject"
+            clustered, max_batch_size=64, max_wait_s=60.0, max_queue=2,
+            overload="reject",
         )
-        gateway.submit(0)
-        gateway.submit(1)
-        with pytest.raises(OverloadError):
-            gateway.submit(2)
+
+        async def scenario():
+            await gateway.submit_async(0)
+            await gateway.submit_async(1)
+            with pytest.raises(OverloadError):
+                await gateway.submit_async(2)
+            await gateway.stop_async()
+
+        asyncio.run(scenario())
         assert gateway.telemetry.overload_rejections == 1
-        gateway.flush()
         assert gateway.summary()["queue_depth_max"] == 2.0
+        gateway.close()
+
+    def test_sync_rank_batch_parks_on_a_full_queue_instead_of_shedding(
+        self, clustered
+    ):
+        """The sync surface is the async path: under ``overload="wait"`` a
+        batch wider than the admission queue parks and completes."""
+        gateway = self.make_gateway(
+            clustered, max_batch_size=4, max_queue=4, overload="wait",
+            cache_capacity=0,
+        )
+        ranked = gateway.rank_batch(range(12))
+        assert ranked == [gateway.rank(q) for q in range(12)]
+        assert gateway.telemetry.overload_rejections == 0
+        assert gateway.summary()["queue_depth_max"] <= 4.0
         gateway.close()
 
     def test_caller_cancellation_drops_the_request_unscored(self, clustered):
@@ -381,7 +484,7 @@ class TestAsyncGateway:
             await gateway.stop_async()  # drains the queue: slot is skipped
 
         asyncio.run(scenario())
-        assert gateway.scheduler.async_scheduler.cancelled_requests == 1
+        assert gateway.scheduler.cancelled_requests == 1
         assert gateway.telemetry.backend_queries == 0
         assert gateway.telemetry.cancelled_requests == 1
         gateway.close()
@@ -402,7 +505,6 @@ class TestAsyncGateway:
             def exploding_backend(*args, **kwargs):
                 raise AssertionError("cache hit must not reach the backend")
 
-            gateway._search_backend = exploding_backend
             gateway._search_backend_async = exploding_backend
             # The hit resolves inline on the loop: no backend, no executor
             # hop, no lock — a bounded await proves it cannot block.
@@ -464,7 +566,7 @@ class TestShardedAsync:
 
     def test_process_pool_async_pipe_readers_match_serial(self, clustered):
         """The loop-reader framed-pipe cycle returns exactly what the
-        blocking cycle returns — per shard, per version."""
+        in-process serial backend returns — per shard, per version."""
         serial = self.make_sharded(clustered, "serial")
         expected = serial.rank_batch(range(8), 10)
         serial.close()
@@ -478,7 +580,7 @@ class TestShardedAsync:
             return ranked
 
         assert asyncio.run(scenario()) == expected
-        # The sync path still works on the same pool afterwards.
+        # The sync surface drives the same pool from the gateway's own loop.
         assert gateway.rank_batch(range(8), 10) == expected
         gateway.close()
 

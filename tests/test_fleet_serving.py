@@ -304,7 +304,7 @@ class TestFleetRouting:
             fleet.replica("replica-0").kill()
             fleet.check_replicas(force=True)  # dead probe ejects replica-0
             survivor = fleet.replica("replica-1")
-            core = survivor.gateway.scheduler.async_scheduler
+            core = survivor.gateway.scheduler
             # Fake a backlog far past queue_budget (no drive task runs
             # here, so the sentinel entries are never dispatched).
             core._queue.extend([object()] * 8)
@@ -740,7 +740,7 @@ class TestFleetLifecycle:
                     fleet.search_async(i % NUM_QUERIES, session_id=i))
                 for i in range(30)
             ]
-            await fleet.drain_async()
+            await fleet.stop_async()
             results = await asyncio.gather(*tasks)
             assert len(results) == 30
 

@@ -21,7 +21,6 @@ from repro.serving.gateway import (
     ExactIndex,
     Int8Index,
     IVFPQIndex,
-    LSHIndex,
     ServingGateway,
     VersionedEmbeddingStore,
     build_index,
@@ -327,45 +326,6 @@ class TestIVFPQIndex:
         index = build_index("ivfpq", services[:300], num_lists=8)
         assert index.num_services == 300
         assert build_index("int8", services[:300]).num_services == 300
-
-
-# --------------------------------------------------------------------- #
-# Vectorized LSH candidate gathering
-# --------------------------------------------------------------------- #
-class TestLSHBatchedProbes:
-    def test_batched_candidates_match_reference_probing(self, clustered):
-        queries, services = clustered
-        index = LSHIndex(num_tables=4, num_bits=6, seed=0).build(services[:400])
-        qs = np.asarray(queries[:16], dtype=np.float64)
-        powers = 1 << np.arange(index.num_bits, dtype=np.int64)
-        keys = (np.einsum("tbd,qd->tqb", index._planes, qs) > 0) @ powers
-        rows, ids = index._batch_candidates(keys, qs.shape[0])
-        # Reference: python-dict style probing, one query at a time.
-        for row in range(qs.shape[0]):
-            expected = set()
-            for table in range(index.num_tables):
-                probe_set = {int(keys[table, row])} | {
-                    int(keys[table, row]) ^ (1 << bit) for bit in range(index.num_bits)
-                }
-                table_keys = index._bucket_keys[table]
-                starts = index._bucket_starts[table]
-                members = index._bucket_members[table]
-                for key in probe_set:
-                    hit = np.searchsorted(table_keys, key)
-                    if hit < table_keys.size and table_keys[hit] == key:
-                        expected.update(members[starts[hit]:starts[hit + 1]].tolist())
-            assert set(ids[rows == row].tolist()) == expected
-
-    def test_multiprobe_widens_candidates(self, clustered):
-        queries, services = clustered
-        probing = LSHIndex(num_tables=4, num_bits=8, seed=0).build(services)
-        narrow = LSHIndex(num_tables=4, num_bits=8, seed=0,
-                          multiprobe=False).build(services)
-        ids_wide, _ = probing.search(queries[:64], 10)
-        ids_narrow, _ = narrow.search(queries[:64], 10)
-        exact_ids, _ = ExactIndex().build(services).search(queries[:64], 10)
-        assert (recall_at_k(ids_wide, exact_ids, 10)
-                >= recall_at_k(ids_narrow, exact_ids, 10))
 
 
 # --------------------------------------------------------------------- #

@@ -2,13 +2,12 @@
 lifecycle, two-phase hot-swap atomicity, per-shard telemetry and the
 process-pool backend."""
 
+import asyncio
 import threading
 
 import numpy as np
 import pytest
 
-from repro.serving import ServingPipeline
-from repro.serving.embedding_store import EmbeddingStore
 from repro.serving.gateway import (
     ExactIndex,
     ServingGateway,
@@ -22,7 +21,6 @@ from repro.serving.sharded import (
     ProcessPool,
     SerialPool,
     ShardedGateway,
-    ShardedRetriever,
     ShardWorker,
     ThreadPool,
     make_pool,
@@ -313,7 +311,8 @@ class TestTwoPhaseHotSwap:
         old_snapshot = store.snapshot()
         gateway.hot_swap(queries * 1.5, services * 1.5)
         # A request that pinned the pre-flip snapshot still gets answers.
-        ids, scores = gateway._search_backend(old_snapshot, queries[:4], 10)
+        ids, scores = asyncio.run(
+            gateway._search_backend_async(old_snapshot, queries[:4], 10))
         expected, _ = ExactIndex().build(services).search(queries[:4], 10)
         assert np.array_equal(ids, expected)
         gateway.close()
@@ -327,7 +326,7 @@ class TestTwoPhaseHotSwap:
         gateway.hot_swap(queries * 1.5, services * 1.5)
         gateway.hot_swap(queries * 2.0, services * 2.0)  # v0 retired everywhere
         with pytest.raises(Exception, match="version"):
-            gateway._search_backend(stale, queries[:2], 5)
+            asyncio.run(gateway._search_backend_async(stale, queries[:2], 5))
         gateway.close()
 
 
@@ -364,8 +363,8 @@ class TestProcessPool:
         # A never-prepared version is a stale-version miss on every worker —
         # and must not desynchronise the reply pipes for later commands.
         with pytest.raises(StaleVersionError, match="version 99"):
-            pool.search(99, queries[:2], 5)
-        replies = pool.search(0, queries[:2], 5)
+            asyncio.run(pool.search_async(99, queries[:2], 5))
+        replies = asyncio.run(pool.search_async(0, queries[:2], 5))
         assert [reply.version for reply in replies] == [0, 0]
         pool.close()
         pool.close()  # idempotent
@@ -377,9 +376,10 @@ class TestProcessPool:
         pool.close()
 
     def test_concurrent_producers_and_swaps_on_process_backend(self, small):
-        """Pipe I/O must stay paired when producer threads dispatch batches
-        while a publisher runs the two-phase flip (regression: interleaved
-        sends/recvs handed search threads the prepare replies)."""
+        """Pipe I/O must stay paired while producer tasks on one loop
+        dispatch batches and a publisher *thread* runs the two-phase flip
+        (regression: interleaved sends/recvs handed searches the prepare
+        replies)."""
         import time
 
         queries, services = small
@@ -388,17 +388,13 @@ class TestProcessPool:
         gateway = ShardedGateway(store, index="exact", workers="process",
                                  max_batch_size=16, max_wait_s=0.002,
                                  cache_capacity=128)
-        gateway.scheduler.start()
         errors, answered = [], []
 
-        def producer(offset):
-            try:
-                for query_id in range(offset, 60, 3):
-                    ids = gateway.submit(query_id, 5).result(timeout=10.0)[0]
-                    assert len(ids) == 5
-                    answered.append(query_id)
-            except BaseException as error:
-                errors.append(error)
+        async def producer(offset):
+            for query_id in range(offset, 60, 3):
+                ids, _ = await gateway.search_async(query_id, 5)
+                assert len(ids) == 5
+                answered.append(query_id)
 
         def swapper():
             try:
@@ -409,13 +405,16 @@ class TestProcessPool:
             except BaseException as error:
                 errors.append(error)
 
-        threads = [threading.Thread(target=producer, args=(i,))
-                   for i in range(3)] + [threading.Thread(target=swapper)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        gateway.scheduler.stop()
+        async def scenario():
+            publisher = threading.Thread(target=swapper)
+            publisher.start()
+            await asyncio.gather(*(producer(i) for i in range(3)))
+            while publisher.is_alive():
+                await asyncio.sleep(0.005)
+            publisher.join()
+            await gateway.stop_async()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
         assert errors == []
         assert len(answered) == 60
         assert store.version == 2
@@ -473,42 +472,6 @@ class TestPerShardTelemetry:
 # Pipeline + one-call deployment
 # --------------------------------------------------------------------- #
 class TestPipelineAndDeploy:
-    def test_pipeline_sharded_scoring_matches_inner_product(self, clustered):
-        queries, services = clustered
-        store = EmbeddingStore(queries[:50], services[:400])
-        sharded = ServingPipeline(store, scoring="sharded", ann_index="exact",
-                                  top_k=10)
-        exact = ServingPipeline(EmbeddingStore(queries[:50], services[:400]),
-                                scoring="inner_product", top_k=10)
-        for query_id in range(10):
-            assert sharded.rank(query_id, 10) == exact.rank(query_id, 10)
-
-    def test_pipeline_sharded_rebuilds_on_refresh(self, clustered):
-        queries, services = clustered
-        store = EmbeddingStore(queries[:50], services[:400])
-        pipeline = ServingPipeline(store, scoring="sharded", ann_index="exact",
-                                   top_k=5)
-        before = pipeline.rank(1, 5)
-        rng = np.random.default_rng(0)
-        store.refresh(rng.normal(size=queries[:50].shape),
-                      rng.normal(size=services[:400].shape))
-        after = pipeline.rank(1, 5)
-        expected = ServingPipeline(store, scoring="inner_product", top_k=5).rank(1, 5)
-        assert after == expected
-        assert before != after  # embeddings changed, ranking followed
-
-    def test_sharded_retriever_candidate_restriction(self, clustered):
-        queries, services = clustered
-        store = EmbeddingStore(queries[:50], services[:400])
-        retriever = ShardedRetriever(store, num_shards=4, index="exact")
-        ids, scores = retriever.retrieve(0, 5, candidate_ids=[3, 9, 27])
-        assert set(ids) <= {3, 9, 27}
-        assert list(scores) == sorted(scores, reverse=True)
-        empty_ids, empty_scores = retriever.retrieve(0, 5, candidate_ids=[])
-        assert empty_ids.size == 0 and empty_scores.size == 0
-        with pytest.raises(ValueError):
-            retriever.retrieve(0, 0)
-
     def test_deploy_gateway_num_shards_routes_to_sharded(self, tiny_scenario):
         from repro.models.baselines.lightgcn import LightGCN
 

@@ -1,19 +1,20 @@
-"""Loop-front-end telemetry through the *sync* ``BatchScheduler`` facade.
+"""Loop-front-end telemetry as seen from the gateway's *sync* surface.
 
-PR 4 added queue-depth, overload, deadline-miss, cancellation and
-event-loop-lag metrics to :class:`GatewayTelemetry`; the async suite covers
-them on a live event loop, but the synchronous facade drives the very same
-core through ``run_until_complete`` — these tests pin down that every one
-of those ``summary()`` fields is populated on the sync path too (and that
-``scheduler.stats()`` agrees with the telemetry).
+Queue-depth, overload, deadline-miss, cancellation and event-loop-lag
+metrics live in :class:`GatewayTelemetry`; the async suite covers them on a
+caller's event loop.  ``search`` / ``rank`` / ``rank_batch`` run the very
+same coroutines on the gateway's own loop — these tests pin down that every
+one of those ``summary()`` fields is populated on that path too, and (on the
+scheduler driven step by step under a fake clock) that ``scheduler.stats()``
+agrees with the telemetry.
 """
 
-import time
+import asyncio
 
 import pytest
 
 from repro.serving.gateway import (
-    BatchScheduler,
+    AsyncBatchScheduler,
     DeadlineExceededError,
     GatewayTelemetry,
     OverloadError,
@@ -36,14 +37,26 @@ class FakeClock:
         self.now += seconds
 
 
-def make_facade(max_batch_size=8, max_wait_s=0.05, **kwargs):
+class TickingClock(FakeClock):
+    """Every reading moves time on by ``step``: a synchronous call ages."""
+
+    def __init__(self, step: float) -> None:
+        super().__init__()
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+def make_scheduler(max_batch_size=8, max_wait_s=0.05, **kwargs):
     clock = FakeClock()
     telemetry = GatewayTelemetry(clock=clock)
 
     def executor(batch):
         return [pending.query_id * 10 for pending in batch]
 
-    scheduler = BatchScheduler(
+    scheduler = AsyncBatchScheduler(
         executor,
         max_batch_size=max_batch_size,
         max_wait_s=max_wait_s,
@@ -54,128 +67,122 @@ def make_facade(max_batch_size=8, max_wait_s=0.05, **kwargs):
     return scheduler, telemetry, clock
 
 
+@pytest.fixture(scope="module")
+def embeddings():
+    return clustered_embeddings(60, 300, 16, num_clusters=6, seed=9)
+
+
+def make_gateway(embeddings, clock=None, **kwargs):
+    queries, services = embeddings
+    clock = clock if clock is not None else FakeClock()
+    store = VersionedEmbeddingStore(queries, services, clock=clock)
+    return ServingGateway(store, index="exact", top_k=5, max_batch_size=64,
+                          cache_capacity=0, clock=clock, **kwargs)
+
+
 class TestSyncFacadeTelemetry:
-    def test_overload_rejection_populates_summary(self):
-        scheduler, telemetry, _ = make_facade(max_queue=2, overload="reject")
-        scheduler.submit(1, 5)
-        scheduler.submit(2, 5)
+    def test_overload_rejection_populates_summary(self, embeddings):
+        gateway = make_gateway(embeddings, max_queue=2, overload="reject")
         with pytest.raises(OverloadError):
-            scheduler.submit(3, 5)
-        summary = telemetry.summary()
+            gateway.rank_batch([1, 2, 3])
+        summary = gateway.summary()
         assert summary["overload_rejections"] == 1.0
         assert summary["queue_depth_max"] == 2.0
-        scheduler.flush()
-        scheduler.close()
+        gateway.close()
 
-    def test_sync_submit_rejects_even_under_wait_policy(self):
-        # There is no loop to park a sync submitter on: the facade's
-        # submit_nowait path always sheds, and the shed is observable.
-        scheduler, telemetry, _ = make_facade(max_queue=1, overload="wait")
-        scheduler.submit(1, 5)
-        with pytest.raises(OverloadError):
-            scheduler.submit(2, 5)
-        assert telemetry.summary()["overload_rejections"] == 1.0
-        scheduler.flush()
-        scheduler.close()
-
-    def test_queue_depth_mean_and_max_from_sync_submits(self):
-        scheduler, telemetry, _ = make_facade()
-        for query_id in range(3):
-            scheduler.submit(query_id, 5)
-        summary = telemetry.summary()
+    def test_queue_depth_mean_and_max_from_sync_submits(self, embeddings):
+        gateway = make_gateway(embeddings)
+        gateway.rank_batch(range(3))
+        summary = gateway.summary()
         assert summary["queue_depth_max"] == 3.0
         assert summary["queue_depth_mean"] == pytest.approx(2.0)  # (1+2+3)/3
-        scheduler.flush()
-        scheduler.close()
+        gateway.close()
 
     def test_deadline_miss_counted_and_raised_via_poll(self):
-        scheduler, telemetry, clock = make_facade(max_wait_s=0.01)
-        expired = scheduler.submit(1, 5, deadline_s=0.05)
-        alive = scheduler.submit(2, 5, deadline_s=10.0)
-        clock.advance(0.1)
-        scheduler.poll()
-        with pytest.raises(DeadlineExceededError):
-            expired.result(0)
-        assert alive.result(0) == 20
-        summary = telemetry.summary()
-        assert summary["deadline_misses"] == 1.0
-        assert scheduler.stats()["deadline_misses"] == 1.0
-        scheduler.close()
+        async def scenario():
+            scheduler, telemetry, clock = make_scheduler(max_wait_s=0.01)
+            expired = await scheduler.submit(1, 5, deadline_s=0.05)
+            alive = await scheduler.submit(2, 5, deadline_s=10.0)
+            clock.advance(0.1)
+            await scheduler.poll()
+            with pytest.raises(DeadlineExceededError):
+                await expired.wait()
+            assert await alive.wait() == 20
+            assert telemetry.summary()["deadline_misses"] == 1.0
+            assert scheduler.stats()["deadline_misses"] == 1.0
+
+        asyncio.run(scenario())
 
     def test_cancellation_counted_and_slot_never_scored(self):
-        scheduler, telemetry, _ = make_facade()
-        doomed = scheduler.submit(1, 5)
-        alive = scheduler.submit(2, 5)
-        assert doomed.cancel()
-        scheduler.flush()
-        assert alive.result(0) == 20
-        summary = telemetry.summary()
-        assert summary["cancelled_requests"] == 1.0
-        assert scheduler.stats()["cancelled_requests"] == 1.0
-        scheduler.close()
+        async def scenario():
+            scheduler, telemetry, _ = make_scheduler()
+            doomed = await scheduler.submit(1, 5)
+            alive = await scheduler.submit(2, 5)
+            assert doomed.cancel()
+            await scheduler.flush()
+            assert await alive.wait() == 20
+            assert telemetry.summary()["cancelled_requests"] == 1.0
+            assert scheduler.stats()["cancelled_requests"] == 1.0
+
+        asyncio.run(scenario())
 
     def test_background_drive_records_loop_lag(self):
         # The frozen FakeClock keeps the queued request below both dispatch
-        # triggers, so the background drive task's deadline sleep fires over
-        # and over — each timeout is one loop-lag sample.
-        scheduler, telemetry, clock = make_facade(max_wait_s=0.005)
-        scheduler.start()
-        try:
-            pending = scheduler.submit(1, 5)
-            deadline = time.monotonic() + 5.0
-            while telemetry.loop_lag_samples < 1 and time.monotonic() < deadline:
-                time.sleep(0.005)
+        # triggers, so the drive task's deadline sleep fires over and over —
+        # each timeout is one loop-lag sample.
+        async def scenario():
+            scheduler, telemetry, clock = make_scheduler(max_wait_s=0.005)
+            scheduler.start()
+            pending = await scheduler.submit(1, 5)
+            for _ in range(1000):
+                if telemetry.loop_lag_samples >= 1:
+                    break
+                await asyncio.sleep(0.005)
             assert telemetry.loop_lag_samples >= 1
             assert telemetry.summary()["loop_lag_max_ms"] >= 0.0
             clock.advance(1.0)  # past max_wait: the drive task dispatches
-            assert pending.result(timeout=5.0) == 10
-        finally:
-            scheduler.stop()
-            scheduler.close()
+            assert await asyncio.wait_for(pending.wait(), timeout=5.0) == 10
+            await scheduler.stop()
+
+        asyncio.run(scenario())
 
     def test_stats_and_summary_agree_on_shed_counters(self):
-        scheduler, telemetry, clock = make_facade(max_queue=2, overload="reject")
-        scheduler.submit(1, 5, deadline_s=0.01)
-        scheduler.submit(2, 5)
-        with pytest.raises(OverloadError):
-            scheduler.submit(3, 5)
-        clock.advance(0.5)
-        scheduler.flush()
-        summary = telemetry.summary()
-        stats = scheduler.stats()
-        for key in ("overload_rejections", "deadline_misses", "cancelled_requests"):
-            assert summary[key] == stats[key]
-        assert summary["queue_depth_max"] == stats["max_queue_depth"]
-        scheduler.close()
+        async def scenario():
+            scheduler, telemetry, clock = make_scheduler(
+                max_queue=2, overload="reject")
+            await scheduler.submit(1, 5, deadline_s=0.01)
+            doomed = await scheduler.submit(2, 5)
+            with pytest.raises(OverloadError):
+                await scheduler.submit(3, 5)
+            assert doomed.cancel()
+            clock.advance(0.5)
+            await scheduler.flush()
+            summary = telemetry.summary()
+            stats = scheduler.stats()
+            for key in ("overload_rejections", "deadline_misses",
+                        "cancelled_requests"):
+                assert summary[key] == stats[key] == 1.0
+            assert summary["queue_depth_max"] == stats["max_queue_depth"]
+
+        asyncio.run(scenario())
 
 
 class TestSyncGatewayTelemetry:
-    """The same fields end-to-end through the gateway's sync surface."""
-
-    @pytest.fixture(scope="class")
-    def embeddings(self):
-        return clustered_embeddings(60, 300, 16, num_clusters=6, seed=9)
+    """Shedding end to end through the gateway's sync surface."""
 
     def test_gateway_sync_path_reports_shed_and_depth(self, embeddings):
-        queries, services = embeddings
-        clock = FakeClock()
-        store = VersionedEmbeddingStore(queries, services, clock=clock)
-        gateway = ServingGateway(store, index="exact", top_k=5,
-                                 max_batch_size=64, cache_capacity=0,
-                                 max_queue=2, overload="reject", clock=clock)
+        gateway = make_gateway(embeddings, clock=TickingClock(0.01),
+                               max_queue=2, overload="reject")
         try:
-            expired = gateway.submit(0, deadline_s=0.05)
-            gateway.submit(1)
-            with pytest.raises(OverloadError):
-                gateway.submit(2)
-            clock.advance(0.2)
-            gateway.flush()
+            # Aged past its deadline between admission and batch formation.
             with pytest.raises(DeadlineExceededError):
-                expired.result(0)
+                gateway.search(0, deadline_s=0.005)
+            with pytest.raises(OverloadError):
+                gateway.rank_batch([1, 2, 3])
             summary = gateway.summary()
             assert summary["overload_rejections"] == 1.0
             assert summary["deadline_misses"] == 1.0
             assert summary["queue_depth_max"] == 2.0
-            assert summary["requests"] == 1.0  # only the live request scored
+            assert summary["requests"] == 2.0  # only the live requests scored
         finally:
             gateway.close()
