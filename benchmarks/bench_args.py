@@ -1,20 +1,12 @@
-"""Shared CLI for the serving benchmarks (and their CI smoke gate).
+"""Script-mode helpers for the paper-figure benches.
 
-Every serving bench is runnable two ways with identical semantics:
-
-* under pytest-benchmark (``python -m pytest benchmarks/bench_<name>.py``),
-  the full-scale mode the results/ JSONs are tracked at;
-* as a script (``python -m benchmarks.bench_<name> [--smoke] [--seed N]
-  [--out PATH]``), which is what the CI ``bench-smoke`` job drives.
-
-The flags are uniform across benches — one parser builder here instead of
-per-bench argparse drift — and ``--smoke`` switches to a reduced workload
-(smaller catalogue, fewer requests) whose recall/ratio floors still gate
-regressions at pull-request latency.
-
-This module deliberately has no pytest dependency so the script entry points
-stay importable in minimal environments; ``benchmarks/conftest.py`` imports
-:data:`RESULTS_DIR` from here to keep a single source of truth.
+``bench_fig10_online_ab.py`` runs standalone (``python -m
+benchmarks.bench_fig10_online_ab [--smoke] [--seed N] [--out PATH]``) as
+well as under pytest-benchmark; its flag parser, JSON writer and exit-code
+gate live here, next to :data:`RESULTS_DIR`, which ``benchmarks/conftest.py``
+also imports.  No pytest dependency, so the script entry point stays
+importable in minimal environments.  The serving stack is benchmarked by
+``benchmarks/e2e`` (see ``BENCHMARK.json``), not from here.
 """
 
 from __future__ import annotations
@@ -32,11 +24,10 @@ def parse_bench_args(
     description: str,
     argv: Optional[Sequence[str]] = None,
 ) -> argparse.Namespace:
-    """Parse the uniform bench flags: ``--seed``, ``--out``, ``--smoke``.
+    """Parse the script-mode flags: ``--seed``, ``--out``, ``--smoke``.
 
     ``name`` is the bench's result stem — the default ``--out`` is
-    ``benchmarks/results/<name>.json`` (the file the full-scale run tracks;
-    CI smoke runs upload whatever ``--out`` they wrote as an artifact).
+    ``benchmarks/results/<name>.json``, the file the full-scale run tracks.
     """
     parser = argparse.ArgumentParser(
         description=description,
@@ -46,7 +37,7 @@ def parse_bench_args(
         "--seed",
         type=int,
         default=0,
-        help="workload seed (embeddings, request stream and probes derive from it)",
+        help="experiment seed",
     )
     parser.add_argument(
         "--out",
@@ -57,7 +48,7 @@ def parse_bench_args(
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced workload + hard recall/ratio floors (the CI perf gate)",
+        help="reduced workload, same structural gates",
     )
     return parser.parse_args(argv)
 

@@ -9,12 +9,12 @@ tracked full-scale path) or standalone with the uniform bench flags::
 
     python -m benchmarks.bench_fig10_online_ab [--smoke] [--seed N] [--out P]
 
-The standalone path is what the CI ``bench-smoke`` job could drive; its
-gates are structural (seven finite improvement rows at full scale, three in
-``--smoke``) because at tiny training scale the day-level sign fluctuates
-with the schedule and seed (see EXPERIMENTS.md).  For the bucket test
-replayed *through the serving stack* — with per-bucket latency and cost in
-the same run — see ``benchmarks/bench_gateway_ab.py``.
+The standalone path's gates are structural (seven finite improvement rows
+at full scale, three in ``--smoke``) because at tiny training scale the
+day-level sign fluctuates with the schedule and seed (see EXPERIMENTS.md).
+The bucket test replayed *through the serving stack* — per-bucket latency
+and cost from the same traffic — is ``repro.serving.abtest``, exercised by
+``tests/test_gateway_abtest.py`` and step 9 of ``examples/online_serving.py``.
 """
 
 import numpy as np

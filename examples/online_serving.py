@@ -77,7 +77,6 @@ from repro.eval import format_float_table
 from repro.eval.ab_test import ABTestConfig, OnlineABTest
 from repro.eval.serving_metrics import (
     compression_report,
-    load_test_rows,
     summarize_gateway,
 )
 from repro.experiments.common import ExperimentSettings, build_model, train_model
@@ -157,8 +156,8 @@ def main() -> None:
                             exponent=1.1, seed=0)
     summaries = []
     # The tiny catalogue only has ~60 services, so the IVF index probes half
-    # of its cells; at production scale (see bench_serving_throughput.py at
-    # 12k services) the probed fraction — and the speed-up — is far larger.
+    # of its cells; at production scale (benchmarks/e2e's zipf_cached
+    # workload) the probed fraction — and the speed-up — is far larger.
     ivf_params = dict(num_lists=8, num_probes=4)
     for mode, index, index_params, cache_capacity in (
         ("exact scan", "exact", None, 0),
@@ -175,7 +174,7 @@ def main() -> None:
         gateway.recall_probe(k=top_k, num_queries=256, seed=1)
         summaries.append(summarize_gateway(mode, gateway, elapsed_s=elapsed))
     print(format_float_table(
-        load_test_rows(summaries),
+        [summary.as_row() for summary in summaries],
         title=f"Gateway load test: {num_requests} Zipf requests, "
               f"top-{top_k}, batch {batch_size}",
     ))
@@ -183,9 +182,9 @@ def main() -> None:
     print(f"\nIVF holds recall@{top_k} = {ivf.recall_at_k:.3f} at "
           f"{ivf.qps:,.0f} QPS (p99 {ivf.p99_ms:.2f} ms); the same A/B traffic "
           "above can be served straight from the gateway.  At this toy "
-          "catalogue size the exact scan is still cheap — "
-          "benchmarks/bench_serving_throughput.py shows the ANN win at 12k "
-          "services.")
+          "catalogue size the exact scan is still cheap — the traced "
+          "benchmarks/e2e run prices each index kind at serving scale "
+          "(iso.index.us_per_query.exact / .ivf).")
 
     print("\n6) Quantized serving: int8 + PQ snapshots behind the IVF-PQ index\n")
     # Toy-catalogue sizing: a ~60-service table needs few coarse cells, and
@@ -216,8 +215,9 @@ def main() -> None:
     print(f"\nIVF-PQ serves the same Zipf load at {quant.qps:,.0f} QPS with "
           f"recall@{top_k} = {quant.recall_at_k:.3f}; the quantized tables "
           "hot-swap atomically with every daily refresh (Sec. V-F / Fig. 9). "
-          "benchmarks/bench_quantized_serving.py shows the memory/QPS win at "
-          "12k services.")
+          "benchmarks/e2e's ivfpq_uniform workload measures this index at "
+          "24k services; tests/test_quantized_serving.py holds the memory "
+          "and recall floors.")
 
     print("\n7) Sharded serving: one worker per shard, scatter/gather top-K\n")
     gateway = deploy_gateway(garcia, index="exact", num_shards=4,
@@ -230,7 +230,7 @@ def main() -> None:
     gateway.recall_probe(k=top_k, num_queries=256, seed=1)
     sharded = summarize_gateway("sharded exact", gateway, elapsed_s=elapsed)
     print(format_float_table(
-        load_test_rows([sharded]),
+        [sharded.as_row()],
         title=f"Sharded gateway ({gateway.num_shards} shards, "
               f"{gateway.workers} workers)",
     ))
@@ -242,9 +242,9 @@ def main() -> None:
           f"results bit for bit), and the daily refresh hot-swapped every "
           f"worker to v{version} through the two-phase flip — each worker "
           "prepared the new tables before the version became visible, so no "
-          "request ever saw mixed versions.  At 12k services the sharded "
-          "tier beats the single-process gateway even on one core "
-          "(benchmarks/bench_sharded_serving.py).")
+          "request ever saw mixed versions.  benchmarks/e2e's "
+          "sharded_process workload measures the scatter/gather tier over "
+          "worker processes.")
     gateway.close()
 
     print("\n8) Asyncio-native front-end: open-loop load, bounded admission\n")
@@ -258,10 +258,8 @@ def main() -> None:
                              max_queue=512, overload="reject",
                              default_deadline_s=0.25, loop_confined=True)
     offered_qps = 4_000.0
-    # benchmarks/serving_load.py:drive_open_loop is the canonical open-loop
-    # driver (the async bench uses it); examples run as plain scripts with
-    # only `repro` importable, so the same protocol is spelled out inline
-    # here against the public gateway API.
+    # The open-loop protocol (what benchmarks/e2e's drivers do at scale),
+    # spelled out inline against the public gateway API.
     stats = {"completed": 0, "rejected": 0, "missed": 0,
              "in_flight": 0, "peak": 0}
 
@@ -310,9 +308,8 @@ def main() -> None:
           "requests before scoring.")
     print("\nThe same gateway still answers sync callers (rank/search) "
           "through the identical async core — one request path, two calling "
-          "conventions.  benchmarks/bench_async_serving.py holds 1k-4k "
-          "requests in flight at 12k services, >= 1.4x the thread path's "
-          "QPS at its own concurrency ceiling.")
+          "conventions.  Every benchmarks/e2e workload drives this "
+          "coroutine path open-loop at serving scale.")
     gateway.close()
 
     print("\n9) Gateway-backed A/B: the Fig. 10 bucket test through the "
@@ -349,8 +346,8 @@ def main() -> None:
           f"({summary['absolute_valid_ctr_gain_pp']:+.3f} pp Valid CTR) while its "
           "serving cost is measured on the same tagged traffic — the "
           "paper's +0.79 pp week-long bucket test (Fig. 10), now replayed "
-          "through the gateway tier.  benchmarks/bench_gateway_ab.py runs "
-          "this at 5k sessions/day for 7 days.")
+          "through the gateway tier.  tests/test_gateway_abtest.py holds "
+          "the structural contract (telemetry sums, stable assignment).")
     close_arms(router)
 
     print("\n10) Observability: trace the sharded tier, explain the slowest "
@@ -456,8 +453,9 @@ def main() -> None:
           f"{summary['ejections']:.0f} replica(s), and fleet telemetry "
           f"counts {summary['requests']:.0f} answered requests — exactly "
           "the sessions answered above, so no retry was double-counted. "
-          "benchmarks/bench_fleet_serving.py gates this contract (and QPS "
-          "scaling vs replica count) in CI.")
+          "tests/test_fleet_serving.py gates this contract through a kill "
+          "and through a stall; benchmarks/e2e's fleet_refresh workload "
+          "measures the fleet under a mid-traffic publish.")
     fleet.close()
 
     print("\n12) Durable snapshots: publish to disk, kill the workers, "
@@ -515,9 +513,9 @@ def main() -> None:
     assert revived_version == version and not replica.faulted
     print(f"Revived the dead fleet replica from the manifest: it slept "
           f"through the refresh at version 0 and woke up serving version "
-          f"{revived_version}.  benchmarks/bench_snapshot_store.py gates "
-          "the warm-start speedup (>= 10x vs the cold re-quantize boot) "
-          "and the bit-identical contract in CI.")
+          f"{revived_version}.  tests/test_snapshot_store.py gates the "
+          "bit-identical contract and that a warm boot runs no quantizer "
+          "or k-means fit at all.")
     replica.close()
 
     print("\n13) OPQ rotation + integer scoring, snapshot round-trip\n")
@@ -579,8 +577,8 @@ def main() -> None:
           "queries bit-identically to the in-memory trainer: the rotation, "
           "the rotated codebooks and the frozen query scale all came back "
           "off the mmapped chunks — no k-means, no Procrustes, no "
-          "re-quantization at boot.  benchmarks/bench_quantized_serving.py "
-          "gates the OPQ recall and integer-path QPS wins at 12k services.")
+          "re-quantization at boot.  tests/test_opq_integer_scoring.py "
+          "gates the OPQ recall win and the integer path's error bound.")
 
     print("\n14) Wire replication: an empty-disk replica boots from a peer\n")
     # Every durable trick so far assumed the host already owned the disk.
@@ -610,10 +608,9 @@ def main() -> None:
           "chunks already local).  A fetch killed mid-stream resumes without "
           "re-transferring landed chunks, and the server pins the version it "
           "is streaming so keep_last pruning can never delete it mid-fetch: "
-          "tests/test_snapshot_replication.py drills the full fault matrix, "
-          "and benchmarks/bench_snapshot_replication.py gates the delta "
-          "economics (< 50% of cold-fetch bytes) plus hydrate-parity recall "
-          "in CI.")
+          "tests/test_snapshot_replication.py drills the full fault matrix "
+          "and gates the delta economics (< 50% of cold-fetch bytes) plus "
+          "hydrate parity.")
 
 
 if __name__ == "__main__":

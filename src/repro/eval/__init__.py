@@ -9,11 +9,9 @@ from repro.eval.serving_metrics import (
     LoadTestSummary,
     compression_report,
     latency_percentiles,
-    load_test_rows,
     memory_footprint,
     recall_at_k,
     summarize_gateway,
-    summarize_load_test,
 )
 
 __all__ = [
@@ -33,9 +31,7 @@ __all__ = [
     "LoadTestSummary",
     "compression_report",
     "latency_percentiles",
-    "load_test_rows",
     "memory_footprint",
     "recall_at_k",
     "summarize_gateway",
-    "summarize_load_test",
 ]

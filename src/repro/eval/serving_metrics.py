@@ -5,8 +5,8 @@ The offline metrics in :mod:`repro.eval.metrics` grade ranking *quality*
 (AUC, NDCG, CTR); this module grades the serving *system* — how faithfully,
 how fast, and (since the quantized-table subsystem,
 :mod:`repro.serving.quant`) how *small* the gateway answers.  It is shared
-by the throughput and quantization benches, the gateway's own recall probe
-and the online-serving example.
+by the gateway's own recall probe, the serving tests and the
+online-serving example.
 """
 
 from __future__ import annotations
@@ -90,35 +90,12 @@ class LoadTestSummary:
         return row
 
 
-def summarize_load_test(mode: str, latencies_s: Sequence[float], elapsed_s: float,
-                        recall: float, cache_hit_rate: float = 0.0,
-                        mean_batch_size: float = 0.0,
-                        extras: Optional[Mapping[str, float]] = None) -> LoadTestSummary:
-    """Condense raw per-request latencies + run metadata into a summary."""
-    if elapsed_s <= 0:
-        raise ValueError("elapsed_s must be positive")
-    tail = latency_percentiles(latencies_s)
-    return LoadTestSummary(
-        mode=mode,
-        requests=len(latencies_s),
-        elapsed_s=float(elapsed_s),
-        qps=len(latencies_s) / float(elapsed_s),
-        p50_ms=tail["p50_ms"],
-        p95_ms=tail["p95_ms"],
-        p99_ms=tail["p99_ms"],
-        recall_at_k=float(recall),
-        cache_hit_rate=float(cache_hit_rate),
-        mean_batch_size=float(mean_batch_size),
-        extras=dict(extras or {}),
-    )
-
-
 def summarize_gateway(mode: str, gateway,
                       elapsed_s: Optional[float] = None) -> LoadTestSummary:
     """Build a :class:`LoadTestSummary` straight from a gateway's telemetry.
 
     ``elapsed_s`` overrides the telemetry's first-to-last-request span with
-    an externally measured wall-clock duration (what the load benches do).
+    an externally measured wall-clock duration.
 
     The telemetry keeps histograms, not raw latency lists, so the summary
     is assembled from :meth:`GatewayTelemetry.summary` — percentiles are
@@ -143,11 +120,6 @@ def summarize_gateway(mode: str, gateway,
         extras={"backend_queries": stats["backend_queries"],
                 "store_version": float(gateway.store.version)},
     )
-
-
-def load_test_rows(summaries: Sequence[LoadTestSummary]) -> List[Dict[str, object]]:
-    """Rows for :func:`repro.eval.reporting.format_float_table` / JSON dumps."""
-    return [summary.as_row() for summary in summaries]
 
 
 # --------------------------------------------------------------------- #

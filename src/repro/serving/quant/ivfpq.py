@@ -62,22 +62,17 @@ class Int8Index(RetrievalIndex):
     :class:`~repro.serving.gateway.store.VersionedEmbeddingStore`) share it
     instead of re-quantizing — the gateway wires this up automatically.
 
-    ``scoring="int"`` (the default) quantizes the folded query to int8 too
-    and scores in integer arithmetic (:meth:`Int8Table.scores_int`);
-    ``scoring="float"`` keeps the float-folded matmul of earlier releases.
+    Scoring is integer end to end: the folded query is quantized to int8
+    too and scored with :meth:`Int8Table.scores_int`.
     """
 
     name = "int8"
 
     def __init__(self, chunk: int = 8192,
-                 int8_table: Optional[Int8Table] = None,
-                 scoring: str = "int") -> None:
+                 int8_table: Optional[Int8Table] = None) -> None:
         if chunk <= 0:
             raise ValueError("chunk must be positive")
-        if scoring not in ("int", "float"):
-            raise ValueError("scoring must be 'int' or 'float'")
         self.chunk = chunk
-        self.scoring = scoring
         self._prebuilt = int8_table
         self._table: Optional[Int8Table] = None
 
@@ -118,10 +113,7 @@ class Int8Index(RetrievalIndex):
         if self._table is None:
             raise RuntimeError("index not built")
         queries = self._check_queries(queries, k)
-        if self.scoring == "int":
-            scores = self._table.scores_int(queries, chunk=self.chunk)
-        else:
-            scores = self._table.scores(queries, chunk=self.chunk)
+        scores = self._table.scores_int(queries, chunk=self.chunk)
         all_ids = np.arange(self._table.num_vectors, dtype=np.int64)
         return self._batched_top_k(all_ids, scores, k)
 

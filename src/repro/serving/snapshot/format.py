@@ -180,6 +180,15 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+#: Bytes per ``write`` call.  A kernel that does not preempt inside a system
+#: call (``PREEMPT_NONE``, the usual server build) lets another thread on the
+#: core run only between calls: one call for a 4.6 MB chunk file held the
+#: request loop off for 12-50 ms (the page cache takes that long to find the
+#: pages on a virtual machine), 64 KiB slices for under a millisecond each,
+#: and the file is written no slower.
+WRITE_SLICE = 64 * 1024
+
+
 def write_bytes_atomic(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` via temp file + ``os.replace`` + fsync."""
     path = Path(path)
@@ -187,7 +196,9 @@ def write_bytes_atomic(path: Path, payload: bytes) -> None:
     tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(payload)
+            view = memoryview(payload)
+            for start in range(0, len(view), WRITE_SLICE):
+                handle.write(view[start : start + WRITE_SLICE])
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -416,6 +416,51 @@ class TestAsyncGateway:
         assert gateway.summary()["backend_queries"] == 2
         gateway.close()
 
+    def test_search_async_holds_a_multiple_of_the_batch_width_in_flight(
+        self, clustered
+    ):
+        """With the executor parked on an event, five batch widths of
+        requests sit admitted on one loop (one batch executing, four
+        queued), none is shed, and all are answered once it is released."""
+        width = 8
+        gateway = self.make_gateway(
+            clustered, max_batch_size=width, max_wait_s=0.0,
+            max_queue=4 * width, overload="wait", cache_capacity=0,
+        )
+        scheduler = gateway.scheduler
+        score = scheduler.executor
+
+        async def scenario():
+            release = asyncio.Event()
+
+            async def gated(batch):
+                await release.wait()
+                return await score(batch)
+
+            scheduler.executor = gated
+            tasks = [
+                asyncio.ensure_future(gateway.search_async(q))
+                for q in range(5 * width)
+            ]
+            held = -1
+            while held != scheduler.pending_count + scheduler.in_flight_count:
+                held = scheduler.pending_count + scheduler.in_flight_count
+                for _ in range(3):  # let admission run until nothing moves
+                    await asyncio.sleep(0)
+            release.set()
+            results = await asyncio.gather(*tasks)
+            await gateway.stop_async()
+            return held, results
+
+        held, results = asyncio.run(scenario())
+        assert held == 5 * width
+        assert [ids.tolist() for ids, _ in results] == [
+            gateway.rank(q) for q in range(5 * width)
+        ]
+        assert gateway.telemetry.overload_rejections == 0
+        assert gateway.telemetry.deadline_misses == 0
+        gateway.close()
+
     def test_deadline_shed_end_to_end(self, clustered):
         clock = FakeClock()
         queries, services = clustered

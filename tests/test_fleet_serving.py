@@ -445,6 +445,41 @@ class TestFailover:
         assert fleet.summary()["requests"] == float(answered)
         fleet.close()
 
+    @pytest.mark.parametrize("fault", ["stall", "slow"])
+    def test_storm_with_a_limping_replica_loses_nothing(self, fault):
+        """A mid-storm pipeline freeze or 4x slow-roll, not a death: every
+        request of a concurrent burst ends answered or on a typed shed (an
+        untyped error or a hang fails the gather), each answer is counted
+        once, and the fleet still reports a finite tail."""
+        fleet = make_fleet(3, max_queue=64, overload="reject")
+        victim = fleet.route(0)[0]
+
+        async def burst(session_ids):
+            outcomes = await asyncio.wait_for(asyncio.gather(*(
+                drive_fleet(fleet, [session_id], deadline_s=0.05)
+                for session_id in session_ids)), timeout=30.0)
+            return [sum(column) for column in zip(*outcomes)]
+
+        async def scenario():
+            before = await burst(range(60))
+            if fault == "stall":
+                victim.stall(0.2)
+            else:
+                victim.slow(4.0)
+            during = await burst(range(60, 260))
+            await fleet.stop_async()
+            return [a + b for a, b in zip(before, during)]
+
+        answered, shed, missed = run(scenario())
+        assert answered + shed + missed == 260  # every request accounted
+        assert answered > 0
+        if fault == "stall":
+            assert missed > 0  # the freeze outlasts the deadline of its queue
+        summary = fleet.summary()
+        assert summary["requests"] == float(answered)
+        assert np.isfinite(summary["p99_ms"])
+        fleet.close()
+
 
 # --------------------------------------------------------------------- #
 # Chaos controller

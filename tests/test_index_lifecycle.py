@@ -8,6 +8,7 @@ snapshot is pinned.  Every wait is an ``Event`` with a timeout — no sleeps.
 
 import asyncio
 import gc
+import os
 import sys
 import threading
 import weakref
@@ -278,3 +279,32 @@ class TestIndexLivesAsLongAsItsSnapshot:
             assert builds[2][1]() is not None
         finally:
             gateway.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="per-thread scheduling priority is a Linux call")
+class TestRefreshRunsAtBackgroundPriority:
+    """A publish builds on a thread of the lowest priority, so the request
+    loop it shares a core with runs the moment it wakes; the caller's own
+    priority is never touched (it could not be raised again)."""
+
+    class Recorder(SnapshotListener):
+        def __init__(self):
+            self.seen = []
+
+        def prepare(self, snapshot):
+            self.seen.append((
+                threading.current_thread().name,
+                os.getpriority(os.PRIO_PROCESS, threading.get_native_id())))
+
+    def test_publish_prepares_below_the_callers_priority(self, clustered):
+        queries, services = clustered
+        store = VersionedEmbeddingStore(queries, services)
+        recorder = self.Recorder()
+        me = threading.current_thread().name
+        mine = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        store.subscribe(recorder)  # boot is not a refresh: the caller's thread
+        assert store.publish(queries, -services) == 1
+        assert recorder.seen == [(me, mine), ("store-refresh_0", 19)]
+        assert os.getpriority(os.PRIO_PROCESS, threading.get_native_id()) == mine
+        assert "store-refresh_0" not in {t.name for t in threading.enumerate()}

@@ -176,6 +176,25 @@ class TestIVFPQRotation:
         full_ids, _ = index.search(probe, 10)
         assert recall_at_k(shrunk_ids, full_ids, 10) == 1.0
 
+    @pytest.mark.parametrize("refine", [None, "int8"])
+    def test_opq_rotation_does_not_regress_index_recall(self, correlated,
+                                                        refine):
+        """Same byte budget, same cells, same shortlist depth: the rotated
+        codebooks rank the raw ADC scan strictly better on correlated data,
+        and the int8 refinement never turns that into a loss."""
+        queries, services = correlated
+        exact_ids, _ = ExactIndex().build(services).search(queries, 10)
+        recall = {}
+        for rotation in (None, "opq"):
+            index = IVFPQIndex(num_subspaces=4, rotation=rotation, seed=0,
+                               refine=refine).build(services)
+            ids, _ = index.search(queries, 10)
+            recall[rotation] = recall_at_k(ids, exact_ids, 10)
+        if refine is None:
+            assert recall["opq"] > recall[None]
+        else:
+            assert recall["opq"] >= recall[None]
+
     def test_rotation_state_round_trip_is_bit_identical(self, clustered):
         queries, services = clustered
         table = quantize_int8(services, queries=queries)

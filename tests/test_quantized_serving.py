@@ -260,6 +260,9 @@ class TestProductQuantizer:
         _, services = clustered
         table = quantize_pq(services, num_subspaces=8)
         assert table.nbytes < services.astype(np.float32).nbytes / 4
+        # One byte per subspace per row; everything else is the codebook, a
+        # constant in the catalogue size (32x under this float64 fixture).
+        assert table.codes.nbytes == services.shape[0] * 8
         with pytest.raises(ValueError):
             table.codes[0, 0] = 1  # frozen
 

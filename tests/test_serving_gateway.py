@@ -10,7 +10,6 @@ from repro.eval.serving_metrics import (
     latency_percentiles,
     recall_at_k,
     summarize_gateway,
-    summarize_load_test,
 )
 from repro.serving import ServingPipeline
 from repro.serving.embedding_store import EmbeddingStore
@@ -486,10 +485,8 @@ class TestServingMetrics:
         row = summary.as_row()
         assert row["mode"] == "ivf" and row["requests"] == 10
         assert row["qps"] > 0 and row["recall_at_k"] >= 0.9
-        manual = summarize_load_test("m", [0.001, 0.002], elapsed_s=0.5, recall=1.0)
-        assert manual.qps == pytest.approx(4.0)
         with pytest.raises(ValueError):
-            summarize_load_test("m", [0.001], elapsed_s=0.0, recall=1.0)
+            summarize_gateway("ivf", gateway, elapsed_s=0.0)
 
     def test_zipf_stream_is_heavy_tailed(self):
         stream = zipf_query_ids(1000, 20_000, exponent=1.1, seed=0)

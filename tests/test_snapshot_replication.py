@@ -200,6 +200,7 @@ class TestReplicationRoundTrip:
             delta = SnapshotFetcher(server.address, dst).fetch()
         assert delta.version == cold.version + 1
         assert 0 < delta.chunks_fetched < cold.chunks_fetched
+        assert 0 < delta.bytes_fetched < 0.5 * cold.bytes_fetched
         assert delta.chunks_already_local > 0
         assert_bit_identical(src, dst)
 

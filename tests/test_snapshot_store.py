@@ -14,6 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.serving.gateway.index as index_module
+import repro.serving.gateway.store as store_module
+import repro.serving.quant.ivfpq as ivfpq_module
+import repro.serving.quant.pq as pq_module
 from repro.serving.fleet.replica import FleetReplica
 from repro.serving.gateway.gateway import ServingGateway, deploy_gateway
 from repro.serving.gateway.store import VersionedEmbeddingStore
@@ -31,7 +35,8 @@ from repro.serving.snapshot import (
     write_chunk,
     write_snapshot,
 )
-from repro.serving.snapshot.format import HEADER_SIZE, ChunkRef
+import repro.serving.snapshot.format as format_module
+from repro.serving.snapshot.format import HEADER_SIZE, ChunkRef, write_bytes_atomic
 from repro.serving.snapshot.manifest import manifest_rel
 
 DIM = 16
@@ -127,6 +132,32 @@ class TestChunkFormat:
         path.write_bytes(raw)
         with pytest.raises(SnapshotIntegrityError):
             open_chunk(tmp_path, ref)
+
+    def test_a_file_is_written_in_bounded_slices(self, tmp_path, monkeypatch):
+        """No single ``write`` call is longer than ``WRITE_SLICE``: a thread
+        sharing the core (the request loop) runs between calls, not inside one."""
+        sizes = []
+
+        def recording_open(path, mode):
+            handle = open(path, mode)
+            write = handle.write
+
+            def counted(data):
+                sizes.append(len(data))
+                return write(data)
+
+            handle.write = counted
+            return handle
+
+        monkeypatch.setattr(format_module, "open", recording_open, raising=False)
+        monkeypatch.setattr(format_module, "WRITE_SLICE", 256)
+        payload = bytes(range(256)) * 4 + b"x"
+        write_bytes_atomic(tmp_path / "blob", payload)
+        assert sizes == [256, 256, 256, 256, 1]
+        assert (tmp_path / "blob").read_bytes() == payload
+        write_bytes_atomic(tmp_path / "empty", b"")
+        assert (tmp_path / "empty").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blob", "empty"]
 
     def test_missing_chunk_raises_typed_error(self, tmp_path):
         ref = ChunkRef(chunk_id="ab" * 16, dtype="<f4", shape=(2, 2),
@@ -439,14 +470,32 @@ class TestIndexPayloads:
         assert np.array_equal(ids_a, ids_b)
         assert np.array_equal(scores_a, scores_b)
 
-    def test_gateway_persist_and_warm_restore_index(self, durable_store):
+    def test_gateway_persist_and_warm_restore_index(self, durable_store,
+                                                    monkeypatch):
         store, root = durable_store
+        # Every fit in the serving tree goes through one of these names:
+        # k-means (coarse cells, PQ codebooks) and the table quantizers.
+        fits = []
+
+        def counting(real):
+            def counted(*args, **kwargs):
+                fits.append(real.__name__)
+                return real(*args, **kwargs)
+            return counted
+
+        for module, name in ((index_module, "kmeans"), (pq_module, "kmeans"),
+                             (ivfpq_module, "kmeans"),
+                             (ivfpq_module, "quantize_int8"),
+                             (store_module, "quantize_table")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
         gateway = ServingGateway(store, index="ivfpq",
                                  index_params={"num_subspaces": 4},
                                  cache_capacity=0)
         expected = [gateway.rank(query_id, 8) for query_id in range(6)]
         gateway.persist_index()
         gateway.close()
+        assert fits  # the cold boot trained its cells and codebooks
+        fits.clear()
         warm_store = VersionedEmbeddingStore.restore(str(root))
         warm = ServingGateway(warm_store, index="ivfpq", cache_capacity=0)
         try:
@@ -454,6 +503,9 @@ class TestIndexPayloads:
             restored = warm._restore_index(warm_store.snapshot())
             assert restored is not None
             assert [warm.rank(query_id, 8) for query_id in range(6)] == expected
+            # ... which is all of "warm start is fast": boot, restore and
+            # serving ran no quantizer or k-means fit at all.
+            assert fits == []
         finally:
             warm.close()
 
