@@ -256,7 +256,7 @@ def main() -> None:
     gateway = deploy_gateway(garcia, index="exact", top_k=top_k,
                              max_batch_size=batch_size, cache_capacity=0,
                              max_queue=512, overload="reject",
-                             default_deadline_s=0.25, loop_confined=True)
+                             default_deadline_s=0.25)
     offered_qps = 4_000.0
     # The open-loop protocol (what benchmarks/e2e's drivers do at scale),
     # spelled out inline against the public gateway API.

@@ -40,7 +40,7 @@ run that same path to completion for synchronous callers.
 """
 
 from repro.serving.gateway.cache import LRUTTLCache
-from repro.serving.gateway.gateway import IndexRetriever, ServingGateway, deploy_gateway
+from repro.serving.gateway.gateway import ServingGateway, deploy_gateway
 from repro.serving.gateway.index import (
     ExactIndex,
     IVFIndex,
@@ -78,7 +78,6 @@ __all__ = [
     "GatewayTelemetry",
     "IVFIndex",
     "IVFPQIndex",
-    "IndexRetriever",
     "Int8Index",
     "LRUTTLCache",
     "OverloadError",

@@ -8,10 +8,8 @@ can never be served again — they simply age out of the LRU order.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from typing import Any, Callable, Hashable, Optional, Tuple
 
 
@@ -20,18 +18,10 @@ class LRUTTLCache:
 
     A ``capacity`` of 0 disables caching entirely (every ``get`` misses and
     ``put`` is a no-op) so callers need no special-casing.
-
-    ``thread_safe=True`` (the default) guards every call with a lock — what
-    the multi-threaded sync request path needs.  The asyncio-native gateway
-    confines all cache access to one event loop, where the lock is pure
-    overhead on every cache hit; ``thread_safe=False`` swaps it for a
-    no-op :func:`~contextlib.nullcontext`, so a hit never takes (and can
-    never block on) a lock.
     """
 
     def __init__(self, capacity: int = 1024, ttl_s: Optional[float] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 thread_safe: bool = True) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         if ttl_s is not None and ttl_s <= 0:
@@ -39,7 +29,6 @@ class LRUTTLCache:
         self.capacity = capacity
         self.ttl_s = ttl_s
         self._clock = clock
-        self._lock = threading.Lock() if thread_safe else nullcontext()
         self._entries: "OrderedDict[Hashable, Tuple[float, Any]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -47,34 +36,31 @@ class LRUTTLCache:
         self.expirations = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def get(self, key: Hashable) -> Optional[Any]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            stored_at, value = entry
-            if self.ttl_s is not None and self._clock() - stored_at > self.ttl_s:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        stored_at, value = entry
+        if self.ttl_s is not None and self._clock() - stored_at > self.ttl_s:
+            del self._entries[key]
+            self.expirations += 1
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         if self.capacity == 0:
             return
-        with self._lock:
-            self._entries[key] = (self._clock(), value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self._entries[key] = (self._clock(), value)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def invalidate_version(self, version: int) -> int:
         """Drop every entry keyed to ``version``; returns how many were removed.
@@ -82,15 +68,13 @@ class LRUTTLCache:
         Version keys already prevent stale serves after a hot-swap; this is
         the eager variant that also frees the memory immediately.
         """
-        with self._lock:
-            stale = [key for key in self._entries if key[-1] == version]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
+        stale = [key for key in self._entries if key[-1] == version]
+        for key in stale:
+            del self._entries[key]
+        return len(stale)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     @property
     def hit_rate(self) -> float:

@@ -55,7 +55,6 @@ from repro.serving.gateway.telemetry import GatewayTelemetry
 from repro.serving.obs.flight import FlightRecorder
 from repro.serving.obs.health import HealthSnapshot
 from repro.serving.obs.tracing import BatchSpans, Tracer
-from repro.serving.retrieval import InnerProductRetriever
 
 
 class ServingGateway(SnapshotListener):
@@ -64,13 +63,14 @@ class ServingGateway(SnapshotListener):
     The gateway subscribes to the store as a two-phase
     :class:`~repro.serving.gateway.store.SnapshotListener`: every publish —
     whether driven through :meth:`hot_swap` or directly on the store —
-    builds the new version's index *before* the version flip and invalidates
-    the superseded cache entries right after it.  The build never shares a
-    lock with readers: a request pinned to version ``v`` finds ``v``'s index
-    with one dict lookup while ``v + 1`` is still building.  Subclasses (the
-    sharded tier) override :meth:`_search_backend_async` and the listener
-    hooks to swap the single-process index for a worker pool without
-    touching the request/cache path.
+    builds the new version's index *before* the version flip, and the first
+    batch that pins the new version drops the superseded cache entries.  The
+    build never shares a lock with readers: a request pinned to version ``v``
+    finds ``v``'s index with one dict lookup while ``v + 1`` is still
+    building.  Subclasses (the sharded tier) override
+    :meth:`_search_backend_async` and the listener hooks to swap the
+    single-process index for a worker pool without touching the
+    request/cache path.
 
     Loop-front-end knobs:
 
@@ -83,11 +83,7 @@ class ServingGateway(SnapshotListener):
     * ``cpu_executor`` moves the CPU-bound scoring off the event loop
       (``"thread"`` for an owned single worker, any
       :class:`concurrent.futures.Executor` to plug your own, ``None`` to
-      score inline — the deterministic default),
-    * ``loop_confined=True`` declares that *all* access happens on one
-      event loop (or one thread): the result cache and telemetry then drop
-      their per-call locks, so a cache hit never takes — and can never
-      block on — a lock.
+      score inline — the deterministic default).
 
     Observability knobs:
 
@@ -98,8 +94,7 @@ class ServingGateway(SnapshotListener):
       ``trace_sample_every`` ordinary ones into a ring of
       ``flight_recorder_capacity``; ``slow_trace_ms`` is the always-keep
       latency threshold,
-    * ``telemetry_enabled=False`` turns every telemetry record into a no-op
-      (the baseline the obs-overhead bench gate compares against),
+    * ``telemetry_enabled=False`` turns every telemetry record into a no-op,
     * :meth:`health` condenses the telemetry into a poll-cheap
       :class:`~repro.serving.obs.health.HealthSnapshot`, and
       :meth:`explain` renders the span tree of one request.
@@ -118,6 +113,8 @@ class ServingGateway(SnapshotListener):
                  flight_recorder_capacity: int = 256,
                  slow_trace_ms: float = 50.0, trace_seed: int = 0,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        # ``loop_confined`` is accepted and ignored: benchmarks/e2e/workloads.py
+        # still passes it; remove with the next [benchmark] PR.
         if top_k <= 0:
             raise ValueError("top_k must be positive")
         self.store = store
@@ -126,7 +123,6 @@ class ServingGateway(SnapshotListener):
         self.top_k = top_k
         self.max_staleness_s = max_staleness_s
         self.default_deadline_s = default_deadline_s
-        self.loop_confined = loop_confined
         self._clock = clock
         # What this gateway asks a snapshot to derive: gateways with equal
         # (kind, params) on one store share one built index per version.
@@ -147,15 +143,8 @@ class ServingGateway(SnapshotListener):
                 f".Executor, got {cpu_executor!r}")
         self._cpu_executor: Optional[Executor] = cpu_executor
         self.cache = LRUTTLCache(capacity=cache_capacity, ttl_s=cache_ttl_s,
-                                 clock=clock, thread_safe=not loop_confined)
-        self.telemetry = GatewayTelemetry(clock=clock,
-                                          thread_safe=not loop_confined,
-                                          enabled=telemetry_enabled)
-        # A shared index is read-only while searching: its shortlist counts
-        # come back through the call, into this gateway's telemetry.
-        self._search_kwargs = (
-            {"shortlist_stats": self.telemetry.record_shortlist}
-            if index == "ivfpq" else {})
+                                 clock=clock)
+        self.telemetry = GatewayTelemetry(clock=clock, enabled=telemetry_enabled)
         self.flight_recorder = FlightRecorder(
             capacity=flight_recorder_capacity,
             sample_every=trace_sample_every,
@@ -173,9 +162,11 @@ class ServingGateway(SnapshotListener):
         # on the lock because a loop runs one ``run_until_complete`` at a time.
         self._sync_loop: Optional[asyncio.AbstractEventLoop] = None
         self._sync_lock = threading.Lock()
-        self._active_version: Optional[int] = None
-        # Subscribing prepares + activates the current snapshot eagerly, so
-        # the first request never pays an index build.
+        # The version this gateway last answered at (its boot version until
+        # the first batch); ``_execute_batch_pinned`` alone reads and writes it.
+        self._served_version = store.version
+        # Subscribing prepares the current snapshot eagerly, so the first
+        # request never pays an index build.
         self.store.subscribe(self)
 
     # ------------------------------------------------------------------ #
@@ -184,14 +175,6 @@ class ServingGateway(SnapshotListener):
     def prepare(self, snapshot) -> None:
         """Build the new version's search structures before the flip."""
         self._index_for(snapshot)
-
-    def activate(self, snapshot) -> None:
-        """The flip happened: drop the superseded version's cache entries."""
-        previous = self._active_version
-        self._active_version = snapshot.version
-        if previous is not None and previous != snapshot.version:
-            self.cache.invalidate_version(previous)
-            self.telemetry.record_swap(snapshot.version)
 
     def _index_for(self, snapshot) -> RetrievalIndex:
         """The index built from exactly this snapshot's service matrix.
@@ -290,14 +273,22 @@ class ServingGateway(SnapshotListener):
         traced requests) receives a ``score`` span covering the scan.
         """
         index = self._index_for(snapshot)
+        # A shared index is read-only while searching: IVF-PQ's shortlist
+        # counts come back with the call.  Whichever thread scores fills this
+        # call's own list; telemetry hears of it here, after the await.
+        shortlist: List[Tuple[int, int]] = []
+        kwargs = ({"shortlist_stats": lambda *counts: shortlist.append(counts)}
+                  if self.index_kind == "ivfpq" else {})
         offloaded = self._cpu_executor is not None
         started = self._clock() if spans is not None else 0.0
         if offloaded:
             result = await asyncio.get_running_loop().run_in_executor(
                 self._cpu_executor,
-                partial(index.search, query_matrix, k, **self._search_kwargs))
+                partial(index.search, query_matrix, k, **kwargs))
         else:
-            result = index.search(query_matrix, k, **self._search_kwargs)
+            result = index.search(query_matrix, k, **kwargs)
+        for counts in shortlist:
+            self.telemetry.record_shortlist(*counts)
         if spans is not None:
             spans.add("score", started, self._clock(),
                       queries=query_matrix.shape[0], k=k, offloaded=offloaded)
@@ -473,7 +464,16 @@ class ServingGateway(SnapshotListener):
         per batch, so its spans are recorded once into a
         :class:`~repro.serving.obs.tracing.BatchSpans` and grafted into
         every traced request at collect time.
+
+        The first batch pinned to a new version drops the superseded
+        version's cache entries (their keys carry the version, so none
+        could be served anyway) and counts the swap — here, on the thread
+        that owns the cache, not on the publisher's.
         """
+        if snapshot.version != self._served_version:
+            self.cache.invalidate_version(self._served_version)
+            self.telemetry.record_swap(snapshot.version)
+            self._served_version = snapshot.version
         spans = None
         if self.tracer.enabled and any(
             pending.trace is not None and not pending.cancelled
@@ -561,9 +561,9 @@ class ServingGateway(SnapshotListener):
 
         The heavy lifting happens through the two-phase listener protocol:
         :meth:`prepare` builds the new index while the old version still
-        serves, the store flips the reference, and :meth:`activate` drops
-        the superseded cache entries.  The cache is keyed by version anyway,
-        so even an un-invalidated stale entry could never be served.
+        serves, then the store flips the reference.  The cache is keyed by
+        version, so a superseded entry can never be served; the next batch
+        drops them.
         """
         return self.store.publish(query_embeddings, service_embeddings)
 
@@ -672,7 +672,7 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
     gateway.search_async(query_id)`` from any event loop, with admission
     control, deadlines and cancellation configured through
     ``gateway_kwargs`` (``max_queue`` / ``overload`` /
-    ``default_deadline_s`` / ``cpu_executor`` / ``loop_confined``).
+    ``default_deadline_s`` / ``cpu_executor``).
     """
     if remote_peer is not None and warm_start is None:
         raise ValueError("remote_peer needs a warm_start directory to hydrate into")
@@ -710,43 +710,3 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
         return ShardedGateway(store, index=index, index_params=index_params,
                               workers=workers, **gateway_kwargs)
     return ServingGateway(store, index=index, index_params=index_params, **gateway_kwargs)
-
-
-class IndexRetriever(InnerProductRetriever):
-    """:class:`~repro.serving.retrieval.InnerProductRetriever` whose
-    *unrestricted* top-K goes through a :class:`RetrievalIndex`, so the
-    existing :class:`~repro.serving.ranking.RankingModule` and
-    :class:`~repro.serving.pipeline.ServingPipeline` can use ANN retrieval
-    interchangeably with the exact scan.
-
-    Candidate-restricted calls keep the inherited exact scan over the subset
-    (the restriction already bounds the cost).  The index tracks the store
-    version and rebuilds after a refresh.
-    """
-
-    def __init__(self, store, index: str = "ivf",
-                 index_params: Optional[dict] = None) -> None:
-        super().__init__(store)
-        self.index_kind = index
-        self.index_params = dict(index_params or {})
-        self._index: Optional[RetrievalIndex] = None
-        self._index_version: Optional[int] = None
-
-    def _current_index(self) -> RetrievalIndex:
-        version = getattr(self.store, "version", 0)
-        if self._index is None or self._index_version != version:
-            self._index = build_index(self.index_kind, self.store.all_services(),
-                                      **self.index_params)
-            self._index_version = version
-        return self._index
-
-    def retrieve(self, query_id: int, k: int,
-                 candidate_ids: Optional[Sequence[int]] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        if candidate_ids is not None:
-            return super().retrieve(query_id, k, candidate_ids)
-        if k <= 0:
-            raise ValueError("k must be positive")
-        ids, scores = self._current_index().search(self.store.query([query_id]), k)
-        valid = ids[0] >= 0
-        return ids[0][valid], scores[0][valid]

@@ -85,6 +85,9 @@ class SnapshotListener:
     Structures memoised on the snapshot itself
     (:meth:`EmbeddingSnapshot.derived`) need no retiring: the store drops
     the dead snapshot and they go with it.
+
+    All three hooks run on the publisher's thread and touch nothing a
+    request loop owns (scheduler, result cache, telemetry).
     """
 
     def prepare(self, snapshot: "EmbeddingSnapshot") -> None:  # pragma: no cover

@@ -47,9 +47,7 @@ per-request.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
 from repro.serving.obs.health import HealthSnapshot
@@ -67,29 +65,18 @@ OVERFLOW_SHARD = -1
 class GatewayTelemetry:
     """Bounded counters and histograms behind the gateway's metrics.
 
-    ``thread_safe=True`` (the default) lock-protects every ``record_*``:
-    with the background scheduler thread running, recording can race a
-    producer thread's full-batch dispatch, and the ``+=``
-    read-modify-writes would silently drop counts.  The asyncio-native
-    gateway confines all recording to one event loop, where the lock is
-    per-request overhead for nothing; ``thread_safe=False`` swaps it for a
-    no-op :func:`~contextlib.nullcontext`.
-
-    ``enabled=False`` turns every ``record_*`` into an early return — the
-    telemetry-off baseline the obs-overhead bench gate compares against.
+    ``enabled=False`` turns every ``record_*`` into an early return.
     """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
-        thread_safe: bool = True,
         enabled: bool = True,
         max_tags: int = 64,
         max_shards: int = 256,
         latency_boundaries=None,
     ) -> None:
         self._clock = clock
-        self._lock = threading.Lock() if thread_safe else nullcontext()
         self.enabled = enabled
         self.max_tags = max_tags
         self.max_shards = max_shards
@@ -137,7 +124,9 @@ class GatewayTelemetry:
             help="De-duplicated queries scored by the backend.",
         )
         self._swaps = registry.counter(
-            "gateway_hot_swaps_total", help="Store versions activated."
+            "gateway_hot_swaps_total",
+            help="Version changes this gateway served across (flips with "
+            "no request between them count once).",
         )
         self._gathered = registry.counter(
             "gateway_gathered_candidates_total",
@@ -248,43 +237,39 @@ class GatewayTelemetry:
         if not self.enabled:
             return
         now = self._clock()
-        with self._lock:
-            if self._started_at is None:
-                self._started_at = now - latency_s
-            self._last_request_at = now
-            self._latency.observe(latency_s)
+        if self._started_at is None:
+            self._started_at = now - latency_s
+        self._last_request_at = now
+        self._latency.observe(latency_s)
+        if cache_hit:
+            self._cache_hits.inc()
+        else:
+            self._cache_misses.inc()
+        if tag is not None:
+            key = self._tag_key(tag)
+            self._tag_latency.labels(key).observe(latency_s)
             if cache_hit:
-                self._cache_hits.inc()
-            else:
-                self._cache_misses.inc()
-            if tag is not None:
-                key = self._tag_key(tag)
-                self._tag_latency.labels(key).observe(latency_s)
-                if cache_hit:
-                    self._tag_hits.labels(key).inc()
-                self.tag_first_at.setdefault(key, now - latency_s)
-                self.tag_last_at[key] = now
+                self._tag_hits.labels(key).inc()
+            self.tag_first_at.setdefault(key, now - latency_s)
+            self.tag_last_at[key] = now
 
     def record_batch(self, size: int, backend_queries: int) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._batch_size.observe(int(size))
-            self._backend_queries.inc(int(backend_queries))
+        self._batch_size.observe(int(size))
+        self._backend_queries.inc(int(backend_queries))
 
     def record_swap(self, version: int) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._swaps.inc()
-            self.last_swap_version = int(version)
+        self._swaps.inc()
+        self.last_swap_version = int(version)
 
     def record_recall(self, recall: float, k: int) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self.recall_at_k = float(recall)
-            self.recall_k = int(k)
+        self.recall_at_k = float(recall)
+        self.recall_k = int(k)
 
     def record_shard(
         self, shard: int, latency_s: float, queries: int, candidates: int
@@ -299,12 +284,11 @@ class GatewayTelemetry:
         if not self.enabled:
             return
         shard = int(shard)
-        with self._lock:
-            key = self._shard_key(shard)
-            self._shard_latency.labels(key).observe(latency_s)
-            self._shard_queries.labels(key).inc(int(queries))
-            self._shard_candidates.labels(key).inc(int(candidates))
-            self._gathered.inc(int(candidates))
+        key = self._shard_key(shard)
+        self._shard_latency.labels(key).observe(latency_s)
+        self._shard_queries.labels(key).inc(int(queries))
+        self._shard_candidates.labels(key).inc(int(candidates))
+        self._gathered.inc(int(candidates))
 
     def record_shortlist(self, candidates: int, kept: int) -> None:
         """Refinement shortlist counts of one quantized-index search.
@@ -317,48 +301,42 @@ class GatewayTelemetry:
         """
         if not self.enabled:
             return
-        with self._lock:
-            self._shortlist_candidates.inc(int(candidates))
-            self._shortlist_kept.inc(int(kept))
+        self._shortlist_candidates.inc(int(candidates))
+        self._shortlist_kept.inc(int(kept))
 
     # Loop-front-end events (admission control, deadlines, the drive task).
     def record_overload(self, tag: Optional[str] = None) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._overloads.inc()
-            if tag is not None:
-                self._tag_overloads.labels(self._tag_key(tag)).inc()
+        self._overloads.inc()
+        if tag is not None:
+            self._tag_overloads.labels(self._tag_key(tag)).inc()
 
     def record_deadline_miss(self, tag: Optional[str] = None) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._deadline_misses.inc()
-            if tag is not None:
-                self._tag_deadline_misses.labels(self._tag_key(tag)).inc()
+        self._deadline_misses.inc()
+        if tag is not None:
+            self._tag_deadline_misses.labels(self._tag_key(tag)).inc()
 
     def record_cancelled(self, tag: Optional[str] = None) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._cancelled.inc()
-            if tag is not None:
-                self._tag_cancelled.labels(self._tag_key(tag)).inc()
+        self._cancelled.inc()
+        if tag is not None:
+            self._tag_cancelled.labels(self._tag_key(tag)).inc()
 
     def record_queue_depth(self, depth: int) -> None:
         """Queue depth observed at one admission."""
         if not self.enabled:
             return
-        with self._lock:
-            self._queue_depth.observe(depth)
+        self._queue_depth.observe(depth)
 
     def record_loop_lag(self, lag_s: float) -> None:
         """How late one deadline sleep fired (event-loop scheduling lag)."""
         if not self.enabled:
             return
-        with self._lock:
-            self._loop_lag.observe(float(lag_s))
+        self._loop_lag.observe(float(lag_s))
 
     # ------------------------------------------------------------------ #
     # Counter views (the pre-histogram attribute surface)
@@ -471,35 +449,31 @@ class GatewayTelemetry:
         overflow row (shard id :data:`OVERFLOW_SHARD`) absorbs shards past
         the ``max_shards`` cap.
         """
-        with self._lock:
-            rows = []
-            for (label,), hist in self._shard_latency.items():
-                shard = (
-                    OVERFLOW_SHARD if label == OVERFLOW_LABEL else int(label)
-                )
-                busy_s = hist.sum
-                queries_counter = self._shard_queries.get(label)
-                queries = queries_counter.value if queries_counter else 0
-                candidates = self._shard_candidates.get(label)
-                rows.append(
-                    {
-                        "shard": float(shard),
-                        "batches": float(hist.count),
-                        "queries": float(queries),
-                        "candidates": float(
-                            candidates.value if candidates else 0
-                        ),
-                        "busy_s": busy_s,
-                        "qps": queries / busy_s if busy_s > 0 else 0.0,
-                        "p50_ms": hist.percentile(50) * 1e3,
-                        "p95_ms": hist.percentile(95) * 1e3,
-                    }
-                )
-            rows.sort(key=lambda row: row["shard"])
-            return rows
+        rows = []
+        for (label,), hist in self._shard_latency.items():
+            shard = OVERFLOW_SHARD if label == OVERFLOW_LABEL else int(label)
+            busy_s = hist.sum
+            queries_counter = self._shard_queries.get(label)
+            queries = queries_counter.value if queries_counter else 0
+            candidates = self._shard_candidates.get(label)
+            rows.append(
+                {
+                    "shard": float(shard),
+                    "batches": float(hist.count),
+                    "queries": float(queries),
+                    "candidates": float(candidates.value if candidates else 0),
+                    "busy_s": busy_s,
+                    "qps": queries / busy_s if busy_s > 0 else 0.0,
+                    "p50_ms": hist.percentile(50) * 1e3,
+                    "p95_ms": hist.percentile(95) * 1e3,
+                }
+            )
+        rows.sort(key=lambda row: row["shard"])
+        return rows
 
-    def _tags_unlocked(self) -> List[str]:
-        """Every tag key with at least one event; caller must hold the lock."""
+    @property
+    def tags(self) -> List[str]:
+        """Every tag that recorded at least one event (sorted)."""
         seen = {key for (key,), _ in self._tag_latency.items()}
         for family in (
             self._tag_overloads,
@@ -508,12 +482,6 @@ class GatewayTelemetry:
         ):
             seen.update(key for (key,), _ in family.items())
         return sorted(seen)
-
-    @property
-    def tags(self) -> List[str]:
-        """Every tag that recorded at least one event (sorted)."""
-        with self._lock:
-            return self._tags_unlocked()
 
     def bucket_rows(self) -> List[Dict[str, float]]:
         """Per-tag (experiment-bucket) serving-cost rows, one dict per tag.
@@ -526,44 +494,41 @@ class GatewayTelemetry:
         whenever every request carried a tag; tags past the ``max_tags``
         cap share one explicit ``__overflow__`` row.
         """
-        with self._lock:
-            rows = []
-            for tag in self._tags_unlocked():
-                hist = self._tag_latency.get(tag)
-                requests = hist.count if hist else 0
-                if requests:
-                    span = max(
-                        self.tag_last_at[tag] - self.tag_first_at[tag], 1e-12
-                    )
-                    qps = requests / span
-                    p50 = hist.percentile(50) * 1e3
-                    p95 = hist.percentile(95) * 1e3
-                    p99 = hist.percentile(99) * 1e3
-                else:
-                    qps = 0.0
-                    p50 = p95 = p99 = float("nan")
-                hits_counter = self._tag_hits.get(tag)
-                hits = hits_counter.value if hits_counter else 0
+        rows = []
+        for tag in self.tags:
+            hist = self._tag_latency.get(tag)
+            requests = hist.count if hist else 0
+            if requests:
+                span = max(self.tag_last_at[tag] - self.tag_first_at[tag], 1e-12)
+                qps = requests / span
+                p50 = hist.percentile(50) * 1e3
+                p95 = hist.percentile(95) * 1e3
+                p99 = hist.percentile(99) * 1e3
+            else:
+                qps = 0.0
+                p50 = p95 = p99 = float("nan")
+            hits_counter = self._tag_hits.get(tag)
+            hits = hits_counter.value if hits_counter else 0
 
-                def _count(family, key=tag):
-                    counter = family.get(key)
-                    return float(counter.value if counter else 0)
+            def _count(family, key=tag):
+                counter = family.get(key)
+                return float(counter.value if counter else 0)
 
-                rows.append(
-                    {
-                        "bucket": tag,
-                        "requests": float(requests),
-                        "qps": qps,
-                        "p50_ms": p50,
-                        "p95_ms": p95,
-                        "p99_ms": p99,
-                        "cache_hit_rate": hits / requests if requests else 0.0,
-                        "deadline_misses": _count(self._tag_deadline_misses),
-                        "overload_rejections": _count(self._tag_overloads),
-                        "cancelled_requests": _count(self._tag_cancelled),
-                    }
-                )
-            return rows
+            rows.append(
+                {
+                    "bucket": tag,
+                    "requests": float(requests),
+                    "qps": qps,
+                    "p50_ms": p50,
+                    "p95_ms": p95,
+                    "p99_ms": p99,
+                    "cache_hit_rate": hits / requests if requests else 0.0,
+                    "deadline_misses": _count(self._tag_deadline_misses),
+                    "overload_rejections": _count(self._tag_overloads),
+                    "cancelled_requests": _count(self._tag_cancelled),
+                }
+            )
+        return rows
 
     def summary(self) -> Dict[str, float]:
         """One flat dict of the headline serving metrics."""
@@ -598,32 +563,30 @@ class GatewayTelemetry:
     # ------------------------------------------------------------------ #
     def health(self) -> HealthSnapshot:
         """The fleet-router signal, assembled in O(buckets) time."""
-        with self._lock:
-            requests = self.requests
-            overloads = self.overload_rejections
-            misses = self.deadline_misses
-            cancelled = self.cancelled_requests
-            shed = overloads + misses
-            offered = requests + shed
-            return HealthSnapshot(
-                requests=float(requests),
-                qps=self.qps,
-                p50_ms=self.latency_ms(50),
-                p99_ms=self.latency_ms(99),
-                queue_depth_mean=float(self.queue_depth_mean),
-                queue_depth_max=float(self.queue_depth_max),
-                loop_lag_mean_ms=float(self.loop_lag_mean_s * 1e3),
-                loop_lag_max_ms=float(self.loop_lag_s_max * 1e3),
-                overload_rejections=float(overloads),
-                deadline_misses=float(misses),
-                cancelled_requests=float(cancelled),
-                shed_rate=shed / offered if offered else 0.0,
-            )
+        requests = self.requests
+        overloads = self.overload_rejections
+        misses = self.deadline_misses
+        cancelled = self.cancelled_requests
+        shed = overloads + misses
+        offered = requests + shed
+        return HealthSnapshot(
+            requests=float(requests),
+            qps=self.qps,
+            p50_ms=self.latency_ms(50),
+            p99_ms=self.latency_ms(99),
+            queue_depth_mean=float(self.queue_depth_mean),
+            queue_depth_max=float(self.queue_depth_max),
+            loop_lag_mean_ms=float(self.loop_lag_mean_s * 1e3),
+            loop_lag_max_ms=float(self.loop_lag_s_max * 1e3),
+            overload_rejections=float(overloads),
+            deadline_misses=float(misses),
+            cancelled_requests=float(cancelled),
+            shed_rate=shed / offered if offered else 0.0,
+        )
 
     def export_prometheus(self) -> str:
         """Prometheus text exposition of every metric family."""
-        with self._lock:
-            return self.registry.render_prometheus()
+        return self.registry.render_prometheus()
 
     def export_json(self) -> Dict[str, object]:
         """JSON document: raw metric families plus the derived summary.
@@ -633,9 +596,8 @@ class GatewayTelemetry:
         :meth:`summary` so a scraper can cross-check the derived numbers
         against the raw ones.
         """
-        with self._lock:
-            metrics = self.registry.to_json()
-        doc: Dict[str, object] = {"metrics": metrics, "summary": self.summary()}
+        doc: Dict[str, object] = {"metrics": self.registry.to_json(),
+                                  "summary": self.summary()}
         for key, value in doc["summary"].items():
             if isinstance(value, float) and math.isnan(value):
                 doc["summary"][key] = None

@@ -14,21 +14,11 @@ Scoring modes:
 * ``"inner_product"`` — the paper's deployment choice (Sec. V-F.1): the MLP
   head is replaced by an inner product over exported embeddings so retrieval
   reduces to a maximum-inner-product search.
-* ``"ann"`` — the gateway's approximate variant of the same search: an
-  :class:`~repro.serving.gateway.index.RetrievalIndex` (``ann_index``
-  names the kind, IVF by default) answers the MIPS query from an index
-  instead of a brute-force scan.  For the full serving stack
-  (micro-batching, caching, hot-swap, telemetry) use
-  :func:`repro.serving.gateway.deploy_gateway`.
-* ``"ivfpq"`` / ``"int8"`` — quantized MIPS over compressed service tables
-  (:mod:`repro.serving.quant`): ``"int8"`` scans symmetric int8 codes
-  exactly (4x smaller than float32, recall ~1), ``"ivfpq"`` probes coarse
-  IVF cells and scores product-quantized residual codes with ADC lookup
-  tables.  Sugar for ``scoring="ann"`` with the matching index kind.
 
-For the sharded scatter/gather deployment (worker pool, two-phase hot-swap,
-per-shard telemetry) use :func:`repro.serving.gateway.deploy_gateway` with
-``num_shards > 1``.
+Approximate and quantized search (IVF, int8, IVF-PQ), the full serving stack
+(micro-batching, caching, hot-swap, telemetry) and the sharded scatter/gather
+deployment all live behind :func:`repro.serving.gateway.deploy_gateway`
+(``index=...``, ``num_shards > 1``).
 
 For *concurrent* serving use the gateway tier directly: every gateway
 returned by :func:`repro.serving.gateway.deploy_gateway` is asyncio-native —
@@ -56,9 +46,8 @@ class ServingPipeline:
 
     def __init__(self, store: EmbeddingStore, dataset: Optional[ServiceSearchDataset] = None,
                  top_k: int = 5, normalize: bool = False, model=None,
-                 scoring: str = "inner_product", ann_index: str = "ivf",
-                 ann_index_params: Optional[dict] = None) -> None:
-        if scoring not in ("inner_product", "model", "ann", "ivfpq", "int8"):
+                 scoring: str = "inner_product") -> None:
+        if scoring not in ("inner_product", "model"):
             raise ValueError(f"unknown scoring mode {scoring!r}")
         if scoring == "model" and model is None:
             raise ValueError("scoring='model' requires the trained model")
@@ -66,13 +55,6 @@ class ServingPipeline:
         self.scoring = scoring
         if scoring == "model":
             self.retriever = ModelScoringRetriever(model, store.num_services)
-        elif scoring in ("ann", "ivfpq", "int8"):
-            from repro.serving.gateway import IndexRetriever
-
-            # "ivfpq" / "int8" are sugar for ann with the quantized index.
-            index = ann_index if scoring == "ann" else scoring
-            self.retriever = IndexRetriever(store, index=index,
-                                            index_params=ann_index_params)
         else:
             self.retriever = InnerProductRetriever(store, normalize=normalize)
         self.ranking = RankingModule(self.retriever, dataset=dataset, top_k=top_k)
@@ -93,10 +75,8 @@ class ServingPipeline:
 
 def deploy_model(model, dataset: Optional[ServiceSearchDataset] = None,
                  top_k: int = 5, normalize: bool = False,
-                 scoring: str = "model", ann_index: str = "ivf",
-                 ann_index_params: Optional[dict] = None) -> ServingPipeline:
+                 scoring: str = "model") -> ServingPipeline:
     """Export a trained model's embeddings and wrap them in a serving pipeline."""
     store = EmbeddingStore.from_model(model)
     return ServingPipeline(store, dataset=dataset, top_k=top_k, normalize=normalize,
-                           model=model, scoring=scoring, ann_index=ann_index,
-                           ann_index_params=ann_index_params)
+                           model=model, scoring=scoring)

@@ -74,9 +74,8 @@ class ShardedGateway(ServingGateway):
         self.pool.prepare(snapshot)
 
     def activate(self, snapshot) -> None:
-        """Flip happened: workers retire stale versions, cache invalidates."""
+        """Flip happened: workers retire stale versions."""
         self.pool.activate(snapshot)
-        super().activate(snapshot)
 
     def retire(self, version: int) -> None:
         """Aborted publish: drop the dead version on every worker."""

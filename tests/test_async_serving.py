@@ -6,13 +6,12 @@ bounded queue, await-slot backpressure, cancellation mid-batch, deadline
 misses, graceful shutdown with in-flight futures), the gateway's async
 surface (``search_async`` parity with the sync wrappers, the sync → async →
 sync handover on one gateway, end-to-end deadline and overload shedding,
-the lock-free loop-confined mode), and the sharded tier's scatter/gather
-across all three worker backends.
+cache and telemetry touched by the request loop's thread only), and the
+sharded tier's scatter/gather across all three worker backends.
 """
 
 import asyncio
 import threading
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from repro.serving.gateway import (
     AsyncBatchScheduler,
     DeadlineExceededError,
     ExactIndex,
+    GatewayTelemetry,
+    LRUTTLCache,
     OverloadError,
     ServingGateway,
     VersionedEmbeddingStore,
@@ -537,12 +538,16 @@ class TestAsyncGateway:
     def test_loop_confined_mode_drops_locks_and_cache_hit_never_blocks(
         self, clustered
     ):
-        locked = self.make_gateway(clustered)
-        assert isinstance(locked.cache._lock, type(threading.Lock()))
-        locked.close()
+        # There is one mode: the keyword is accepted (the benchmark passes
+        # it) and builds the same lock-free gateway either way.
+        plain = self.make_gateway(clustered, loop_confined=False)
         gateway = self.make_gateway(clustered, loop_confined=True)
-        assert isinstance(gateway.cache._lock, nullcontext)
-        assert isinstance(gateway.telemetry._lock, nullcontext)
+        for one, other in ((plain, gateway), (plain.cache, gateway.cache),
+                           (plain.telemetry, gateway.telemetry)):
+            assert vars(one).keys() == vars(other).keys()
+            assert "_lock" not in vars(other)
+        assert not hasattr(gateway, "loop_confined")
+        plain.close()
 
         async def scenario():
             first, _ = await gateway.search_async(3)
@@ -561,6 +566,71 @@ class TestAsyncGateway:
         assert np.array_equal(first, second)
         assert gateway.cache.hits == 1
         gateway.close()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(index="ivf"), dict(index="ivfpq", cpu_executor="thread")],
+        ids=["ivf-inline", "ivfpq-offloaded"],
+    )
+    def test_only_the_request_loop_touches_cache_and_telemetry(
+        self, clustered, kwargs, monkeypatch
+    ):
+        """A publisher on its own thread and scoring on ``gateway-score``
+        leave every cache and telemetry mutation to the loop's thread."""
+        queries, services = clustered
+        seen = []  # (mutator, ident of the thread that called it)
+
+        def recorded(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args, **kw):
+                seen.append((name, threading.get_ident()))
+                return method(*args, **kw)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("get", "put", "invalidate_version", "clear"):
+            recorded(LRUTTLCache, name)
+        for name in vars(GatewayTelemetry):
+            if name.startswith("record_"):
+                recorded(GatewayTelemetry, name)
+        gateway = self.make_gateway(clustered, **kwargs)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            go, flipped = threading.Event(), asyncio.Event()
+
+            def publish_twice():
+                for scale in (1.5, 2.0):
+                    go.wait()
+                    go.clear()
+                    gateway.hot_swap(queries * scale, services)
+                    loop.call_soon_threadsafe(flipped.set)
+
+            threading.Thread(target=publish_twice, daemon=True).start()
+            for old_version in (0, 1):
+                go.set()  # the flip lands somewhere inside this traffic
+                await asyncio.gather(
+                    flipped.wait(), *(gateway.search_async(q) for q in range(24)))
+                flipped.clear()
+                await gateway.search_async(0)  # pins old_version + 1
+                assert gateway.store.version == old_version + 1
+                assert [key for key in gateway.cache._entries
+                        if key[-1] == old_version] == []
+            await gateway.stop_async()
+
+        asyncio.run(scenario())
+        summary = gateway.summary()
+        gateway.close()
+        called = {name for name, _ in seen}
+        assert {"put", "invalidate_version", "record_swap",
+                "record_request"} <= called
+        here = threading.get_ident()  # asyncio.run ran the loop on this thread
+        assert sorted({name for name, ident in seen if ident != here}) == []
+        assert summary["hot_swaps"] == 2
+        if kwargs["index"] == "ivfpq":
+            assert "record_shortlist" in called
+            assert summary["shortlist_candidates"] > 0
 
     def test_cpu_executor_offloads_scoring_off_the_loop(self, clustered):
         gateway = self.make_gateway(clustered, cpu_executor="thread")

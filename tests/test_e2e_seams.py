@@ -2,7 +2,8 @@
 
 ``python -m benchmarks.e2e --check`` lists a seam that no longer resolves
 under ``seams_missing`` but does not fail, so a rename under ``src/`` could
-silently zero a layer's attribution in the benchmark that judges every PR.
+silently zero a layer's attribution in the benchmark that judges every PR,
+and a constructor keyword it passes could vanish and crash it at boot.
 These tests fail instead.
 """
 
@@ -12,11 +13,13 @@ import importlib
 import pytest
 
 from benchmarks.e2e.tracing import SEAMS
+from benchmarks.e2e.workloads import GATEWAY_KWARGS
 from repro.serving.gateway import (
     ServingGateway,
     VersionedEmbeddingStore,
     clustered_embeddings,
 )
+from repro.serving.sharded import ShardedGateway
 
 
 @pytest.mark.parametrize(
@@ -62,3 +65,21 @@ def test_gateway_exposes_what_the_layer_report_reads(index):
         assert summary["requests"] == 8.0
     finally:
         gateway.close()
+
+
+def test_gateways_accept_every_keyword_the_workloads_pass():
+    """The constructor calls of ``benchmarks/e2e/workloads.py``, in small."""
+    queries, services = clustered_embeddings(40, 400, 16, num_clusters=4, seed=2)
+    store = VersionedEmbeddingStore(queries, services)
+    sharded_store = VersionedEmbeddingStore(queries, services, num_shards=2)
+    for build, case_store, kwargs in (
+        (ServingGateway, store,
+         dict(index="ivfpq", cpu_executor="thread", cache_capacity=0)),
+        (ServingGateway, store, dict(index="ivf", cache_capacity=512)),
+        (ShardedGateway, sharded_store,
+         dict(index="exact", workers="serial", cache_capacity=0)),
+    ):
+        with build(case_store, max_batch_size=64, **kwargs,
+                   **GATEWAY_KWARGS) as gateway:
+            ids, _ = gateway.search(3)
+            assert len(ids) == GATEWAY_KWARGS["top_k"]

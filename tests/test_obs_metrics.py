@@ -273,7 +273,7 @@ def _container_sizes(telemetry):
 class TestTelemetryBoundedMemory:
     def test_no_per_request_growth(self):
         clock = FakeClock()
-        telemetry = GatewayTelemetry(clock=clock, thread_safe=False)
+        telemetry = GatewayTelemetry(clock=clock)
         _drive_telemetry(telemetry, clock, rounds=200)
         before = _container_sizes(telemetry)
         requests_before = telemetry.requests
@@ -290,9 +290,7 @@ class TestTelemetryBoundedMemory:
 
     def test_tag_overflow_row_bounds_cardinality(self):
         clock = FakeClock()
-        telemetry = GatewayTelemetry(
-            clock=clock, thread_safe=False, max_tags=2
-        )
+        telemetry = GatewayTelemetry(clock=clock, max_tags=2)
         for index in range(40):
             clock.advance(0.001)
             telemetry.record_request(
@@ -308,9 +306,7 @@ class TestTelemetryBoundedMemory:
 
     def test_shard_overflow_row_bounds_cardinality(self):
         clock = FakeClock()
-        telemetry = GatewayTelemetry(
-            clock=clock, thread_safe=False, max_shards=2
-        )
+        telemetry = GatewayTelemetry(clock=clock, max_shards=2)
         for shard in range(6):
             telemetry.record_shard(
                 shard, latency_s=0.001, queries=4, candidates=3
@@ -324,7 +320,7 @@ class TestTelemetryBoundedMemory:
 class TestTelemetryExportRoundTrip:
     def _recorded_telemetry(self):
         clock = FakeClock()
-        telemetry = GatewayTelemetry(clock=clock, thread_safe=False)
+        telemetry = GatewayTelemetry(clock=clock)
         rng = np.random.default_rng(5)
         for latency in rng.lognormal(mean=-6.0, sigma=1.0, size=400):
             clock.advance(0.0005)

@@ -452,11 +452,12 @@ class TestQuantizedGateway:
         queries, services = clustered
         exact = ServingPipeline(EmbeddingStore(queries, services),
                                 top_k=5, scoring="inner_product")
-        for mode in ("ivfpq", "int8"):
-            pipeline = ServingPipeline(EmbeddingStore(queries, services),
-                                       top_k=5, scoring=mode)
-            overlap = len(set(pipeline.rank(3)) & set(exact.rank(3)))
-            assert overlap >= 4, mode
+        for kind in ("ivfpq", "int8"):
+            with ServingGateway(VersionedEmbeddingStore(queries, services),
+                                index=kind) as gateway:
+                ranked = gateway.rank(3, 5)
+            overlap = len(set(ranked) & set(exact.rank(3)))
+            assert overlap >= 4, kind
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,10 @@ class TestVersionedStore:
                 service_fill = snapshot.services[0, 0]
                 if query_fill != service_fill or snapshot.version != int(query_fill):
                     torn.append((snapshot.version, query_fill, service_fill))
+                # Yield each iteration: a publish hops to its own thread, and
+                # four readers that never yield make every hop wait out whole
+                # GIL switch intervals (18 s of hand-overs over 199 publishes).
+                time.sleep(0)
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:
@@ -446,18 +451,21 @@ class TestServingGateway:
         assert outcome.baseline[0].impressions > 0
 
     def test_pipeline_ann_scoring_mode(self, clustered):
+        """ANN ranking is the gateway's job; the pipeline scans exactly."""
         queries, services = clustered
-        pipeline = ServingPipeline(EmbeddingStore(queries, services),
-                                   top_k=5, scoring="ann")
-        ranked = pipeline.rank(3)
+        with ServingGateway(VersionedEmbeddingStore(queries, services),
+                            index="ivf") as gateway:
+            ranked = gateway.rank(3, 5)
         assert len(ranked) == 5
         exact = ServingPipeline(EmbeddingStore(queries, services),
                                 top_k=5, scoring="inner_product")
         overlap = len(set(ranked) & set(exact.rank(3)))
         assert overlap >= 4  # ANN tracks the exact scan closely here
-        # candidate restriction falls back to the exact subset scan
-        restricted = pipeline.ranking.rank(3, 2, candidate_ids=[1, 2, 3])
+        # candidate restriction is an exact scan over the subset
+        restricted = exact.ranking.rank(3, 2, candidate_ids=[1, 2, 3])
         assert set(restricted) <= {1, 2, 3}
+        with pytest.raises(ValueError, match="unknown scoring mode"):
+            ServingPipeline(EmbeddingStore(queries, services), scoring="ann")
 
 
 # --------------------------------------------------------------------- #
