@@ -492,9 +492,9 @@ def main() -> None:
     drifted = snapshot.queries + np.float32(0.01)
     version = gateway.store.publish(drifted, snapshot.services)
     after_refresh = [gateway.rank(query_id, top_k) for query_id in probe_ids]
-    print(f"Daily refresh published version {version}: process workers "
-          "hydrated their shard rows straight off the mmapped chunks, and "
-          "only the changed query chunks hit the disk.")
+    print(f"Daily refresh published version {version}: every process "
+          "worker was handed its shard's rows before the flip, and only the "
+          "changed query chunks hit the disk.")
 
     gateway.close()  # kills every process-pool worker; the manifest survives
     warm = deploy_gateway(warm_start=snap_dir, index="int8", top_k=top_k,

@@ -1,5 +1,5 @@
 """Evaluation: ranking metrics, per-slice evaluators, the online A/B simulator
-and serving-side load-test metrics (ANN recall, latency percentiles, QPS)."""
+and serving-side load-test metrics (ANN recall, QPS, memory footprint)."""
 
 from repro.eval.ab_test import ABTestConfig, ABTestResult, OnlineABTest
 from repro.eval.evaluator import EvaluationReport, Evaluator, SliceMetrics
@@ -8,7 +8,6 @@ from repro.eval.reporting import format_float_table, format_table
 from repro.eval.serving_metrics import (
     LoadTestSummary,
     compression_report,
-    latency_percentiles,
     memory_footprint,
     recall_at_k,
     summarize_gateway,
@@ -30,7 +29,6 @@ __all__ = [
     "format_float_table",
     "LoadTestSummary",
     "compression_report",
-    "latency_percentiles",
     "memory_footprint",
     "recall_at_k",
     "summarize_gateway",

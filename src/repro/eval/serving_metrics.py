@@ -1,5 +1,5 @@
-"""Serving-side evaluation: ANN recall, latency percentiles, load-test and
-memory-footprint reports.
+"""Serving-side evaluation: ANN recall, load-test and memory-footprint
+reports.
 
 The offline metrics in :mod:`repro.eval.metrics` grade ranking *quality*
 (AUC, NDCG, CTR); this module grades the serving *system* — how faithfully,
@@ -12,7 +12,7 @@ online-serving example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -39,21 +39,6 @@ def recall_at_k(approx_ids: np.ndarray, exact_ids: np.ndarray, k: int) -> float:
         approx_set = set(int(i) for i in approx_row[:k] if i >= 0)
         overlaps.append(len(exact_set & approx_set) / k)
     return float(np.mean(overlaps)) if overlaps else float("nan")
-
-
-def latency_percentiles(latencies_s: Sequence[float],
-                        percentiles: Sequence[float] = (50, 95, 99)) -> Dict[str, float]:
-    """``{"p50_ms": ..., ...}`` of a latency sample, in milliseconds.
-
-    Thin alias over the shared exact-percentile helper
-    (:func:`repro.serving.obs.metrics.sample_percentiles_ms`) so the eval
-    layer, the load bench and the gateway agree on one definition.
-    """
-    # Imported lazily: the serving gateway imports recall_at_k from this
-    # module, so a module-level import would be circular.
-    from repro.serving.obs.metrics import sample_percentiles_ms
-
-    return sample_percentiles_ms(latencies_s, percentiles)
 
 
 @dataclass

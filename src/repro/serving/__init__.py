@@ -39,9 +39,9 @@ poll-cheap health snapshot.  The durability substrate lives in
 :mod:`repro.serving.snapshot`: a chunked, checksummed, content-addressed
 on-disk format for store versions (fp tables, int8 scales/codes, PQ
 codebooks/codes, trained index payloads) behind an atomically-flipped
-manifest pointer — publishes write only changed chunks, and replicas,
-gateways, and process-pool shard workers warm-start by mmapping the
-manifest's chunks read-only instead of re-quantizing.  See
+manifest pointer — publishes write only changed chunks, and replicas and
+gateways warm-start by mmapping the manifest's chunks read-only instead
+of re-quantizing.  See
 ``src/repro/serving/README.md`` for the layer map.
 """
 

@@ -162,8 +162,9 @@ class EmbeddingSnapshot:
     shard_bounds: Tuple[int, ...]  # len = num_shards + 1, contiguous ranges
     quantized: Mapping[str, object] = field(default_factory=dict)
     # Durable location of this version on disk (snapshot.DurableRef), set
-    # when the store publishes with a ``durable_dir``.  Consumers use it to
-    # hydrate from the manifest instead of shipping arrays over IPC.
+    # when the store publishes with a ``durable_dir``.  A gateway saves and
+    # restores its trained index payload (IVF-PQ) beside the manifest
+    # through it.
     durable: Optional[object] = None
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -456,8 +457,9 @@ class VersionedEmbeddingStore:
 
         ``durable_dir`` (or the store-level ``durable_dir``) additionally
         persists the version to the chunked snapshot format *before* any
-        listener prepares — listeners that hydrate from disk (process-pool
-        shard workers) can rely on the chunks and manifest existing — and
+        listener prepares — a listener that restores a persisted index
+        payload through ``snapshot.durable`` (the gateway's IVF-PQ
+        ``load_index``) can rely on the chunks and manifest existing — and
         atomically flips the ``MANIFEST`` pointer at the reference flip, so
         a crash anywhere in between recovers to the last good version.
         """

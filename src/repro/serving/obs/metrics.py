@@ -466,8 +466,8 @@ def sample_percentiles_ms(
 ) -> Dict[str, float]:
     """Exact percentiles (milliseconds) over raw latency samples.
 
-    The one shared helper behind ``repro.eval.latency_percentiles`` and the
-    load benches; NaN-filled when the sample list is empty.
+    The one exact-percentile definition the serving stack shares;
+    NaN-filled when the sample list is empty.
     """
     values = np.asarray(list(latencies_s), dtype=np.float64)
     if values.size == 0:

@@ -5,17 +5,19 @@ lays service embeddings — and their quantized replicas — out in contiguous,
 row-aligned shards.  This package puts one worker per shard behind the
 gateway:
 
-* :mod:`~repro.serving.sharded.worker` — :class:`ShardWorker`: one shard's
-  fp/int8/PQ tables plus a per-shard retrieval index of any registered kind,
-  versioned for the two-phase hot-swap;
+* :mod:`~repro.serving.sharded.worker` — :class:`ShardWorker`: a per-shard
+  retrieval index of any registered kind, built from the shard's fp rows
+  (and its published int8 rows) and versioned for the two-phase hot-swap;
 * :mod:`~repro.serving.sharded.merge` — :func:`merge_top_k`: exact
   vectorised k-way merging of per-shard top-K candidate lists, preserving
   single-process results bit for bit for exact scoring backends;
 * :mod:`~repro.serving.sharded.pool` — serial / thread / process execution
   backends behind one :class:`WorkerPool` surface whose only scatter is the
-  coroutine ``search_async``; the process backend hands tables off through
-  shared memory and the in-process backends are bit-identical to it, which
-  is what keeps tests and CI deterministic;
+  coroutine ``search_async``; every backend hands a shard the same
+  ``ShardWorker.prepare`` arguments (the snapshot's own row views — by
+  reference in process, pickled down the worker's pipe across processes),
+  so the in-process backends are bit-identical to the process one, which is
+  what keeps tests and CI deterministic;
 * :mod:`~repro.serving.sharded.gateway` — :class:`ShardedGateway`: the
   PR-1 request path (micro-batching, caching, telemetry, staleness) with a
   scatter/gather backend and per-shard telemetry breakdowns.

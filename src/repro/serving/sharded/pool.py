@@ -13,13 +13,17 @@ run one OS process per shard:
   inside the BLAS scans, so shard scans overlap on multi-core hosts without
   any serialization cost.
 * :class:`ProcessPool` — one OS process per shard, the production layout.
-  Table handoff goes through :mod:`multiprocessing.shared_memory`: the
-  parent exports the snapshot's fp table (and published int8 codes/scales)
-  into shared segments, each worker copies out exactly its row slice while
-  *preparing* the version, and the segments are unlinked as soon as every
-  worker acked — queries and top-K replies are the only per-request pipe
-  traffic.  Workers answer at explicit versions, so the two-phase flip
-  holds across process boundaries exactly as it does in-process.
+  Queries and top-K replies are the only per-request pipe traffic.  Workers
+  answer at explicit versions, so the two-phase flip holds across process
+  boundaries exactly as it does in-process.
+
+There is one table handoff: :func:`_shard_payload` slices a shard's rows off
+the snapshot (``EmbeddingSnapshot.shard`` / ``quantized_shard`` views — the
+int8 rows carry the global ``scales`` *and* the frozen ``query_scale``) and
+every pool passes exactly those arguments to ``ShardWorker.prepare``: by
+reference in the in-process pools, pickled down the worker's own pipe in the
+process pool.  Whatever store published the snapshot (in-memory, durable,
+wire-hydrated), every backend therefore scores against the same tables.
 
 :func:`make_pool` resolves a backend name (``"serial"`` / ``"thread"`` /
 ``"process"`` / ``"auto"``) into a pool; ``"auto"`` picks processes when the
@@ -38,16 +42,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.gateway.store import StaleVersionError
 from repro.serving.obs.tracing import worker_span
-from repro.serving.quant.scalar import Int8Table
 from repro.serving.sharded.worker import ShardWorker
-from repro.serving.snapshot.codec import shard_tables_from_manifest
 
 WORKER_KINDS = ("serial", "thread", "process", "auto")
 
@@ -97,6 +98,19 @@ def make_pool(
     return ProcessPool(
         num_shards, index=index, index_params=index_params, timeout_s=timeout_s
     )
+
+
+def _shard_payload(snapshot, shard: int) -> tuple:
+    """``ShardWorker.prepare``'s arguments for one shard of ``snapshot``.
+
+    ``(version, services rows, lo, int8 rows or None)`` — the snapshot's own
+    zero-copy row views, so the handoff slices in exactly one place.
+    """
+    _, services = snapshot.shard(shard)
+    int8_rows = None
+    if "int8" in snapshot.quantized:
+        _, int8_rows = snapshot.quantized_shard("int8", shard)
+    return snapshot.version, services, int(snapshot.shard_bounds[shard]), int8_rows
 
 
 class WorkerPool:
@@ -170,7 +184,7 @@ class SerialPool(WorkerPool):
     def prepare(self, snapshot) -> None:
         self._check_snapshot(snapshot)
         for worker in self.workers:
-            worker.prepare_snapshot(snapshot)
+            worker.prepare(*_shard_payload(snapshot, worker.shard))
 
     def activate(self, snapshot) -> None:
         for worker in self.workers:
@@ -267,47 +281,8 @@ class ThreadPool(SerialPool):
 
 
 # --------------------------------------------------------------------- #
-# Process backend: one OS process per shard, shared-memory table handoff
+# Process backend: one OS process per shard, tables pickled down its pipe
 # --------------------------------------------------------------------- #
-def _export_array(array: np.ndarray) -> Tuple[dict, shared_memory.SharedMemory]:
-    """Copy one array into a fresh shared-memory segment; returns its meta."""
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[...] = array
-    meta = {"name": segment.name, "shape": array.shape, "dtype": str(array.dtype)}
-    return meta, segment
-
-
-def _read_shm_rows(meta: dict, lo: int, hi: Optional[int]) -> np.ndarray:
-    """Attach one exported segment and copy out the ``[lo, hi)`` row slice.
-
-    The parent owns (and unlinks) the segment; the attaching side must not
-    let its resource tracker adopt it, or every worker exit reports a bogus
-    leak.  Python 3.13 grew ``track=False`` for exactly this; older minors
-    need the explicit unregister.
-    """
-    try:
-        segment = shared_memory.SharedMemory(name=meta["name"], track=False)
-        tracked = False
-    except TypeError:  # Python < 3.13: no track parameter
-        segment = shared_memory.SharedMemory(name=meta["name"])
-        tracked = True
-    try:
-        view = np.ndarray(
-            tuple(meta["shape"]), dtype=np.dtype(meta["dtype"]), buffer=segment.buf
-        )
-        rows = view[lo:hi].copy() if view.ndim > 1 else view.copy()
-    finally:
-        segment.close()
-        if tracked:
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-    return rows
-
-
 def _shard_worker_main(  # pragma: no cover - runs in a child process
     conn, shard: int, index: str, index_params: dict
 ) -> None:
@@ -323,28 +298,8 @@ def _shard_worker_main(  # pragma: no cover - runs in a child process
         op = message[0]
         try:
             if op == "prepare":
-                _, version, lo, hi, metas = message
-                services = _read_shm_rows(metas["services"], lo, hi)
-                int8_table = None
-                if "int8_codes" in metas:
-                    int8_table = Int8Table(
-                        codes=_read_shm_rows(metas["int8_codes"], lo, hi),
-                        scales=_read_shm_rows(metas["int8_scales"], 0, None),
-                    )
-                worker.prepare(version, services, lo, int8_table=int8_table)
-                conn.send(("ready", version))
-            elif op == "prepare_disk":
-                # Durable-snapshot hydration: the worker reads exactly its
-                # row range off the manifest's mmapped chunks — no
-                # shared-memory export, no cross-process array shipping.
-                # Integrity failures surface as an "error" reply and the
-                # parent falls back to the shared-memory handoff.
-                _, version, lo, hi, root, manifest_path = message
-                services, int8_table = shard_tables_from_manifest(
-                    root, manifest_path, lo, hi
-                )
-                worker.prepare(version, services, lo, int8_table=int8_table)
-                conn.send(("ready", version))
+                worker.prepare(*message[1:])  # one _shard_payload tuple
+                conn.send(("ready", message[1]))
             elif op == "activate":
                 worker.activate(message[1])
                 conn.send(("ok",))
@@ -378,7 +333,7 @@ def _shard_worker_main(  # pragma: no cover - runs in a child process
 
 
 class ProcessPool(WorkerPool):
-    """One worker process per shard with shared-memory snapshot handoff."""
+    """One worker process per shard; each shard's rows are pickled to it."""
 
     kind = "process"
 
@@ -424,14 +379,32 @@ class ProcessPool(WorkerPool):
     # ------------------------------------------------------------------ #
     # Pipe plumbing
     # ------------------------------------------------------------------ #
+    def _gone(self, shard: int) -> RuntimeError:
+        code = self._processes[shard].exitcode
+        return RuntimeError(
+            f"shard worker {shard} is gone (exit code {code}); "
+            "close this pool and build a new one"
+        )
+
+    def _send(self, shard: int, message) -> None:
+        try:
+            self._conns[shard].send(message)
+        except OSError as error:  # EPIPE: nobody holds the other end
+            raise self._gone(shard) from error
+
+    def _recv(self, shard: int):
+        try:
+            return self._conns[shard].recv()
+        except (EOFError, OSError) as error:
+            raise self._gone(shard) from error
+
     def _recv_raw(self, shard: int):
         """One raw reply from one worker (timeout desyncs the pipe: fatal)."""
-        conn = self._conns[shard]
-        if not conn.poll(self.timeout_s):
+        if not self._conns[shard].poll(self.timeout_s):
             raise RuntimeError(
                 f"shard worker {shard} did not reply within {self.timeout_s:.1f}s"
             )
-        return conn.recv()
+        return self._recv(shard)
 
     @staticmethod
     def _checked(shard: int, reply):
@@ -452,105 +425,44 @@ class ProcessPool(WorkerPool):
         replies = [self._recv_raw(shard) for shard in range(self.num_shards)]
         return [self._checked(shard, reply) for shard, reply in enumerate(replies)]
 
-    def _broadcast(self, message, expect: str) -> List[tuple]:
+    def _cycle(self, messages: List[tuple]) -> List[tuple]:
+        """One paired command/reply cycle: ``messages[shard]`` to each worker.
+
+        A worker that died fails this cycle at its send or its recv and
+        every later cycle at its send, before anything is received — so the
+        replies left queued on the living workers' pipes are never read as
+        answers.
+        """
         with self._io_lock:
             self._drain_stale()
-            for conn in self._conns:
-                conn.send(message)
-            replies = self._recv_all()
+            for shard, message in enumerate(messages):
+                self._send(shard, message)
+            return self._recv_all()
+
+    def _broadcast(self, message, expect: str) -> None:
+        replies = self._cycle([message] * self.num_shards)
         for shard, reply in enumerate(replies):
             if reply[0] != expect:
                 raise RuntimeError(
                     f"shard worker {shard} replied {reply[0]!r}, expected {expect!r}"
                 )
-        return replies
 
     # ------------------------------------------------------------------ #
     # Two-phase flip
     # ------------------------------------------------------------------ #
     def prepare(self, snapshot) -> None:
-        """Hand the new version's tables to every worker.
-
-        A durably-published snapshot (``snapshot.durable`` set) skips IPC
-        entirely: each worker hydrates its ``[lo, hi)`` rows straight off
-        the manifest's mmapped chunks.  Everything else — and any disk
-        hydration that fails its integrity checks — goes through the
-        shared-memory handoff, so a damaged chunk store degrades a publish
-        to the old path instead of failing it.
-        """
+        """Pickle each shard's rows down its worker's pipe; all must ack."""
         self._check_snapshot(snapshot)
-        durable = getattr(snapshot, "durable", None)
-        if durable is not None:
-            try:
-                self._prepare_from_disk(snapshot, durable)
-                return
-            except RuntimeError as error:
-                import warnings
-
-                warnings.warn(
-                    f"disk hydration of snapshot v{snapshot.version} failed "
-                    f"({error}); falling back to shared-memory handoff",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        self._prepare_from_shm(snapshot)
-
-    def _prepare_from_disk(self, snapshot, durable) -> None:
-        """Workers read their shard rows from the durable manifest."""
-        with self._io_lock:
-            self._drain_stale()
-            for shard, conn in enumerate(self._conns):
-                lo = int(snapshot.shard_bounds[shard])
-                hi = int(snapshot.shard_bounds[shard + 1])
-                conn.send((
-                    "prepare_disk", snapshot.version, lo, hi,
-                    durable.root, durable.manifest_rel,
-                ))
-            replies = self._recv_all()
+        replies = self._cycle([
+            ("prepare", *_shard_payload(snapshot, shard))
+            for shard in range(self.num_shards)
+        ])
         for shard, reply in enumerate(replies):
             if reply != ("ready", snapshot.version):
                 raise RuntimeError(
-                    f"shard worker {shard} failed to hydrate "
-                    f"version {snapshot.version} from disk: {reply!r}"
+                    f"shard worker {shard} failed to prepare "
+                    f"version {snapshot.version}: {reply!r}"
                 )
-
-    def _prepare_from_shm(self, snapshot) -> None:
-        """Export the snapshot to shared memory; every worker copies its rows.
-
-        The segments live only for the duration of the handoff: once all
-        workers acked ``ready`` they own private copies of their slices and
-        the parent unlinks the shared segments immediately.
-        """
-        segments: List[shared_memory.SharedMemory] = []
-        try:
-            meta, segment = _export_array(snapshot.services)
-            metas = {"services": meta}
-            segments.append(segment)
-            int8_table = getattr(snapshot, "quantized", {}).get("int8")
-            if int8_table is not None:
-                meta, segment = _export_array(int8_table.codes)
-                metas["int8_codes"] = meta
-                segments.append(segment)
-                meta, segment = _export_array(int8_table.scales)
-                metas["int8_scales"] = meta
-                segments.append(segment)
-            with self._io_lock:
-                self._drain_stale()
-                for shard, conn in enumerate(self._conns):
-                    lo = int(snapshot.shard_bounds[shard])
-                    hi = int(snapshot.shard_bounds[shard + 1])
-                    conn.send(("prepare", snapshot.version, lo, hi, metas))
-                replies = self._recv_all()
-            for shard, reply in enumerate(replies):
-                if reply != ("ready", snapshot.version):
-                    raise RuntimeError(
-                        f"shard worker {shard} failed to prepare "
-                        f"version {snapshot.version}: {reply!r}"
-                    )
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
 
     def activate(self, snapshot) -> None:
         self._broadcast(("activate", snapshot.version), expect="ok")
@@ -609,7 +521,7 @@ class ProcessPool(WorkerPool):
         # The fd firing only guarantees the frame *started* arriving; the
         # recv (frame completion + unpickling) runs off-loop so a large
         # top-K reply never stalls admission or the other shards' readers.
-        return await loop.run_in_executor(None, conn.recv)
+        return await loop.run_in_executor(None, self._recv, shard)
 
     async def _recv_all_async(self) -> List[tuple]:
         """Drain one reply per worker BEFORE raising, keeping pipes paired."""
@@ -669,8 +581,8 @@ class ProcessPool(WorkerPool):
             raise
         try:
             self._drain_stale()
-            for conn in self._conns:
-                conn.send(("search", version, k, queries, trace_ctx))
+            for shard in range(self.num_shards):
+                self._send(shard, ("search", version, k, queries, trace_ctx))
             raw_replies = await self._recv_all_async()
         finally:
             self._io_lock.release()

@@ -1,18 +1,21 @@
-"""One shard's serving state: its tables and its per-shard retrieval index.
+"""One shard's serving state: a per-shard retrieval index per version.
 
-A :class:`ShardWorker` owns everything needed to answer top-K queries for one
-contiguous row range ``[lo, hi)`` of the service catalogue:
+A :class:`ShardWorker` answers top-K queries for one contiguous row range
+``[lo, hi)`` of the service catalogue from a per-shard
+:class:`~repro.serving.gateway.index.RetrievalIndex` of any registered kind
+(``exact`` / ``ivf`` / ``int8`` / ``ivfpq``), built by :meth:`prepare` from
+exactly what the pool hands it:
 
-* the shard's fp embedding rows (a zero-copy view of the snapshot in the
-  in-process backends, a shared-memory copy in the process backend),
-* the shard's published quantized tables, when the store publishes them —
-  the int8 rows keep the *global* per-dimension scales, which is what makes
-  sharded ``int8`` scoring bit-identical to the single-process scan,
-* a per-shard :class:`~repro.serving.gateway.index.RetrievalIndex` of any
-  registered kind (``exact`` / ``ivf`` / ``int8`` / ``ivfpq``).
+* the shard's fp embedding rows (``EmbeddingSnapshot.shard`` — a zero-copy
+  view in the in-process backends, its pickled copy in the process backend),
+* the shard's published int8 rows, when the store publishes them
+  (``EmbeddingSnapshot.quantized_shard("int8", ...)``) — they keep the
+  *global* per-dimension scales and the frozen ``query_scale``, which is
+  what makes sharded ``int8`` scoring bit-identical to the single-process
+  scan on every backend.
 
 Workers are versioned like the store: :meth:`prepare` builds a new version's
-tables and index while older versions keep serving, :meth:`activate` retires
+index while older versions keep serving, :meth:`activate` retires
 everything older than the flipped version's predecessor, and :meth:`search`
 answers *at an explicit version* — a request that pinned snapshot ``v``
 mid-hot-swap is answered from ``v``'s tables on every shard or fails loudly,
@@ -22,7 +25,7 @@ never from a mixed pairing.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -33,13 +36,12 @@ from repro.serving.gateway.store import StaleVersionError
 
 @dataclass
 class ShardVersion:
-    """One published version's tables + index, owned by one shard worker."""
+    """One published version's index over ``[lo, hi)``, owned by one worker."""
 
     version: int
     lo: int
     hi: int
     index: RetrievalIndex
-    tables: Dict[str, object] = field(default_factory=dict)
 
     @property
     def num_services(self) -> int:
@@ -47,16 +49,12 @@ class ShardVersion:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the shard's index plus owned quantized tables."""
-        total = int(self.index.nbytes)
-        for kind, table in self.tables.items():
-            if kind != "fp":  # fp rows are snapshot views, not worker-owned
-                total += int(table.nbytes)
-        return total
+        """Resident bytes of the shard's index (it owns the tables it scans)."""
+        return int(self.index.nbytes)
 
 
 class ShardWorker:
-    """Owns one shard's fp/int8/PQ tables and a per-shard retrieval index."""
+    """Owns one shard's per-version retrieval indexes."""
 
     def __init__(
         self,
@@ -81,8 +79,6 @@ class ShardWorker:
         services: np.ndarray,
         lo: int,
         int8_table=None,
-        pq_table=None,
-        opq_table=None,
     ) -> None:
         """Build ``version``'s index from this shard's rows; serve it on demand.
 
@@ -100,47 +96,14 @@ class ShardWorker:
         if self.index_kind in ("int8", "ivfpq") and int8_table is not None:
             params.setdefault("int8_table", int8_table)
         index = build_index(self.index_kind, services, **params)
-        tables: Dict[str, object] = {"fp": services}
-        if int8_table is not None:
-            tables["int8"] = int8_table
-        if pq_table is not None:
-            tables["pq"] = pq_table
-        if opq_table is not None:
-            tables["opq"] = opq_table
         entry = ShardVersion(
             version=version,
             lo=int(lo),
             hi=int(lo) + services.shape[0],
             index=index,
-            tables=tables,
         )
         with self._lock:
             self._versions[version] = entry
-
-    def prepare_snapshot(self, snapshot) -> None:
-        """Prepare from a store snapshot (zero-copy in-process handoff)."""
-        ids, services = snapshot.shard(self.shard)
-        lo = int(ids[0]) if ids.size else int(snapshot.shard_bounds[self.shard])
-        quantized = getattr(snapshot, "quantized", {})
-        lo_bound = snapshot.shard_bounds[self.shard]
-        hi_bound = snapshot.shard_bounds[self.shard + 1]
-        int8_table = quantized.get("int8")
-        pq_table = quantized.get("pq")
-        opq_table = quantized.get("opq")
-        self.prepare(
-            snapshot.version,
-            services,
-            lo,
-            int8_table=(
-                int8_table.rows(lo_bound, hi_bound) if int8_table is not None else None
-            ),
-            pq_table=(
-                pq_table.rows(lo_bound, hi_bound) if pq_table is not None else None
-            ),
-            opq_table=(
-                opq_table.rows(lo_bound, hi_bound) if opq_table is not None else None
-            ),
-        )
 
     def activate(self, version: int) -> None:
         """``version`` flipped to current: keep it and its predecessor only.

@@ -23,7 +23,6 @@ from repro.serving.snapshot.codec import (
     latest_version,
     open_snapshot,
     restore_index_state,
-    shard_tables_from_manifest,
     write_snapshot,
 )
 from repro.serving.snapshot.format import (
@@ -94,7 +93,6 @@ __all__ = [
     "prune",
     "read_pointer",
     "restore_index_state",
-    "shard_tables_from_manifest",
     "unpin_version",
     "write_chunk",
     "write_snapshot",

@@ -36,7 +36,6 @@ from repro.serving.snapshot.format import (
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     open_array,
-    read_rows,
     write_array_chunks,
 )
 from repro.serving.snapshot.manifest import (
@@ -68,8 +67,8 @@ class WriteReport:
 @dataclass(frozen=True)
 class DurableRef:
     """A published version's durable location — attached to the in-memory
-    snapshot so downstream consumers (shard workers, warm-started gateways)
-    can hydrate from disk instead of IPC."""
+    snapshot so downstream consumers (gateways persisting or restoring a
+    trained index payload, warm starts) can find it on disk."""
 
     root: str
     manifest_rel: str
@@ -373,28 +372,6 @@ class DurableSnapshot:
             durable=self.ref(),
         )
 
-    def shard_tables(self, lo: int, hi: int):
-        """Materialise one shard's row range: ``(services, int8 table)``.
-
-        Only the chunks overlapping ``[lo, hi)`` are opened and verified —
-        a shard worker hydrates its slice without reading (or paying the
-        checksum for) the rest of the catalogue.  ``int8`` is ``None`` when
-        the version published no int8 table.
-        """
-        services = read_rows(self.root, self._refs("fp", "services"), lo, hi,
-                             verify=self.verify)
-        int8 = None
-        if self.has_section("int8"):
-            from repro.serving.quant.scalar import Int8Table
-
-            int8 = Int8Table(
-                codes=read_rows(self.root, self._refs("int8", "codes"), lo, hi,
-                                verify=self.verify),
-                scales=self.array("int8", "scales"),
-                query_scale=self._query_scale(),
-            )
-        return services, int8
-
 
 def open_snapshot(root, *, version: Optional[int] = None,
                   verify: bool = True) -> DurableSnapshot:
@@ -414,15 +391,6 @@ def latest_version(root) -> int:
     """The version the ``MANIFEST`` pointer currently names."""
     root = Path(root)
     return open_snapshot(root).version
-
-
-def shard_tables_from_manifest(root, rel: str, lo: int, hi: int, *,
-                               verify: bool = True):
-    """One-shot shard hydration used by process-pool workers: open the
-    manifest at ``rel`` and materialise rows ``[lo, hi)``."""
-    snapshot = DurableSnapshot(Path(root), load_manifest(Path(root), rel), rel,
-                               verify=verify)
-    return snapshot.shard_tables(lo, hi)
 
 
 # ---------------------------------------------------------------------- #
@@ -509,6 +477,5 @@ __all__ = [
     "list_versions",
     "open_snapshot",
     "restore_index_state",
-    "shard_tables_from_manifest",
     "write_snapshot",
 ]

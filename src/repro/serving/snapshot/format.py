@@ -351,43 +351,3 @@ def open_array(root: Path, refs: Sequence[ChunkRef], *, verify: bool = True) -> 
     if len(views) == 1:
         return views[0]
     return np.concatenate(views, axis=0)
-
-
-def read_rows(
-    root: Path,
-    refs: Sequence[ChunkRef],
-    lo: int,
-    hi: int,
-    *,
-    verify: bool = True,
-) -> np.ndarray:
-    """Materialise rows ``[lo, hi)`` of a row-chunked array.
-
-    Only chunks overlapping the range are opened (and therefore verified),
-    which is what lets a shard worker hydrate its slice without paying for
-    the whole table.
-    """
-    if not refs:
-        raise SnapshotIntegrityError("array has no chunks")
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad row range [{lo}, {hi})")
-    pieces = []
-    offset = 0
-    for ref in refs:
-        rows = ref.shape[0] if ref.shape else 0
-        lo_here = max(lo, offset)
-        hi_here = min(hi, offset + rows)
-        if lo_here < hi_here:
-            view = open_chunk(root, ref, verify=verify)
-            pieces.append(view[lo_here - offset : hi_here - offset])
-        offset += rows
-    if hi > offset:
-        raise SnapshotIntegrityError(
-            f"row range [{lo}, {hi}) exceeds array length {offset}"
-        )
-    if not pieces:
-        first = open_chunk(root, refs[0], verify=verify)
-        return first[:0]
-    if len(pieces) == 1:
-        return pieces[0]
-    return np.concatenate(pieces, axis=0)

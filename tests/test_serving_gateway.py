@@ -7,11 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.eval.serving_metrics import (
-    latency_percentiles,
-    recall_at_k,
-    summarize_gateway,
-)
+from repro.eval.serving_metrics import recall_at_k, summarize_gateway
 from repro.serving import ServingPipeline
 from repro.serving.embedding_store import EmbeddingStore
 from repro.serving.gateway import (
@@ -28,6 +24,7 @@ from repro.serving.gateway import (
     index_kinds,
     zipf_query_ids,
 )
+from repro.serving.obs import sample_percentiles_ms
 
 
 class FakeClock:
@@ -480,10 +477,10 @@ class TestServingMetrics:
             recall_at_k(approx, exact, 0)
 
     def test_latency_percentiles(self):
-        stats = latency_percentiles([0.001] * 99 + [0.101])
+        stats = sample_percentiles_ms([0.001] * 99 + [0.101])
         assert stats["p50_ms"] == pytest.approx(1.0)
         assert stats["p99_ms"] > 1.0
-        assert np.isnan(latency_percentiles([])["p50_ms"])
+        assert np.isnan(sample_percentiles_ms([])["p50_ms"])
 
     def test_summaries_round_trip(self, clustered):
         gateway = TestServingGateway.make_gateway(clustered)

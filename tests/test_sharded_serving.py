@@ -3,6 +3,10 @@ lifecycle, two-phase hot-swap atomicity, per-shard telemetry and the
 process-pool backend."""
 
 import asyncio
+import multiprocessing
+import os
+import pathlib
+import signal
 import threading
 
 import numpy as np
@@ -142,15 +146,25 @@ class TestShardWorker:
         assert worker.versions == ()
 
     def test_prepare_snapshot_owns_published_tables(self, quantized_store):
+        """The one handoff: a worker prepared from the snapshot's own shard
+        views serves that row range with the published int8 rows intact."""
         snapshot = quantized_store.snapshot()
-        worker = ShardWorker(2, index="ivfpq")
-        worker.prepare_snapshot(snapshot)
+        ids, services = snapshot.shard(2)
+        _, int8_rows = snapshot.quantized_shard("int8", 2)
+        worker = ShardWorker(2, index="int8")
+        worker.prepare(snapshot.version, services, int(ids[0]),
+                       int8_table=int8_rows)
         state = worker.version_state(snapshot.version)
-        assert set(state.tables) == {"fp", "int8", "pq"}
         lo, hi = snapshot.shard_bounds[2], snapshot.shard_bounds[3]
         assert state.lo == lo and state.hi == hi
-        assert state.tables["int8"].num_vectors == hi - lo
+        assert state.index.table.num_vectors == hi - lo
+        published = snapshot.quantized["int8"]
+        assert published.query_scale is not None
+        assert state.index.table.query_scale == published.query_scale
+        assert np.array_equal(state.index.table.scales, published.scales)
         assert state.nbytes > 0
+        found, _ = worker.search(snapshot.version, snapshot.queries[:4], 5)
+        assert np.all((found >= lo) & (found < hi))
 
 
 # --------------------------------------------------------------------- #
@@ -354,6 +368,44 @@ class TestProcessPool:
             gateway.close()
         assert results["process"] == results["serial"]
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    @pytest.mark.parametrize("index", ["int8", "ivfpq"])
+    def test_process_matches_serial_bit_for_bit_on_quantized_indexes(
+            self, small, tmp_path, index, durable):
+        """The published int8 rows (global ``scales`` AND the frozen
+        ``query_scale``) must reach a process worker exactly as they reach
+        an in-process one, whichever store published them (regression: the
+        shared-memory handoff dropped ``query_scale``, so the in-memory
+        ``int8`` cell ranked differently per backend)."""
+        queries, services = small
+
+        def search_all(gateway):
+            async def scenario():
+                found = await asyncio.gather(
+                    *(gateway.search_async(q, 10) for q in range(len(queries))))
+                await gateway.stop_async()
+                return found
+            return asyncio.run(scenario())
+
+        results = {}
+        for workers in ("serial", "process"):
+            store = VersionedEmbeddingStore(
+                queries, services, num_shards=3, quantization=("int8",),
+                durable_dir=str(tmp_path / workers) if durable else None)
+            gateway = ShardedGateway(store, index=index, workers=workers,
+                                     cache_capacity=0)
+            try:
+                before = search_all(gateway)
+                gateway.hot_swap(queries * 1.2, services * 1.2)
+                results[workers] = before + search_all(gateway)
+            finally:
+                gateway.close()
+        assert len(results["serial"]) == 2 * len(queries)
+        for (ids, scores), (want_ids, want_scores) in zip(
+                results["process"], results["serial"]):
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+
     def test_worker_error_propagates(self, small):
         queries, services = small
         store = VersionedEmbeddingStore(queries, services, num_shards=2)
@@ -368,6 +420,61 @@ class TestProcessPool:
         assert [reply.version for reply in replies] == [0, 0]
         pool.close()
         pool.close()  # idempotent
+
+    def test_killed_worker_is_a_typed_error_and_close_still_returns(self, small):
+        """A worker process dying is named, not a bare ``BrokenPipeError``:
+        searches and publishes fail at once with the shard's number, the
+        store stays at the last good version, ``close()`` reaps the rest."""
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        gateway = ShardedGateway(store, index="exact", workers="process",
+                                 cache_capacity=0, search_timeout_s=30.0)
+        try:
+            assert len(gateway.rank(0, 5)) == 5
+            victim = gateway.pool._processes[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()  # its death is observed, not slept for
+            # "is gone", not "did not reply within": the typed path, not
+            # the timeout, is what failed the request.
+            with pytest.raises(RuntimeError, match="shard worker 1 is gone"):
+                gateway.rank(1, 5)
+            with pytest.raises(RuntimeError, match="shard worker 1 is gone"):
+                gateway.hot_swap(queries * 1.1, services * 1.1)
+            assert store.version == 0
+        finally:
+            gateway.close()
+        assert multiprocessing.active_children() == []
+
+    def test_process_pool_leaves_no_segments_children_or_shm_import(self, small):
+        """Boot -> publish -> close leaves ``/dev/shm`` and the child set as
+        found, and the serving tree cannot leak a segment by construction:
+        nothing in it imports ``multiprocessing.shared_memory``."""
+        shm = pathlib.Path("/dev/shm")
+
+        def segments():
+            return set(os.listdir(shm)) if shm.is_dir() else set()
+
+        queries, services = small
+        segments_before = segments()
+        children_before = multiprocessing.active_children()
+        store = VersionedEmbeddingStore(queries, services, num_shards=3,
+                                        quantization=("int8",))
+        gateway = ShardedGateway(store, index="int8", workers="process",
+                                 cache_capacity=0)
+        assert len(multiprocessing.active_children()) == len(children_before) + 3
+        gateway.hot_swap(queries * 1.2, services * 1.2)
+        assert len(gateway.rank(0, 5)) == 5
+        gateway.close()
+        assert segments() - segments_before == set()
+        assert multiprocessing.active_children() == children_before
+
+        import repro.serving
+
+        serving_root = pathlib.Path(repro.serving.__file__).parent
+        assert [
+            str(path) for path in sorted(serving_root.rglob("*.py"))
+            if "shared_memory" in path.read_text()
+        ] == []
 
     def test_pool_factory_kinds(self):
         assert isinstance(make_pool("serial", 2), SerialPool)

@@ -240,11 +240,18 @@ class TestSnapshotRoundTrip:
         durable = open_snapshot(tmp_path)
         back = durable.to_snapshot(published_at=0.0)
         assert np.array_equal(back.services, snap.services)
+        # A shard's rows are the reopened snapshot's own views: the range
+        # straddles 96-row chunk boundaries and still lines up.
         lo, hi = snap.shard_bounds[1], snap.shard_bounds[2]
-        rows, int8 = durable.shard_tables(lo, hi)
+        assert back.shard_bounds == snap.shard_bounds
+        ids, rows = back.shard(1)
+        assert (ids[0], ids[-1] + 1) == (lo, hi)
         assert np.array_equal(rows, snap.services[lo:hi])
-        assert np.array_equal(int8.codes, snap.quantized["int8"].codes[lo:hi])
-        assert np.array_equal(int8.scales, snap.quantized["int8"].scales)
+        _, int8 = back.quantized_shard("int8", 1)
+        published = snap.quantized["int8"]
+        assert np.array_equal(int8.codes, published.codes[lo:hi])
+        assert np.array_equal(int8.scales, published.scales)
+        assert int8.query_scale == published.query_scale
 
     def test_open_missing_directory_raises_not_found(self, tmp_path):
         with pytest.raises(SnapshotNotFoundError):
@@ -376,6 +383,8 @@ class TestWarmStartServing:
             warm.close()
 
     def test_process_pool_hydrates_shards_from_manifest(self, durable_store):
+        """Process workers fed a durable store's mmapped rows (the one
+        pickled handoff) rank like serial workers over the restored store."""
         store, root = durable_store
         disk = ShardedGateway(store, index="int8", workers="process",
                               cache_capacity=0)
