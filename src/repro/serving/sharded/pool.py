@@ -15,7 +15,14 @@ run one OS process per shard:
 * :class:`ProcessPool` — one OS process per shard, the production layout.
   Queries and top-K replies are the only per-request pipe traffic.  Workers
   answer at explicit versions, so the two-phase flip holds across process
-  boundaries exactly as it does in-process.
+  boundaries exactly as it does in-process.  A scatter never leaves the
+  event loop: the loop thread sends the query block down each pipe and
+  reads each reply where its fd fires.  The only other user of the pipes is
+  a publisher thread inside ``prepare`` / ``activate`` / ``retire``; one
+  lock keeps their cycles apart, and the loop takes it without blocking
+  (it waits, on an executor thread, only while a publish holds it).  Every
+  frame carries its cycle's number, so the late reply to a cycle that
+  timed out is dropped instead of answering the next one.
 
 There is one table handoff: :func:`_shard_payload` slices a shard's rows off
 the snapshot (``EmbeddingSnapshot.shard`` / ``quantized_shard`` views — the
@@ -288,26 +295,26 @@ def _shard_worker_main(  # pragma: no cover - runs in a child process
 ) -> None:
     """Child-process loop: prepare/activate/search/retire/stop over a pipe.
 
-    Every received command gets exactly one reply, so the parent can always
-    pair its sends and receives; errors are shipped back as strings instead
-    of killing the worker.
+    Every received command ``(cycle, op, *args)`` gets exactly one reply,
+    ``(cycle, tag, *rest)``: the echoed cycle number is how the parent tells
+    the reply it is owed from one a timed-out cycle left behind.  Errors are
+    shipped back as strings instead of killing the worker.
     """
     worker = ShardWorker(shard, index=index, index_params=index_params)
     while True:
-        message = conn.recv()
-        op = message[0]
+        cycle, op, *args = conn.recv()
         try:
             if op == "prepare":
-                worker.prepare(*message[1:])  # one _shard_payload tuple
-                conn.send(("ready", message[1]))
+                worker.prepare(*args)  # one _shard_payload tuple
+                reply = ("ready", args[0])
             elif op == "activate":
-                worker.activate(message[1])
-                conn.send(("ok",))
+                worker.activate(*args)
+                reply = ("ok",)
             elif op == "retire":
-                worker.retire(message[1])
-                conn.send(("ok",))
+                worker.retire(*args)
+                reply = ("ok",)
             elif op == "search":
-                _, version, k, queries, trace_ctx = message
+                version, k, queries, trace_ctx = args
                 started = time.perf_counter()
                 ids, scores = worker.search(version, queries, k)
                 ended = time.perf_counter()
@@ -320,16 +327,18 @@ def _shard_worker_main(  # pragma: no cover - runs in a child process
                         trace_ctx, shard, started, ended,
                         queries=queries.shape[0], version=version,
                     )
-                conn.send(("result", ids, scores, version, ended - started, span))
+                reply = ("result", ids, scores, version, ended - started, span)
             elif op == "stop":
-                conn.send(("ok",))
-                return
+                reply = ("ok",)
             else:
-                conn.send(("error", f"unknown op {op!r}"))
+                reply = ("error", f"unknown op {op!r}")
         except StaleVersionError as error:
-            conn.send(("stale", str(error)))
+            reply = ("stale", str(error))
         except BaseException as error:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
+            reply = ("error", f"{type(error).__name__}: {error}")
+        conn.send((cycle, *reply))
+        if op == "stop":
+            return
 
 
 class ProcessPool(WorkerPool):
@@ -359,6 +368,13 @@ class ProcessPool(WorkerPool):
         # callers (the loop's scatters, a publisher thread preparing a
         # hot-swap) must not interleave their sends and recvs.
         self._io_lock = threading.Lock()
+        # Every cycle is numbered (under the lock) and every frame carries
+        # its cycle's number, so a reply that outlives a timed-out cycle is
+        # dropped by whoever reads it instead of answering the next one.
+        self._cycles = 0
+        # The loop whose scatter holds the pipes, so close() can refuse to
+        # park that very loop on the lock.
+        self._scatter_loop: Optional[asyncio.AbstractEventLoop] = None
         try:
             for shard in range(num_shards):
                 parent_conn, child_conn = context.Pipe()
@@ -392,52 +408,67 @@ class ProcessPool(WorkerPool):
         except OSError as error:  # EPIPE: nobody holds the other end
             raise self._gone(shard) from error
 
-    def _recv(self, shard: int):
+    def _recv(self, shard: int, cycle: int) -> Optional[tuple]:
+        """The next frame off a readable pipe: ``cycle``'s reply, or ``None``
+        for the late reply of a cycle that timed out (keep reading)."""
         try:
-            return self._conns[shard].recv()
+            reply = self._conns[shard].recv()
         except (EOFError, OSError) as error:
             raise self._gone(shard) from error
+        return reply[1:] if reply[0] == cycle else None
 
-    def _recv_raw(self, shard: int):
-        """One raw reply from one worker (timeout desyncs the pipe: fatal)."""
-        if not self._conns[shard].poll(self.timeout_s):
-            raise RuntimeError(
-                f"shard worker {shard} did not reply within {self.timeout_s:.1f}s"
-            )
-        return self._recv(shard)
+    def _silent(self, shards: List[int]) -> RuntimeError:
+        return RuntimeError(
+            f"shard workers {shards} did not reply within {self.timeout_s:.1f}s"
+        )
+
+    def _recv_raw(self, shard: int, cycle: int) -> tuple:
+        """One worker's reply to ``cycle``, blocking (publisher thread)."""
+        reply = None
+        while reply is None:
+            if not self._conns[shard].poll(self.timeout_s):
+                later = range(shard + 1, self.num_shards)
+                silent = [s for s in later if not self._conns[s].poll(0)]
+                raise self._silent([shard] + silent)
+            reply = self._recv(shard, cycle)
+        return reply
 
     @staticmethod
     def _checked(shard: int, reply):
         """Translate a worker's error replies; pass healthy ones through."""
+        if isinstance(reply, BaseException):  # reading it failed
+            raise reply
         if reply[0] == "stale":
             raise StaleVersionError(reply[1])
         if reply[0] == "error":
             raise RuntimeError(f"shard worker {shard} failed: {reply[1]}")
         return reply
 
-    def _recv_all(self) -> List[tuple]:
-        """Drain one reply per worker BEFORE raising, keeping pipes paired.
-
-        Raising on the first bad reply would leave the later workers' replies
-        queued and desynchronise every subsequent command; instead the first
-        failure is re-raised only after every worker answered.
-        """
-        replies = [self._recv_raw(shard) for shard in range(self.num_shards)]
-        return [self._checked(shard, reply) for shard, reply in enumerate(replies)]
-
-    def _cycle(self, messages: List[tuple]) -> List[tuple]:
-        """One paired command/reply cycle: ``messages[shard]`` to each worker.
+    def _open_cycle(self, messages: List[tuple]) -> int:
+        """Holding ``_io_lock``: number a cycle, send ``messages[shard]`` to
+        each worker under that number, return it.
 
         A worker that died fails this cycle at its send or its recv and
         every later cycle at its send, before anything is received — so the
         replies left queued on the living workers' pipes are never read as
         answers.
         """
+        self._drain_stale()
+        self._cycles += 1
+        for shard, message in enumerate(messages):
+            self._send(shard, (self._cycles, *message))
+        return self._cycles
+
+    def _cycle(self, messages: List[tuple]) -> List[tuple]:
+        """One paired command/reply cycle, blocking (publisher thread).
+
+        One reply per worker is drained BEFORE the first bad one is raised,
+        so no answered frame is left queued behind an error.
+        """
         with self._io_lock:
-            self._drain_stale()
-            for shard, message in enumerate(messages):
-                self._send(shard, message)
-            return self._recv_all()
+            cycle = self._open_cycle(messages)
+            replies = [self._recv_raw(shard, cycle) for shard in range(self.num_shards)]
+        return [self._checked(shard, reply) for shard, reply in enumerate(replies)]
 
     def _broadcast(self, message, expect: str) -> None:
         replies = self._cycle([message] * self.num_shards)
@@ -492,47 +523,50 @@ class ProcessPool(WorkerPool):
             )
         return replies
 
-    async def _recv_raw_async(self, shard: int) -> tuple:
-        """One raw reply, awaited through ``loop.add_reader``.
+    async def _recv_all_async(self, cycle: int) -> List[tuple]:
+        """One reply per worker, each read on the loop where its fd fires.
 
-        The loop watches the pipe's fd and wakes this coroutine when the
-        worker's reply frame lands, so the event loop never parks a thread
-        on a blocking ``recv`` — replies from all shards are awaited
-        concurrently and arrive in whatever order the workers finish.
+        One ``add_reader`` per pipe, one future and one timer per cycle, no
+        thread hop: a reply is at most ``max_batch_size * k * 16`` bytes
+        (10 KiB at 64 x 10) and ``Connection`` writes a frame of up to
+        16 KiB with one ``write(2)``, so a readable fd holds a whole frame
+        and the unpickle costs tens of microseconds against the hop's
+        hundreds.  Every pipe is read BEFORE the first failure is raised,
+        and no reader outlives the cycle.
         """
-        conn = self._conns[shard]
         loop = asyncio.get_running_loop()
-        readable = loop.create_future()
-        fd = conn.fileno()
+        done = loop.create_future()
+        fds = [conn.fileno() for conn in self._conns]
+        replies: dict = {}
 
-        def _on_readable() -> None:
-            if not readable.done():
-                readable.set_result(None)
+        def _on_readable(shard: int) -> None:
+            try:
+                reply = self._recv(shard, cycle)
+            except RuntimeError as error:  # the worker is gone
+                reply = error
+            if reply is not None:
+                loop.remove_reader(fds[shard])
+                replies[shard] = reply
+                if len(replies) == self.num_shards and not done.done():
+                    done.set_result(None)
 
-        loop.add_reader(fd, _on_readable)
+        def _on_timeout() -> None:
+            # The last reply and the timer can become ready in the same
+            # loop iteration; whichever runs first settles the cycle.
+            if not done.done():
+                owing = [s for s in range(self.num_shards) if s not in replies]
+                done.set_exception(self._silent(owing))
+
+        for shard, fd in enumerate(fds):
+            loop.add_reader(fd, _on_readable, shard)
+        timer = loop.call_later(self.timeout_s, _on_timeout)
         try:
-            await asyncio.wait_for(readable, timeout=self.timeout_s)
-        except asyncio.TimeoutError:
-            raise RuntimeError(
-                f"shard worker {shard} did not reply within {self.timeout_s:.1f}s"
-            ) from None
+            await done
         finally:
-            loop.remove_reader(fd)
-        # The fd firing only guarantees the frame *started* arriving; the
-        # recv (frame completion + unpickling) runs off-loop so a large
-        # top-K reply never stalls admission or the other shards' readers.
-        return await loop.run_in_executor(None, self._recv, shard)
-
-    async def _recv_all_async(self) -> List[tuple]:
-        """Drain one reply per worker BEFORE raising, keeping pipes paired."""
-        gathered = await asyncio.gather(
-            *(self._recv_raw_async(shard) for shard in range(self.num_shards)),
-            return_exceptions=True,
-        )
-        for shard, reply in enumerate(gathered):
-            if isinstance(reply, BaseException):
-                raise reply
-        return [self._checked(shard, reply) for shard, reply in enumerate(gathered)]
+            timer.cancel()
+            for fd in fds:
+                loop.remove_reader(fd)
+        return [self._checked(*answered) for answered in sorted(replies.items())]
 
     async def search_async(
         self,
@@ -541,17 +575,15 @@ class ProcessPool(WorkerPool):
         k: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> List[ShardReply]:
-        """Scatter on the loop; per-shard replies overlap via fd readers.
+        """Scatter and gather on the loop thread, start to finish.
 
-        The pipe pairing contract still holds: the command/reply cycle runs
-        under ``_io_lock`` (acquired off-loop so a publisher thread holding
-        the pipes while it prepares a hot-swap never stalls the event
-        loop), and the *whole* cycle is
-        shielded from caller cancellation: once the scatter was sent, the
-        workers' reply frames must be drained — abandoning them would hand
-        the next cycle stale replies.  The shielded cycle finishes (bounded
-        by ``timeout_s``), releases the pipes, and only then does the
-        cancellation surface to the caller.
+        The command/reply cycle runs under ``_io_lock``, taken with a
+        non-blocking try; only while a publisher thread owns the pipes does
+        the scatter wait, off-loop, so the loop keeps running.  The *whole*
+        cycle is shielded from caller cancellation: once the scatter was
+        sent the replies are read while they are owed.  The shielded cycle
+        finishes (bounded by ``timeout_s``), releases the pipes, and only
+        then does the cancellation surface to the caller.
         """
         queries = np.ascontiguousarray(queries)
         return await asyncio.shield(
@@ -566,25 +598,28 @@ class ProcessPool(WorkerPool):
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> List[ShardReply]:
         loop = asyncio.get_running_loop()
-        acquire = loop.run_in_executor(None, self._io_lock.acquire)
-        try:
-            await acquire
-        except asyncio.CancelledError:
-            # Only reachable on abrupt loop teardown (the shield's outer
-            # await absorbs caller cancellation): the executor thread still
-            # completes acquire() later, so hand the orphaned hold back.
-            def _release_orphaned(future) -> None:
-                if not future.cancelled():
-                    self._io_lock.release()
+        if not self._io_lock.acquire(blocking=False):
+            acquire = loop.run_in_executor(None, self._io_lock.acquire)
+            try:
+                await acquire
+            except asyncio.CancelledError:
+                # Only reachable on abrupt loop teardown (the shield's outer
+                # await absorbs caller cancellation): the executor thread
+                # still completes acquire() later, so hand the orphaned
+                # hold back.
+                def _release_orphaned(future) -> None:
+                    if not future.cancelled():
+                        self._io_lock.release()
 
-            acquire.add_done_callback(_release_orphaned)
-            raise
+                acquire.add_done_callback(_release_orphaned)
+                raise
+        self._scatter_loop = loop
         try:
-            self._drain_stale()
-            for shard in range(self.num_shards):
-                self._send(shard, ("search", version, k, queries, trace_ctx))
-            raw_replies = await self._recv_all_async()
+            message = ("search", version, k, queries, trace_ctx)
+            cycle = self._open_cycle([message] * self.num_shards)
+            raw_replies = await self._recv_all_async(cycle)
         finally:
+            self._scatter_loop = None
             self._io_lock.release()
         return self._replies_from_raw(raw_replies)
 
@@ -604,13 +639,25 @@ class ProcessPool(WorkerPool):
     # Shutdown
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        """Stop the workers, waiting for whoever holds the pipes — unless
+        that is a scatter of the very loop this call is running on, which
+        could only finish if this call returned."""
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:  # a plain thread: waiting is safe
+            running = None
+        if running is not None and running is self._scatter_loop:
+            raise RuntimeError(
+                "ProcessPool.close() was called on the event loop whose scatter "
+                "still holds the pipes; await the gateway's stop_async() first"
+            )
         with self._io_lock:
             if self._closed:
                 return
             self._closed = True
             for conn in self._conns:
                 try:
-                    conn.send(("stop",))
+                    conn.send((0, "stop"))
                 except (BrokenPipeError, OSError):
                     pass
             for process, conn in zip(self._processes, self._conns):

@@ -3,6 +3,7 @@ lifecycle, two-phase hot-swap atomicity, per-shard telemetry and the
 process-pool backend."""
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import pathlib
@@ -49,6 +50,12 @@ def quantized_store(clustered):
     return VersionedEmbeddingStore(
         queries, services, num_shards=4, quantization=("int8", "pq")
     )
+
+
+@pytest.fixture(scope="module")
+def small():
+    """The process-pool tests' catalogue: small enough to pickle per test."""
+    return clustered_embeddings(80, 600, 16, num_clusters=6, spread=0.2, seed=5)
 
 
 def single_gateway(clustered, index, **kwargs):
@@ -178,6 +185,7 @@ class TestScatterGatherParity:
         query_ids = list(range(0, 120))
         assert sharded.rank_batch(query_ids, 10) == single.rank_batch(query_ids, 10)
         sharded.close()
+        single.close()
 
     def test_thread_backend_matches_serial(self, clustered):
         serial = sharded_gateway(clustered, "exact", workers="serial")
@@ -280,15 +288,14 @@ class TestTwoPhaseHotSwap:
         store = VersionedEmbeddingStore(queries[:100], services[:800], num_shards=4)
         gateway = ShardedGateway(store, index="exact", workers="thread",
                                  cache_capacity=0)
-        expected = {0: ServingGateway(
-            VersionedEmbeddingStore(queries[:100], services[:800], num_shards=1),
-            index="exact", cache_capacity=0).rank_batch(range(32), 10)}
-        for version in (1, 2, 3):
+        expected = {}
+        for version in (0, 1, 2, 3):
             scale = 1.0 + version / 10.0
-            expected[version] = ServingGateway(
-                VersionedEmbeddingStore(queries[:100] * scale,
-                                        services[:800] * scale, num_shards=1),
-                index="exact", cache_capacity=0).rank_batch(range(32), 10)
+            with ServingGateway(
+                    VersionedEmbeddingStore(queries[:100] * scale,
+                                            services[:800] * scale, num_shards=1),
+                    index="exact", cache_capacity=0) as reference:
+                expected[version] = reference.rank_batch(range(32), 10)
         errors = []
 
         def publisher():
@@ -348,10 +355,6 @@ class TestTwoPhaseHotSwap:
 # Process pool backend
 # --------------------------------------------------------------------- #
 class TestProcessPool:
-    @pytest.fixture(scope="class")
-    def small(self):
-        return clustered_embeddings(80, 600, 16, num_clusters=6, spread=0.2, seed=5)
-
     def test_process_matches_serial_and_survives_hot_swap(self, small):
         queries, services = small
         results = {}
@@ -421,6 +424,12 @@ class TestProcessPool:
         pool.close()
         pool.close()  # idempotent
 
+    # A failed ``Connection.send`` leaves its pickle buffer (a BytesIO and the
+    # memoryview exporting it) in the error's traceback; collected as cyclic
+    # garbage they may finalize in the wrong order, which CPython reports as
+    # an unraisable BufferError.  Collect it here, where it is expected.
+    @pytest.mark.filterwarnings(
+        "ignore:Exception ignored in. <_io.BytesIO:pytest.PytestUnraisableExceptionWarning")
     def test_killed_worker_is_a_typed_error_and_close_still_returns(self, small):
         """A worker process dying is named, not a bare ``BrokenPipeError``:
         searches and publishes fail at once with the shard's number, the
@@ -444,6 +453,7 @@ class TestProcessPool:
         finally:
             gateway.close()
         assert multiprocessing.active_children() == []
+        gc.collect()
 
     def test_process_pool_leaves_no_segments_children_or_shm_import(self, small):
         """Boot -> publish -> close leaves ``/dev/shm`` and the child set as
@@ -529,6 +539,287 @@ class TestProcessPool:
         gateway.close()
 
 
+class _GatedExactIndex(ExactIndex):
+    """Exact scan whose worker parks on a fork-inherited event when the
+    batch starts with the marker query — unless its table cannot score the
+    batch at all (wrong width), in which case it fails at once."""
+
+    name = "gated-exact"
+    gate = None
+    marker = None
+
+    def search(self, queries, k):
+        if (np.array_equal(queries[0], self.marker)
+                and queries.shape[1] == self._services.shape[1]):
+            self.gate.wait(30.0)
+        return super().search(queries, k)
+
+
+class TestProcessPoolScatter:
+    """The request half of ``ProcessPool``: a scatter stays on the loop,
+    drains what it is owed, and never answers with another cycle's reply."""
+
+    @pytest.fixture()
+    def pools(self, small, monkeypatch):
+        """(process pool over the gated index, serial reference pool)."""
+        from repro.serving.gateway import index as index_module
+
+        queries, services = small
+        monkeypatch.setitem(index_module._INDEX_REGISTRY, _GatedExactIndex.name,
+                            _GatedExactIndex)
+        monkeypatch.setattr(_GatedExactIndex, "gate",
+                            multiprocessing.get_context("fork").Event())
+        monkeypatch.setattr(_GatedExactIndex, "marker", queries[0])
+        snapshot = VersionedEmbeddingStore(queries, services, num_shards=2).snapshot()
+        pool = ProcessPool(2, index=_GatedExactIndex.name, timeout_s=30.0)
+        serial = SerialPool(2, index="exact")
+        try:
+            for each in (pool, serial):
+                each.prepare(snapshot)
+                each.activate(snapshot)
+            yield pool, serial
+        finally:
+            _GatedExactIndex.gate.set()  # never leave a worker parked
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def answers(replies):
+        return [(reply.shard, reply.version, reply.ids.tolist(), reply.scores.tolist())
+                for reply in replies]
+
+    def expected(self, serial, queries):
+        return self.answers(asyncio.run(serial.search_async(0, queries, 3)))
+
+    def test_timed_out_scatter_does_not_answer_the_next_one(self, small, pools):
+        """A reply that arrives after its cycle timed out is dropped by its
+        cycle number, not returned as the next cycle's answer (regression:
+        same version, well-formed, wrong query — nothing downstream could
+        tell).  The timeout costs exactly one failed batch."""
+        queries, _ = small
+        pool, serial = pools
+        pool.timeout_s = 0.2
+        with pytest.raises(RuntimeError, match="did not reply within") as raised:
+            asyncio.run(pool.search_async(0, queries[:2], 3))
+        pool.timeout_s = 30.0
+        # Release the parked workers only once the next scatter is on the
+        # pipes, so their late replies cannot have been drained beforehand.
+        send, sends = pool._send, []
+
+        def send_then_release(shard, message):
+            send(shard, message)
+            sends.append(shard)
+            if len(sends) == pool.num_shards:
+                _GatedExactIndex.gate.set()
+
+        pool._send = send_then_release
+        got = self.answers(asyncio.run(pool.search_async(0, queries[2:4], 3)))
+        assert sends == [0, 1]
+        assert got == self.expected(serial, queries[2:4])
+        # ... and nothing is left over for the cycle after it either.
+        got = self.answers(asyncio.run(pool.search_async(0, queries[4:6], 3)))
+        assert got == self.expected(serial, queries[4:6])
+        # The timeout named every shard that still owed its reply.
+        assert "shard workers [0, 1] did not reply within 0.2s" in str(raised.value)
+
+    def test_contended_scatter_waits_off_the_loop(self, small, pools):
+        """While another thread (a publisher inside ``prepare``) holds the
+        pipes a scatter waits — and the loop it runs on does not."""
+        queries, _ = small
+        pool, serial = pools
+        held, release = threading.Event(), threading.Event()
+
+        def publisher():
+            with pool._io_lock:
+                held.set()
+                release.wait(20.0)  # a parked loop fails the test, not hangs it
+
+        async def scenario():
+            scatter = asyncio.ensure_future(pool.search_async(0, queries[2:4], 3))
+            ticks = 0
+            for _ in range(50):
+                await asyncio.sleep(0)
+                ticks += 1
+            pending_while_held = not scatter.done() and not release.is_set()
+            release.set()
+            return ticks, pending_while_held, self.answers(await scatter)
+
+        thread = threading.Thread(target=publisher)
+        thread.start()
+        try:
+            assert held.wait(10.0)
+            ticks, pending_while_held, got = asyncio.run(
+                asyncio.wait_for(scenario(), timeout=60.0))
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert ticks == 50 and pending_while_held
+        assert got == self.expected(serial, queries[2:4])
+
+    def test_steady_state_scatters_start_no_thread_and_leave_no_reader(self, small):
+        """A ``sharded_process``-shaped gateway answers on the loop thread
+        alone: no default-executor (``asyncio_N``) thread is ever created,
+        and every cycle unregisters its pipe readers."""
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        gateway = ShardedGateway(store, index="exact", workers="process",
+                                 cache_capacity=0, max_batch_size=64,
+                                 max_wait_s=0.002)
+        threads_before = {thread.name for thread in threading.enumerate()}
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            readers_left = []
+            for start in range(0, 60, 6):
+                await asyncio.gather(
+                    *(gateway.search_async(q, 5) for q in range(start, start + 6)))
+                readers_left += [loop.remove_reader(conn.fileno())
+                                 for conn in gateway.pool._conns]
+            names = {thread.name for thread in threading.enumerate()}
+            await gateway.stop_async()
+            return readers_left, names
+
+        try:
+            readers_left, names = asyncio.run(scenario())
+        finally:
+            gateway.close()
+        assert readers_left == [False] * 20
+        assert names == threads_before
+        assert gateway.telemetry.health().requests == 60
+
+    def test_cancelled_caller_leaves_a_drained_pool(self, small, pools):
+        """Cancelling the caller mid-scatter surfaces ``CancelledError``;
+        the shielded cycle still reads its replies and frees the pipes."""
+        queries, _ = small
+        pool, serial = pools
+
+        async def scenario():
+            scatter = asyncio.ensure_future(pool.search_async(0, queries[:2], 3))
+            while not pool._io_lock.locked():  # sent: the workers are parked
+                await asyncio.sleep(0)
+            scatter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await scatter
+            still_held = pool._io_lock.locked()
+            _GatedExactIndex.gate.set()
+            replies = await pool.search_async(0, queries[2:4], 3)
+            return still_held, self.answers(replies)
+
+        still_held, got = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        assert still_held  # the cycle outlived its caller
+        assert not pool._io_lock.locked()
+        assert got == self.expected(serial, queries[2:4])
+
+    def test_one_failing_shard_still_drains_the_other(self, small, pools):
+        """Shard 0 answers ``error`` at once while shard 1 still owes its
+        ``result``: the error is held back until both pipes were read."""
+        queries, services = small
+        pool, serial = pools
+        # Version 7: shard 0's table cannot score a query, shard 1's is real.
+        pool._cycle([
+            ("prepare", 7, np.zeros((4, queries.shape[1] + 1)), 0, None),
+            ("prepare", 7, services[300:], 300, None),
+        ])
+        recv, reads = pool._recv, []
+
+        def recording_recv(shard, *rest):
+            reads.append(shard)
+            return recv(shard, *rest)
+
+        pool._recv = recording_recv
+
+        async def scenario():
+            scatter = asyncio.ensure_future(pool.search_async(7, queries[:2], 3))
+            while reads != [0]:  # the error frame has been read ...
+                await asyncio.sleep(0.001)
+            for _ in range(5):
+                await asyncio.sleep(0)
+            held_back = not scatter.done() and pool._io_lock.locked()
+            _GatedExactIndex.gate.set()  # ... and shard 1 answers only now
+            with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+                await scatter
+            replies = await pool.search_async(0, queries[2:4], 3)
+            return held_back, self.answers(replies)
+
+        held_back, got = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        assert held_back
+        assert reads == [0, 1, 0, 1] or reads == [0, 1, 1, 0]
+        assert got == self.expected(serial, queries[2:4])
+
+    def test_close_on_the_scattering_loop_refuses_instead_of_parking_it(
+            self, small, pools):
+        """``close()`` from a coroutine whose loop still has a scatter in
+        flight would wait on a lock only that loop can release."""
+        queries, _ = small
+        pool, _ = pools
+
+        async def scenario():
+            scatter = asyncio.ensure_future(pool.search_async(0, queries[:2], 3))
+            while not pool._io_lock.locked():
+                await asyncio.sleep(0)
+            with pytest.raises(RuntimeError, match=r"stop_async\(\)"):
+                pool.close()
+            _GatedExactIndex.gate.set()
+            await scatter
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        pool.close()  # nothing in flight: closes (the fixture's is a no-op)
+        assert pool._closed
+
+    def test_publish_beside_a_search_stream_answers_at_one_version(self, small):
+        """One real ``store.publish`` on a publisher thread beside a stream
+        of ``search_async`` calls: every answer is wholly v0's or wholly
+        v1's, none fails, and the request ledger closes."""
+        queries, services = small
+        expected = [  # v1 negates the catalogue: every ranking changes
+            ExactIndex().build(table).search(queries, 5)[0].tolist()
+            for table in (services, -services)
+        ]
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        gateway = ShardedGateway(store, index="exact", workers="process",
+                                 cache_capacity=0, max_batch_size=8,
+                                 max_wait_s=0.001)
+        errors = []
+
+        def publisher():
+            try:
+                store.publish(queries, -services)
+            except BaseException as error:
+                errors.append(error)
+
+        async def scenario():
+            thread = threading.Thread(target=publisher)
+            served = []
+            for round_number in range(12):
+                if round_number == 2:
+                    thread.start()
+                found = await asyncio.gather(
+                    *(gateway.search_async(q, 5) for q in range(len(queries))))
+                served += [(q, ids.tolist()) for q, (ids, _) in enumerate(found)]
+            while thread.is_alive():
+                await asyncio.sleep(0.005)
+            thread.join()
+            found = await asyncio.gather(
+                *(gateway.search_async(q, 5) for q in range(len(queries))))
+            await gateway.stop_async()
+            return served, [ids.tolist() for ids, _ in found]
+
+        try:
+            served, after = asyncio.run(asyncio.wait_for(scenario(), timeout=120.0))
+        finally:
+            gateway.close()
+        assert errors == []
+        assert store.version == 1
+        for query_id, ids in served:
+            assert ids in (expected[0][query_id], expected[1][query_id])
+        assert after == expected[1]
+        health = gateway.telemetry.health()
+        assert health.requests == 13 * len(queries)
+        assert health.overload_rejections == health.deadline_misses == 0
+        assert health.cancelled_requests == 0
+
+
 # --------------------------------------------------------------------- #
 # Per-shard telemetry
 # --------------------------------------------------------------------- #
@@ -573,6 +864,7 @@ class TestPerShardTelemetry:
         single.rank_batch(range(8), 5)
         assert single.telemetry.shard_rows() == []
         assert single.telemetry.num_shards == 0
+        single.close()
 
 
 # --------------------------------------------------------------------- #
@@ -592,3 +884,4 @@ class TestPipelineAndDeploy:
         version = sharded.hot_swap_from_model(model)
         assert version == 1
         sharded.close()
+        single.close()
