@@ -5,17 +5,19 @@ lays service embeddings — and their quantized replicas — out in contiguous,
 row-aligned shards.  This package puts one worker per shard behind the
 gateway:
 
-* :mod:`~repro.serving.sharded.worker` — :class:`ShardWorker`: a per-shard
-  retrieval index of any registered kind, built from the shard's fp rows
-  (and its published int8 rows) and versioned for the two-phase hot-swap;
+* :mod:`~repro.serving.sharded.worker` — :class:`ShardWorker`: one shard's
+  retrieval index of any registered kind at one version, built from the
+  shard's fp rows (and its published int8 rows) and never changed after;
 * :mod:`~repro.serving.sharded.merge` — :func:`merge_top_k`: exact
   vectorised k-way merging of per-shard top-K candidate lists, preserving
   single-process results bit for bit for exact scoring backends;
 * :mod:`~repro.serving.sharded.pool` — serial / thread / process execution
   backends behind one :class:`WorkerPool` surface whose only scatter is the
-  coroutine ``search_async``; every backend hands a shard the same
-  ``ShardWorker.prepare`` arguments (the snapshot's own row views — by
-  reference in process, pickled down the worker's pipe across processes),
+  coroutine ``search_async``.  A publish builds a fresh worker set per
+  version beside the serving one (blue/green) and the pool's
+  ``{version: set}`` map alone decides what is resident; every backend
+  builds a shard's worker from the same arguments (the snapshot's own row
+  views — by reference in process, inherited by a forked worker process),
   so the in-process backends are bit-identical to the process one, which is
   what keeps tests and CI deterministic;
 * :mod:`~repro.serving.sharded.gateway` — :class:`ShardedGateway`: the
@@ -40,13 +42,12 @@ from repro.serving.sharded.pool import (
     make_pool,
     resolve_workers,
 )
-from repro.serving.sharded.worker import ShardVersion, ShardWorker
+from repro.serving.sharded.worker import ShardWorker
 
 __all__ = [
     "ProcessPool",
     "SerialPool",
     "ShardReply",
-    "ShardVersion",
     "ShardWorker",
     "ShardedGateway",
     "ThreadPool",

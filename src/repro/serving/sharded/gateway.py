@@ -11,11 +11,12 @@ to the single-process gateway's; for the ANN kinds each shard builds its own
 index over its rows, and recall stays governed by the same per-shard
 probe/refine knobs.
 
-Hot-swaps ride the store's two-phase listener protocol: a publish prepares
-the new version on every worker *before* the store's reference flip, and
-every search is pinned to the snapshot version the batch observed — the pool
-echoes the version each shard actually served, and a mismatch fails the
-batch loudly rather than blending table generations.  Per-shard latency,
+Hot-swaps ride the store's two-phase listener protocol: a publish builds
+the new version's worker set *before* the store's reference flip, beside the
+set still serving (blue/green), and every search is pinned to the snapshot
+version the batch observed — the pool answers it from that version's set
+alone, each reply echoes the version its shard served, and a mismatch fails
+the batch loudly rather than blending table generations.  Per-shard latency,
 query and gather-width breakdowns land in
 :meth:`~repro.serving.gateway.telemetry.GatewayTelemetry.shard_rows`.
 """
@@ -70,15 +71,15 @@ class ShardedGateway(ServingGateway):
     # Two-phase snapshot listener: delegate the table lifecycle to the pool
     # ------------------------------------------------------------------ #
     def prepare(self, snapshot) -> None:
-        """Every worker builds the new version before the store flips."""
+        """The pool builds the new version's worker set before the store flips."""
         self.pool.prepare(snapshot)
 
     def activate(self, snapshot) -> None:
-        """Flip happened: workers retire stale versions."""
+        """Flip happened: the pool drops the sets no batch can pin any more."""
         self.pool.activate(snapshot)
 
     def retire(self, version: int) -> None:
-        """Aborted publish: drop the dead version on every worker."""
+        """Aborted publish: the pool stops the never-flipped set."""
         self.pool.retire(version)
 
     # ------------------------------------------------------------------ #

@@ -1,58 +1,72 @@
 """Worker-pool backends for the sharded gateway: serial, thread, process.
 
-All three backends drive the same :class:`~repro.serving.sharded.worker.
-ShardWorker` logic and the same two-phase version protocol, so their search
-results are bit-identical for a given snapshot — which is what lets the test
-suite pin the deterministic in-process backends while production deployments
-run one OS process per shard:
+A pool answers a version with a *worker set* — one
+:class:`~repro.serving.sharded.worker.ShardWorker` per shard, built from
+that version's snapshot and serving it for life.  A publish never changes a
+set; it builds a fresh one beside the serving one (blue/green), and the
+pool's copy-on-write ``{version: set}`` map alone says what is resident:
+``prepare(snapshot)`` installs the new set before the store flips (a set
+that fails to build is stopped whole first, so nothing of a failed publish
+stays), ``activate(snapshot)`` keeps it and its predecessor — a batch that
+pinned the old version just before the flip is still answered at it — and
+``retire(version)`` drops an aborted publish's set.  All three run on the
+publisher thread (the store's lock keeps publishes one at a time) and
+change the map with one attribute store; the event loop only reads it, and
+a version it does not hold is a
+:class:`~repro.serving.gateway.store.StaleVersionError`, on which the
+gateway re-pins the fresh snapshot.
 
-* :class:`SerialPool` — shard searches run back to back inside the scatter
-  coroutine.  Zero concurrency, zero overhead; the reference backend for
-  tests/CI.
-* :class:`ThreadPool` — one pool thread per shard.  numpy releases the GIL
-  inside the BLAS scans, so shard scans overlap on multi-core hosts without
-  any serialization cost.
-* :class:`ProcessPool` — one OS process per shard, the production layout.
-  Queries and top-K replies are the only per-request pipe traffic.  Workers
-  answer at explicit versions, so the two-phase flip holds across process
-  boundaries exactly as it does in-process.  A scatter never leaves the
-  event loop: the loop thread sends the query block down each pipe and
-  reads each reply where its fd fires.  The only other user of the pipes is
-  a publisher thread inside ``prepare`` / ``activate`` / ``retire``; one
-  lock keeps their cycles apart, and the loop takes it without blocking
-  (it waits, on an executor thread, only while a publish holds it).  Every
-  frame carries its cycle's number, so the late reply to a cycle that
-  timed out is dropped instead of answering the next one.
+Every backend builds a set from the same :func:`_shard_payload` arguments,
+so their results are bit-identical for a given snapshot — which is what
+lets tests pin the deterministic in-process backends:
 
-There is one table handoff: :func:`_shard_payload` slices a shard's rows off
-the snapshot (``EmbeddingSnapshot.shard`` / ``quantized_shard`` views — the
-int8 rows carry the global ``scales`` *and* the frozen ``query_scale``) and
-every pool passes exactly those arguments to ``ShardWorker.prepare``: by
-reference in the in-process pools, pickled down the worker's own pipe in the
-process pool.  Whatever store published the snapshot (in-memory, durable,
-wire-hydrated), every backend therefore scores against the same tables.
+* :class:`SerialPool` — a set is a list of workers searched back to back
+  inside the scatter coroutine; the reference backend for tests/CI.
+* :class:`ThreadPool` — the same list, one pool thread per shard (numpy
+  releases the GIL inside the BLAS scans).
+* :class:`ProcessPool` — a set is one OS process per shard, the production
+  layout.  The shard's rows are the ``Process`` arguments: a forked child
+  inherits them copy-on-write and nothing is pickled (where fork is
+  unavailable, spawn pickles the same arguments).  A child builds its
+  index, says ``("ready", version)`` and serves searches until told to
+  stop; the publisher waits on the new set's pipes only, so no scatter
+  waits for a publish.  A scatter never leaves the loop: it sends the query
+  block down each pipe and reads each reply where its fd fires, and every
+  frame carries its cycle's number, so the late reply to a timed-out cycle
+  is dropped instead of answering the next one.  The loop stops the
+  predecessor set after the first scatter at a flipped version (the
+  scheduler plans one batch at a time, so no later batch pins below it):
+  in the steady state ``num_shards`` worker processes exist.  A set the
+  publisher drops is stopped at once unless a scatter is in flight, which
+  then stops it as it ends — no pipe ever has two writer threads.
 
-:func:`make_pool` resolves a backend name (``"serial"`` / ``"thread"`` /
-``"process"`` / ``"auto"``) into a pool; ``"auto"`` picks processes when the
-host actually has more than one CPU and threads otherwise.  A pool's only
-scatter is ``await pool.search_async(version, queries, k)``; the two-phase
-flip (``prepare`` / ``activate`` / ``retire``) stays synchronous because
-publishes are driven from a publisher thread.
+Fork safety: a child touches only its arguments, numpy and ``os`` — never
+logging, imports (every index kind is registered before the fork) or store
+locks, which another parent thread may have held at the fork.  A publish
+forks from the store's refresh thread: Python >= 3.12 warns
+(``DeprecationWarning``) about a fork from a multi-threaded process, and a
+child restores the pool owner's priority (the refresh thread runs at the
+lowest) where the host permits.
+
+:func:`make_pool` resolves ``"serial"`` / ``"thread"`` / ``"process"`` /
+``"auto"`` (processes when the host has more than one CPU, else threads).
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import multiprocessing
 import os
-import threading
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.serving.gateway.index import index_kinds
 from repro.serving.gateway.store import StaleVersionError
 from repro.serving.obs.tracing import worker_span
 from repro.serving.sharded.worker import ShardWorker
@@ -108,7 +122,7 @@ def make_pool(
 
 
 def _shard_payload(snapshot, shard: int) -> tuple:
-    """``ShardWorker.prepare``'s arguments for one shard of ``snapshot``.
+    """One shard's ``ShardWorker`` arguments after ``shard`` itself.
 
     ``(version, services rows, lo, int8 rows or None)`` — the snapshot's own
     zero-copy row views, so the handoff slices in exactly one place.
@@ -121,23 +135,69 @@ def _shard_payload(snapshot, shard: int) -> tuple:
 
 
 class WorkerPool:
-    """Common surface of the three backends (two-phase flip + scatter)."""
+    """Common surface of the three backends: the version map + scatter."""
 
     kind = "base"
 
-    def __init__(self, num_shards: int) -> None:
+    def __init__(
+        self,
+        num_shards: int,
+        index: str = "exact",
+        index_params: Optional[dict] = None,
+    ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         self.num_shards = num_shards
+        self.index = index
+        self.index_params = dict(index_params or {})
+        # version -> worker set.  Copy-on-write: the publisher thread
+        # replaces it with one attribute store, the loop only reads it.
+        self._sets: Dict[int, object] = {}
 
     def prepare(self, snapshot) -> None:
-        raise NotImplementedError
+        """Build ``snapshot``'s worker set and make it resident (unflipped)."""
+        self._check_snapshot(snapshot)
+        workers = self._build(snapshot)
+        self._sets = {**self._sets, snapshot.version: workers}
 
     def activate(self, snapshot) -> None:
-        raise NotImplementedError
+        """``snapshot`` is current: keep its set and its predecessor's only."""
+        version = snapshot.version
+        if version not in self._sets:
+            raise KeyError(f"the pool never prepared version {version}")
+        sets = self._sets
+        self._sets = {v: s for v, s in sets.items() if v >= version - 1}
+        for v, workers in sets.items():
+            if v < version - 1:
+                self._drop(workers)
 
     def retire(self, version: int) -> None:
+        """Aborted publish: drop ``version``'s never-flipped set."""
+        sets = self._sets
+        if version in sets:
+            self._sets = {v: s for v, s in sets.items() if v != version}
+            self._drop(sets[version])
+
+    def _build(self, snapshot):
+        """One fresh worker set serving ``snapshot`` (publisher thread)."""
         raise NotImplementedError
+
+    def _drop(self, workers) -> None:
+        """Release a set that left the map; an in-process one needs nothing."""
+
+    def _resident(self, version: int):
+        """The set serving ``version`` (the loop's one read of the map)."""
+        workers = self._sets.get(version)
+        if workers is None:
+            raise self._stale(version)
+        return workers
+
+    def _stale(self, version: int) -> StaleVersionError:
+        resident = sorted(self._sets) or ["none"]
+        return StaleVersionError(
+            f"the pool holds no worker set for version {version} "
+            f"(resident: {resident})"
+        )
 
     async def search_async(
         self,
@@ -176,55 +236,35 @@ class SerialPool(WorkerPool):
 
     kind = "serial"
 
-    def __init__(
-        self,
-        num_shards: int,
-        index: str = "exact",
-        index_params: Optional[dict] = None,
-    ) -> None:
-        super().__init__(num_shards)
-        self.workers = [
-            ShardWorker(shard, index=index, index_params=index_params)
-            for shard in range(num_shards)
+    def _build(self, snapshot) -> List[ShardWorker]:
+        return [
+            ShardWorker(
+                shard,
+                *_shard_payload(snapshot, shard),
+                index=self.index,
+                index_params=self.index_params,
+            )
+            for shard in range(self.num_shards)
         ]
-
-    def prepare(self, snapshot) -> None:
-        self._check_snapshot(snapshot)
-        for worker in self.workers:
-            worker.prepare(*_shard_payload(snapshot, worker.shard))
-
-    def activate(self, snapshot) -> None:
-        for worker in self.workers:
-            worker.activate(snapshot.version)
-
-    def retire(self, version: int) -> None:
-        for worker in self.workers:
-            worker.retire(version)
 
     def _one(
         self,
         worker: ShardWorker,
-        version: int,
         queries: np.ndarray,
         k: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> ShardReply:
         started = time.perf_counter()
-        ids, scores = worker.search(version, queries, k)
+        ids, scores = worker.search(queries, k)
         ended = time.perf_counter()
         span = None
         if trace_ctx is not None:
             span = worker_span(
                 trace_ctx, worker.shard, started, ended,
-                queries=queries.shape[0], version=version,
+                queries=queries.shape[0], version=worker.version,
             )
         return ShardReply(
-            shard=worker.shard,
-            ids=ids,
-            scores=scores,
-            version=version,
-            latency_s=ended - started,
-            span=span,
+            worker.shard, ids, scores, worker.version, ended - started, span
         )
 
     async def search_async(
@@ -236,8 +276,8 @@ class SerialPool(WorkerPool):
     ) -> List[ShardReply]:
         """Nothing to overlap: the shard scans run inline, in shard order."""
         return [
-            self._one(worker, version, queries, k, trace_ctx)
-            for worker in self.workers
+            self._one(worker, queries, k, trace_ctx)
+            for worker in self._resident(version)
         ]
 
 
@@ -270,15 +310,9 @@ class ThreadPool(SerialPool):
             await asyncio.gather(
                 *(
                     loop.run_in_executor(
-                        self._executor,
-                        self._one,
-                        worker,
-                        version,
-                        queries,
-                        k,
-                        trace_ctx,
+                        self._executor, self._one, worker, queries, k, trace_ctx
                     )
-                    for worker in self.workers
+                    for worker in self._resident(version)
                 )
             )
         )
@@ -288,61 +322,110 @@ class ThreadPool(SerialPool):
 
 
 # --------------------------------------------------------------------- #
-# Process backend: one OS process per shard, tables pickled down its pipe
+# Process backend: one OS process per shard per set
 # --------------------------------------------------------------------- #
 def _shard_worker_main(  # pragma: no cover - runs in a child process
-    conn, shard: int, index: str, index_params: dict
+    conn, shard, version, services, lo, int8_rows, index, index_params, nice
 ) -> None:
-    """Child-process loop: prepare/activate/search/retire/stop over a pipe.
+    """Child process: build one shard's index at ``version``, say ready,
+    then answer searches until told to stop.
 
-    Every received command ``(cycle, op, *args)`` gets exactly one reply,
-    ``(cycle, tag, *rest)``: the echoed cycle number is how the parent tells
-    the reply it is owed from one a timed-out cycle left behind.  Errors are
-    shipped back as strings instead of killing the worker.
+    Every search frame ``(cycle, "search", k, queries, trace_ctx)`` gets
+    exactly one reply ``(cycle, tag, *rest)``: the echoed cycle number is
+    how the parent tells the reply it is owed from one a timed-out cycle
+    left behind.  Errors are shipped back as strings instead of killing the
+    worker.  Fork safety: only the arguments, numpy and ``os`` are touched.
     """
-    worker = ShardWorker(shard, index=index, index_params=index_params)
+    if nice is not None:
+        try:
+            os.setpriority(os.PRIO_PROCESS, 0, nice)
+        except OSError:  # not permitted to raise it: serve at the one inherited
+            pass
+    try:
+        worker = ShardWorker(
+            shard, version, services, lo, int8_rows,
+            index=index, index_params=index_params,
+        )
+    except BaseException as error:
+        conn.send((0, "error", f"{type(error).__name__}: {error}"))
+        return
+    conn.send((0, "ready", version))
     while True:
         cycle, op, *args = conn.recv()
+        if op == "stop":
+            return
         try:
-            if op == "prepare":
-                worker.prepare(*args)  # one _shard_payload tuple
-                reply = ("ready", args[0])
-            elif op == "activate":
-                worker.activate(*args)
-                reply = ("ok",)
-            elif op == "retire":
-                worker.retire(*args)
-                reply = ("ok",)
-            elif op == "search":
-                version, k, queries, trace_ctx = args
-                started = time.perf_counter()
-                ids, scores = worker.search(version, queries, k)
-                ended = time.perf_counter()
-                span = None
-                if trace_ctx is not None:
-                    # The worker's child span crosses the pipe as a plain
-                    # dict; its clock is this process's perf_counter, so
-                    # the parent re-anchors it inside the scatter window.
-                    span = worker_span(
-                        trace_ctx, shard, started, ended,
-                        queries=queries.shape[0], version=version,
-                    )
-                reply = ("result", ids, scores, version, ended - started, span)
-            elif op == "stop":
-                reply = ("ok",)
-            else:
-                reply = ("error", f"unknown op {op!r}")
-        except StaleVersionError as error:
-            reply = ("stale", str(error))
+            k, queries, trace_ctx = args
+            started = time.perf_counter()
+            ids, scores = worker.search(queries, k)
+            ended = time.perf_counter()
+            span = None
+            if trace_ctx is not None:
+                # The worker's child span crosses the pipe as a plain dict;
+                # its clock is this process's perf_counter, so the parent
+                # re-anchors it inside the scatter window.
+                span = worker_span(
+                    trace_ctx, shard, started, ended,
+                    queries=queries.shape[0], version=version,
+                )
+            reply = ("result", ids, scores, version, ended - started, span)
         except BaseException as error:
             reply = ("error", f"{type(error).__name__}: {error}")
         conn.send((cycle, *reply))
-        if op == "stop":
+
+
+class _ProcessSet:
+    """One version's worker processes, one pipe each."""
+
+    def __init__(self) -> None:
+        self.conns: list = []
+        self.processes: list = []
+        self.stopped = False
+
+    def gone(self, shard: int) -> RuntimeError:
+        code = self.processes[shard].exitcode
+        return RuntimeError(
+            f"shard worker {shard} is gone (exit code {code}); "
+            "the next publish replaces its set"
+        )
+
+    def send(self, shard: int, message) -> None:
+        try:
+            self.conns[shard].send(message)
+        except OSError as error:  # EPIPE: nobody holds the other end
+            raise self.gone(shard) from error
+
+    def recv(self, shard: int, cycle: int) -> Optional[tuple]:
+        """The next frame off a readable pipe: ``cycle``'s reply, or ``None``
+        for the late reply of a cycle that timed out (keep reading)."""
+        try:
+            reply = self.conns[shard].recv()
+        except (EOFError, OSError) as error:
+            raise self.gone(shard) from error
+        return reply[1:] if reply[0] == cycle else None
+
+    def stop(self) -> None:
+        """Stop every process and close every pipe; idempotent."""
+        if self.stopped:
             return
+        self.stopped = True
+        for conn in self.conns:
+            try:
+                conn.send((0, "stop"))
+            except OSError:  # already gone
+                pass
+        for process in self.processes:
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.terminate()
+                process.join()
+            process.close()
+        for conn in self.conns:
+            conn.close()
 
 
 class ProcessPool(WorkerPool):
-    """One worker process per shard; each shard's rows are pickled to it."""
+    """One worker process per shard per set; each set serves one version."""
 
     kind = "process"
 
@@ -353,177 +436,113 @@ class ProcessPool(WorkerPool):
         index_params: Optional[dict] = None,
         timeout_s: float = 60.0,
     ) -> None:
-        super().__init__(num_shards)
+        super().__init__(num_shards, index=index, index_params=index_params)
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.timeout_s = timeout_s
+        index_kinds()  # registers every kind here, so a forked child never imports
         try:
-            context = multiprocessing.get_context("fork")
+            self._context = multiprocessing.get_context("fork")
         except ValueError:  # no fork on this platform
-            context = multiprocessing.get_context("spawn")
-        self._conns = []
-        self._processes = []
+            self._context = multiprocessing.get_context("spawn")
+        self._nice = (
+            os.getpriority(os.PRIO_PROCESS, 0)
+            if sys.platform.startswith("linux") else None
+        )
         self._closed = False
-        # The pipes carry strictly paired command/reply cycles; concurrent
-        # callers (the loop's scatters, a publisher thread preparing a
-        # hot-swap) must not interleave their sends and recvs.
-        self._io_lock = threading.Lock()
-        # Every cycle is numbered (under the lock) and every frame carries
-        # its cycle's number, so a reply that outlives a timed-out cycle is
-        # dropped by whoever reads it instead of answering the next one.
+        # Every cycle is numbered and every frame carries its cycle's number,
+        # so a reply that outlives a timed-out cycle is dropped instead of
+        # answering the next one.
         self._cycles = 0
-        # The loop whose scatter holds the pipes, so close() can refuse to
-        # park that very loop on the lock.
-        self._scatter_loop: Optional[asyncio.AbstractEventLoop] = None
+        # The in-flight guard: the cycle (a task on its loop) reading a set's
+        # pipes.  Concurrent scatters are the scheduler's to exclude (a
+        # second would clobber the first one's readers), so one raises.
+        self._scatter: Optional[asyncio.Task] = None
+        # Sets dropped while a scatter was in flight: it stops them as it ends.
+        self._superseded: collections.deque = collections.deque()
+        # The newest flipped version (publisher writes, the loop reads).
+        self._active = -1
+
+    # ------------------------------------------------------------------ #
+    # Worker sets (publisher thread)
+    # ------------------------------------------------------------------ #
+    def _build(self, snapshot) -> _ProcessSet:
+        """Start one process per shard on ``snapshot``'s rows and wait until
+        every child is ready; on any failure stop the whole set first."""
+        if self._closed:
+            raise RuntimeError("ProcessPool is closed")
+        workers = _ProcessSet()
         try:
-            for shard in range(num_shards):
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
+            for shard in range(self.num_shards):
+                parent_conn, child_conn = self._context.Pipe()
+                workers.conns.append(parent_conn)
+                process = self._context.Process(
                     target=_shard_worker_main,
-                    args=(child_conn, shard, index, dict(index_params or {})),
+                    args=(
+                        child_conn, shard, *_shard_payload(snapshot, shard),
+                        self.index, self.index_params, self._nice,
+                    ),
                     name=f"shard-worker-{shard}",
                     daemon=True,
                 )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._processes.append(process)
+                try:
+                    process.start()
+                finally:
+                    child_conn.close()
+                workers.processes.append(process)
+            for shard, conn in enumerate(workers.conns):
+                if not conn.poll(self.timeout_s):
+                    raise self._silent([shard])
+                reply = workers.recv(shard, 0)
+                if reply != ("ready", snapshot.version):
+                    raise RuntimeError(
+                        f"shard worker {shard} failed to prepare "
+                        f"version {snapshot.version}: {reply[-1]}"
+                    )
         except BaseException:
-            self.close()
+            workers.stop()
             raise
+        return workers
+
+    def activate(self, snapshot) -> None:
+        super().activate(snapshot)
+        self._active = snapshot.version
+
+    def _drop(self, workers: _ProcessSet) -> None:
+        """Stop a set that left the map — unless a scatter is in flight: it
+        may be reading this very set, so it stops it as it ends.  The map
+        was replaced before this reads the guard and a scatter raises the
+        guard before it reads the map, so one of the two always sees the
+        other."""
+        if self._scatter is None:
+            workers.stop()
+        else:
+            self._superseded.append(workers)
+
+    def _resident(self, version: int) -> _ProcessSet:
+        workers = super()._resident(version)
+        if workers.stopped:  # a predecessor the loop already swept
+            raise self._stale(version)
+        return workers
 
     # ------------------------------------------------------------------ #
-    # Pipe plumbing
+    # Scatter/gather: the framed-pipe cycle driven by loop readers
     # ------------------------------------------------------------------ #
-    def _gone(self, shard: int) -> RuntimeError:
-        code = self._processes[shard].exitcode
-        return RuntimeError(
-            f"shard worker {shard} is gone (exit code {code}); "
-            "close this pool and build a new one"
-        )
-
-    def _send(self, shard: int, message) -> None:
-        try:
-            self._conns[shard].send(message)
-        except OSError as error:  # EPIPE: nobody holds the other end
-            raise self._gone(shard) from error
-
-    def _recv(self, shard: int, cycle: int) -> Optional[tuple]:
-        """The next frame off a readable pipe: ``cycle``'s reply, or ``None``
-        for the late reply of a cycle that timed out (keep reading)."""
-        try:
-            reply = self._conns[shard].recv()
-        except (EOFError, OSError) as error:
-            raise self._gone(shard) from error
-        return reply[1:] if reply[0] == cycle else None
-
     def _silent(self, shards: List[int]) -> RuntimeError:
         return RuntimeError(
             f"shard workers {shards} did not reply within {self.timeout_s:.1f}s"
         )
-
-    def _recv_raw(self, shard: int, cycle: int) -> tuple:
-        """One worker's reply to ``cycle``, blocking (publisher thread)."""
-        reply = None
-        while reply is None:
-            if not self._conns[shard].poll(self.timeout_s):
-                later = range(shard + 1, self.num_shards)
-                silent = [s for s in later if not self._conns[s].poll(0)]
-                raise self._silent([shard] + silent)
-            reply = self._recv(shard, cycle)
-        return reply
 
     @staticmethod
     def _checked(shard: int, reply):
         """Translate a worker's error replies; pass healthy ones through."""
         if isinstance(reply, BaseException):  # reading it failed
             raise reply
-        if reply[0] == "stale":
-            raise StaleVersionError(reply[1])
         if reply[0] == "error":
             raise RuntimeError(f"shard worker {shard} failed: {reply[1]}")
         return reply
 
-    def _open_cycle(self, messages: List[tuple]) -> int:
-        """Holding ``_io_lock``: number a cycle, send ``messages[shard]`` to
-        each worker under that number, return it.
-
-        A worker that died fails this cycle at its send or its recv and
-        every later cycle at its send, before anything is received — so the
-        replies left queued on the living workers' pipes are never read as
-        answers.
-        """
-        self._drain_stale()
-        self._cycles += 1
-        for shard, message in enumerate(messages):
-            self._send(shard, (self._cycles, *message))
-        return self._cycles
-
-    def _cycle(self, messages: List[tuple]) -> List[tuple]:
-        """One paired command/reply cycle, blocking (publisher thread).
-
-        One reply per worker is drained BEFORE the first bad one is raised,
-        so no answered frame is left queued behind an error.
-        """
-        with self._io_lock:
-            cycle = self._open_cycle(messages)
-            replies = [self._recv_raw(shard, cycle) for shard in range(self.num_shards)]
-        return [self._checked(shard, reply) for shard, reply in enumerate(replies)]
-
-    def _broadcast(self, message, expect: str) -> None:
-        replies = self._cycle([message] * self.num_shards)
-        for shard, reply in enumerate(replies):
-            if reply[0] != expect:
-                raise RuntimeError(
-                    f"shard worker {shard} replied {reply[0]!r}, expected {expect!r}"
-                )
-
-    # ------------------------------------------------------------------ #
-    # Two-phase flip
-    # ------------------------------------------------------------------ #
-    def prepare(self, snapshot) -> None:
-        """Pickle each shard's rows down its worker's pipe; all must ack."""
-        self._check_snapshot(snapshot)
-        replies = self._cycle([
-            ("prepare", *_shard_payload(snapshot, shard))
-            for shard in range(self.num_shards)
-        ])
-        for shard, reply in enumerate(replies):
-            if reply != ("ready", snapshot.version):
-                raise RuntimeError(
-                    f"shard worker {shard} failed to prepare "
-                    f"version {snapshot.version}: {reply!r}"
-                )
-
-    def activate(self, snapshot) -> None:
-        self._broadcast(("activate", snapshot.version), expect="ok")
-
-    def retire(self, version: int) -> None:
-        self._broadcast(("retire", version), expect="ok")
-
-    # ------------------------------------------------------------------ #
-    # Scatter/gather: the framed-pipe cycle driven by loop readers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _replies_from_raw(raw_replies: List[tuple]) -> List[ShardReply]:
-        replies = []
-        for shard, reply in enumerate(raw_replies):
-            tag, ids, scores, served_version, latency_s, span = reply
-            if tag != "result":
-                raise RuntimeError(f"shard worker {shard} replied {tag!r}")
-            replies.append(
-                ShardReply(
-                    shard=shard,
-                    ids=ids,
-                    scores=scores,
-                    version=served_version,
-                    latency_s=latency_s,
-                    span=span,
-                )
-            )
-        return replies
-
-    async def _recv_all_async(self, cycle: int) -> List[tuple]:
+    async def _recv_all_async(self, workers: _ProcessSet, cycle: int) -> List[tuple]:
         """One reply per worker, each read on the loop where its fd fires.
 
         One ``add_reader`` per pipe, one future and one timer per cycle, no
@@ -536,12 +555,12 @@ class ProcessPool(WorkerPool):
         """
         loop = asyncio.get_running_loop()
         done = loop.create_future()
-        fds = [conn.fileno() for conn in self._conns]
+        fds = [conn.fileno() for conn in workers.conns]
         replies: dict = {}
 
         def _on_readable(shard: int) -> None:
             try:
-                reply = self._recv(shard, cycle)
+                reply = workers.recv(shard, cycle)
             except RuntimeError as error:  # the worker is gone
                 reply = error
             if reply is not None:
@@ -577,18 +596,27 @@ class ProcessPool(WorkerPool):
     ) -> List[ShardReply]:
         """Scatter and gather on the loop thread, start to finish.
 
-        The command/reply cycle runs under ``_io_lock``, taken with a
-        non-blocking try; only while a publisher thread owns the pipes does
-        the scatter wait, off-loop, so the loop keeps running.  The *whole*
-        cycle is shielded from caller cancellation: once the scatter was
-        sent the replies are read while they are owed.  The shielded cycle
-        finishes (bounded by ``timeout_s``), releases the pipes, and only
-        then does the cancellation surface to the caller.
+        The *whole* cycle is shielded from caller cancellation: once the
+        scatter was sent the replies are read while they are owed, and the
+        cancellation surfaces to the caller at once.  The next scatter on
+        the same loop — the scheduler's ``stop()`` cancels a batch in flight
+        and then drains the queue — awaits that orphaned cycle (bounded by
+        ``timeout_s``) instead of failing.
         """
         queries = np.ascontiguousarray(queries)
-        return await asyncio.shield(
+        orphan = self._scatter
+        if orphan is not None and orphan.get_loop() is asyncio.get_running_loop():
+            await asyncio.wait([orphan])
+        if self._scatter is not None:
+            raise RuntimeError(
+                "ProcessPool scatters one batch at a time; another scatter "
+                "is still reading its pipes"
+            )
+        # Raised before the cycle reads the map (see _drop).
+        self._scatter = asyncio.ensure_future(
             self._search_cycle(queries, version, int(k), trace_ctx)
         )
+        return await asyncio.shield(self._scatter)
 
     async def _search_cycle(
         self,
@@ -597,75 +625,54 @@ class ProcessPool(WorkerPool):
         k: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> List[ShardReply]:
-        loop = asyncio.get_running_loop()
-        if not self._io_lock.acquire(blocking=False):
-            acquire = loop.run_in_executor(None, self._io_lock.acquire)
-            try:
-                await acquire
-            except asyncio.CancelledError:
-                # Only reachable on abrupt loop teardown (the shield's outer
-                # await absorbs caller cancellation): the executor thread
-                # still completes acquire() later, so hand the orphaned
-                # hold back.
-                def _release_orphaned(future) -> None:
-                    if not future.cancelled():
-                        self._io_lock.release()
-
-                acquire.add_done_callback(_release_orphaned)
-                raise
-        self._scatter_loop = loop
         try:
-            message = ("search", version, k, queries, trace_ctx)
-            cycle = self._open_cycle([message] * self.num_shards)
-            raw_replies = await self._recv_all_async(cycle)
-        finally:
-            self._scatter_loop = None
-            self._io_lock.release()
-        return self._replies_from_raw(raw_replies)
-
-    def _drain_stale(self) -> None:
-        """Discard reply frames a torn-down cycle left queued (holding
-        ``_io_lock``).  The protocol is strictly paired, so anything
-        readable before a command is sent is garbage from an aborted
-        predecessor — never a reply this cycle is owed."""
-        for conn in self._conns:
+            workers = self._resident(version)
             try:
-                while conn.poll(0):
-                    conn.recv()
-            except (EOFError, OSError):  # worker died; surface on next recv
-                pass
+                self._cycles += 1
+                message = (self._cycles, "search", k, queries, trace_ctx)
+                for shard in range(self.num_shards):
+                    workers.send(shard, message)
+                raw_replies = await self._recv_all_async(workers, self._cycles)
+            finally:
+                if self._sets.get(version) is not workers:  # dropped meanwhile
+                    raise self._stale(version)
+        finally:
+            self._sweep(version)
+            self._scatter = None
+        # ("result", ids, scores, version, latency_s, span) per shard.
+        return [ShardReply(shard, *raw[1:]) for shard, raw in enumerate(raw_replies)]
+
+    def _sweep(self, version: int) -> None:
+        """A scatter at ``version`` ended (the loop, guard still up): stop
+        every set no batch can reach any more."""
+        if version <= self._active:  # flipped: no later batch pins below it
+            self._superseded.extend(
+                workers for older, workers in self._sets.items() if older < version
+            )
+        while self._superseded:
+            self._superseded.popleft().stop()
 
     # ------------------------------------------------------------------ #
     # Shutdown
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop the workers, waiting for whoever holds the pipes — unless
-        that is a scatter of the very loop this call is running on, which
-        could only finish if this call returned."""
+        """Stop every worker set — refusing on the loop whose scatter is in
+        flight, which could only finish if this call returned."""
         try:
             running = asyncio.get_running_loop()
-        except RuntimeError:  # a plain thread: waiting is safe
+        except RuntimeError:  # a plain thread
             running = None
-        if running is not None and running is self._scatter_loop:
+        scatter = self._scatter
+        if scatter is not None and scatter.get_loop() is running:
             raise RuntimeError(
                 "ProcessPool.close() was called on the event loop whose scatter "
-                "still holds the pipes; await the gateway's stop_async() first"
+                "is still in flight; await the gateway's stop_async() first"
             )
-        with self._io_lock:
-            if self._closed:
-                return
-            self._closed = True
-            for conn in self._conns:
-                try:
-                    conn.send((0, "stop"))
-                except (BrokenPipeError, OSError):
-                    pass
-            for process, conn in zip(self._processes, self._conns):
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-                conn.close()
+        self._closed = True
+        sets, self._sets = self._sets, {}
+        self._superseded.extend(sets.values())
+        while self._superseded:
+            self._superseded.popleft().stop()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown path
         try:

@@ -11,6 +11,7 @@ sharded tier's scatter/gather across all three worker backends.
 """
 
 import asyncio
+import multiprocessing
 import threading
 
 import numpy as np
@@ -393,10 +394,12 @@ class TestAsyncGateway:
             [int(i) for i in row] for row in oracle
         ]
         loop = gateway._sync_loop
-        workers = list(gateway.pool._processes)
+        workers = {process.pid for each in gateway.pool._sets.values()
+                   for process in each.processes}
         gateway.close()
         assert loop.is_closed() and gateway._sync_loop is None
-        assert not any(process.is_alive() for process in workers)
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert workers and not workers & alive
         for thread in set(threading.enumerate()) - threads_before:
             thread.join(timeout=5.0)  # the closed loop's executor threads exit
         assert set(threading.enumerate()) <= threads_before

@@ -3,12 +3,16 @@ lifecycle, two-phase hot-swap atomicity, per-shard telemetry and the
 process-pool backend."""
 
 import asyncio
+import concurrent.futures
+import dataclasses
 import gc
 import multiprocessing
 import os
 import pathlib
 import signal
+import sys
 import threading
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -35,6 +39,21 @@ from repro.serving.sharded import (
 )
 
 NUM_QUERIES, NUM_SERVICES, DIM = 400, 3000, 32
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers_or_fds():
+    """Every test leaves no worker process and no open fd behind: a
+    superseded worker set that is never stopped, or a pipe that is never
+    closed, fails the test that leaked it.  The count is taken once earlier
+    tests' garbage is collected and the spawn start method's resource
+    tracker (one fd for the life of the process) is running."""
+    gc.collect()
+    resource_tracker.ensure_running()
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.fixture(scope="module")
@@ -121,56 +140,58 @@ class TestMergeTopK:
 class TestShardWorker:
     def test_search_maps_global_ids(self, clustered):
         queries, services = clustered
-        worker = ShardWorker(1, index="exact")
-        worker.prepare(0, services[1000:2000], lo=1000)
-        ids, scores = worker.search(0, queries[:4], 5)
+        worker = ShardWorker(1, 0, services[1000:2000], lo=1000, index="exact")
+        ids, scores = worker.search(queries[:4], 5)
         assert np.all((ids >= 1000) & (ids < 2000))
         expected, _ = ExactIndex().build(services[1000:2000]).search(queries[:4], 5)
         assert np.array_equal(ids, expected + 1000)
 
-    def test_unknown_version_raises(self, clustered):
-        queries, services = clustered
-        worker = ShardWorker(0, index="exact")
-        worker.prepare(3, services[:100], lo=0)
+    def test_unknown_version_raises(self, quantized_store):
+        """A version with no resident worker set is a stale-version miss."""
+        snapshot = dataclasses.replace(quantized_store.snapshot(), version=3)
+        pool = SerialPool(4, index="exact")
+        pool.prepare(snapshot)
+        pool.activate(snapshot)
         with pytest.raises(StaleVersionError, match="version 7"):
-            worker.search(7, queries[:2], 5)
+            asyncio.run(pool.search_async(7, snapshot.queries[:2], 5))
 
-    def test_activate_keeps_predecessor_only(self, clustered):
-        _, services = clustered
-        worker = ShardWorker(0, index="exact")
+    def test_activate_keeps_predecessor_only(self, quantized_store):
+        pool = SerialPool(4, index="exact")
         for version in (1, 2, 3):
-            worker.prepare(version, services[:50], lo=0)
-        worker.activate(3)
-        assert worker.versions == (2, 3)
+            snapshot = dataclasses.replace(quantized_store.snapshot(), version=version)
+            pool.prepare(snapshot)
+            pool.activate(snapshot)
+        assert sorted(pool._sets) == [2, 3]
         with pytest.raises(KeyError):
-            worker.activate(9)
+            pool.activate(dataclasses.replace(snapshot, version=9))
+        assert sorted(pool._sets) == [2, 3]
 
-    def test_retire_drops_version(self, clustered):
-        _, services = clustered
-        worker = ShardWorker(0, index="exact")
-        worker.prepare(5, services[:50], lo=0)
-        worker.retire(5)
-        assert worker.versions == ()
+    def test_retire_drops_version(self, quantized_store):
+        snapshot = quantized_store.snapshot()
+        pool = SerialPool(4, index="exact")
+        pool.prepare(snapshot)
+        pool.activate(snapshot)
+        pool.prepare(dataclasses.replace(snapshot, version=5))
+        pool.retire(5)
+        assert sorted(pool._sets) == [snapshot.version]
 
     def test_prepare_snapshot_owns_published_tables(self, quantized_store):
-        """The one handoff: a worker prepared from the snapshot's own shard
+        """The one handoff: a worker built from the snapshot's own shard
         views serves that row range with the published int8 rows intact."""
         snapshot = quantized_store.snapshot()
         ids, services = snapshot.shard(2)
         _, int8_rows = snapshot.quantized_shard("int8", 2)
-        worker = ShardWorker(2, index="int8")
-        worker.prepare(snapshot.version, services, int(ids[0]),
-                       int8_table=int8_rows)
-        state = worker.version_state(snapshot.version)
+        worker = ShardWorker(2, snapshot.version, services, int(ids[0]),
+                             int8_table=int8_rows, index="int8")
         lo, hi = snapshot.shard_bounds[2], snapshot.shard_bounds[3]
-        assert state.lo == lo and state.hi == hi
-        assert state.index.table.num_vectors == hi - lo
+        assert worker.version == snapshot.version
+        assert worker.lo == lo and worker.hi == hi
+        assert worker.index.table.num_vectors == hi - lo
         published = snapshot.quantized["int8"]
         assert published.query_scale is not None
-        assert state.index.table.query_scale == published.query_scale
-        assert np.array_equal(state.index.table.scales, published.scales)
-        assert state.nbytes > 0
-        found, _ = worker.search(snapshot.version, snapshot.queries[:4], 5)
+        assert worker.index.table.query_scale == published.query_scale
+        assert np.array_equal(worker.index.table.scales, published.scales)
+        found, _ = worker.search(snapshot.queries[:4], 5)
         assert np.all((found >= lo) & (found < hi))
 
 
@@ -350,6 +371,48 @@ class TestTwoPhaseHotSwap:
             asyncio.run(gateway._search_backend_async(stale, queries[:2], 5))
         gateway.close()
 
+    @pytest.mark.parametrize("workers", ["serial", "process"])
+    def test_failed_prepare_leaves_nothing_behind(self, small, monkeypatch, workers):
+        """One shard's build fails: the publish raises, the pool keeps
+        exactly the old version's set, no child of the new set survives, and
+        the old version still answers (regression: shards built before the
+        failure kept the dead version resident)."""
+        from repro.serving.gateway import index as index_module
+
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        _, shard_one = store.snapshot().shard(1)
+        monkeypatch.setitem(index_module._INDEX_REGISTRY, _ShardOneFailsIndex.name,
+                            _ShardOneFailsIndex)
+        monkeypatch.setattr(_ShardOneFailsIndex, "marker", -shard_one[0])
+        gateway = ShardedGateway(store, index=_ShardOneFailsIndex.name,
+                                 workers=workers, cache_capacity=0)
+        try:
+            children = {child.pid for child in multiprocessing.active_children()}
+            with pytest.raises(RuntimeError, match="on purpose"):
+                store.publish(queries, -services)
+            assert store.version == 0
+            assert sorted(gateway.pool._sets) == [0]
+            alive = {child.pid for child in multiprocessing.active_children()}
+            assert alive == children
+            oracle, _ = ExactIndex().build(services).search(queries[:20], 5)
+            assert gateway.rank_batch(range(20), 5) == oracle.tolist()
+        finally:
+            gateway.close()
+
+
+class _ShardOneFailsIndex(ExactIndex):
+    """Exact scan whose build fails when its first row is the marker (the
+    first row of shard 1 in the next version)."""
+
+    name = "shard-one-fails"
+    marker = None
+
+    def build(self, services):
+        if np.array_equal(services[0], self.marker):
+            raise RuntimeError("shard 1 build failed on purpose")
+        return super().build(services)
+
 
 # --------------------------------------------------------------------- #
 # Process pool backend
@@ -432,28 +495,61 @@ class TestProcessPool:
         "ignore:Exception ignored in. <_io.BytesIO:pytest.PytestUnraisableExceptionWarning")
     def test_killed_worker_is_a_typed_error_and_close_still_returns(self, small):
         """A worker process dying is named, not a bare ``BrokenPipeError``:
-        searches and publishes fail at once with the shard's number, the
-        store stays at the last good version, ``close()`` reaps the rest."""
+        searches fail at once with the shard's number until the next publish
+        replaces the broken set, and ``close()`` reaps the rest."""
         queries, services = small
         store = VersionedEmbeddingStore(queries, services, num_shards=2)
         gateway = ShardedGateway(store, index="exact", workers="process",
                                  cache_capacity=0, search_timeout_s=30.0)
         try:
             assert len(gateway.rank(0, 5)) == 5
-            victim = gateway.pool._processes[1]
+            victim = gateway.pool._sets[0].processes[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()  # its death is observed, not slept for
             # "is gone", not "did not reply within": the typed path, not
             # the timeout, is what failed the request.
-            with pytest.raises(RuntimeError, match="shard worker 1 is gone"):
-                gateway.rank(1, 5)
-            with pytest.raises(RuntimeError, match="shard worker 1 is gone"):
-                gateway.hot_swap(queries * 1.1, services * 1.1)
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="shard worker 1 is gone"):
+                    gateway.rank(1, 5)
             assert store.version == 0
+            gateway.hot_swap(queries * 1.1, services * 1.1)
+            assert len(gateway.rank(1, 5)) == 5
+            assert len(multiprocessing.active_children()) == 2
         finally:
             gateway.close()
-        assert multiprocessing.active_children() == []
         gc.collect()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the store lowers its refresh thread on Linux only")
+    def test_a_publish_forks_workers_at_the_pool_owners_priority(self, small):
+        """A publish forks the new set from the store's refresh thread, which
+        runs at the lowest priority; its workers serve at the priority of the
+        thread that built the pool wherever the host lets a process raise its
+        own priority back (elsewhere they keep the inherited one)."""
+        mine = os.getpriority(os.PRIO_PROCESS, 0)
+
+        def can_raise_back():
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+            try:
+                os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), mine)
+                return True
+            except OSError:
+                return False
+
+        with concurrent.futures.ThreadPoolExecutor(1) as probe:
+            expected = mine if probe.submit(can_raise_back).result() else 19
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        gateway = ShardedGateway(store, index="exact", workers="process",
+                                 cache_capacity=0)
+        try:
+            store.publish(queries * 1.1, services * 1.1)
+            assert len(gateway.rank(0, 5)) == 5  # the first scatter at v1
+            workers = gateway.pool._sets[1].processes
+            assert [os.getpriority(os.PRIO_PROCESS, worker.pid)
+                    for worker in workers] == [expected] * 2
+        finally:
+            gateway.close()
 
     def test_process_pool_leaves_no_segments_children_or_shm_import(self, small):
         """Boot -> publish -> close leaves ``/dev/shm`` and the child set as
@@ -491,6 +587,36 @@ class TestProcessPool:
         pool = make_pool("thread", 2)
         assert isinstance(pool, ThreadPool)
         pool.close()
+
+    def test_spawn_fallback_matches_serial_on_int8(self, small, monkeypatch):
+        """Where fork is unavailable the pool spawns its workers, and the
+        same arguments reach them pickled: ids and scores equal the serial
+        pool's."""
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        queries, services = small
+        snapshot = VersionedEmbeddingStore(queries, services[:200], num_shards=2,
+                                           quantization=("int8",)).snapshot()
+        pool = ProcessPool(2, index="int8")
+        serial = SerialPool(2, index="int8")
+        try:
+            assert pool._context.get_start_method() == "spawn"
+            replies = []
+            for each in (pool, serial):
+                each.prepare(snapshot)
+                each.activate(snapshot)
+                replies.append(asyncio.run(each.search_async(0, queries[:16], 5)))
+        finally:
+            pool.close()
+        for got, want in zip(*replies):
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.scores, want.scores)
 
     def test_concurrent_producers_and_swaps_on_process_backend(self, small):
         """Pipe I/O must stay paired while producer tasks on one loop
@@ -555,22 +681,42 @@ class _GatedExactIndex(ExactIndex):
         return super().search(queries, k)
 
 
+class _ParkedBuildIndex(ExactIndex):
+    """Exact scan whose build, when its first row is the marker (the next
+    version's first row), says so and parks on a fork-inherited event."""
+
+    name = "parked-build-exact"
+    gate = None
+    entered = None
+    marker = None
+
+    def build(self, services):
+        if np.array_equal(services[0], self.marker):
+            self.entered.set()
+            self.gate.wait(30.0)
+        return super().build(services)
+
+
 class TestProcessPoolScatter:
     """The request half of ``ProcessPool``: a scatter stays on the loop,
     drains what it is owed, and never answers with another cycle's reply."""
 
     @pytest.fixture()
-    def pools(self, small, monkeypatch):
+    def snapshot(self, small):
+        queries, services = small
+        return VersionedEmbeddingStore(queries, services, num_shards=2).snapshot()
+
+    @pytest.fixture()
+    def pools(self, small, snapshot, monkeypatch):
         """(process pool over the gated index, serial reference pool)."""
         from repro.serving.gateway import index as index_module
 
-        queries, services = small
+        queries, _ = small
         monkeypatch.setitem(index_module._INDEX_REGISTRY, _GatedExactIndex.name,
                             _GatedExactIndex)
         monkeypatch.setattr(_GatedExactIndex, "gate",
                             multiprocessing.get_context("fork").Event())
         monkeypatch.setattr(_GatedExactIndex, "marker", queries[0])
-        snapshot = VersionedEmbeddingStore(queries, services, num_shards=2).snapshot()
         pool = ProcessPool(2, index=_GatedExactIndex.name, timeout_s=30.0)
         serial = SerialPool(2, index="exact")
         try:
@@ -581,7 +727,6 @@ class TestProcessPoolScatter:
         finally:
             _GatedExactIndex.gate.set()  # never leave a worker parked
             pool.close()
-        assert multiprocessing.active_children() == []
 
     @staticmethod
     def answers(replies):
@@ -603,8 +748,9 @@ class TestProcessPoolScatter:
             asyncio.run(pool.search_async(0, queries[:2], 3))
         pool.timeout_s = 30.0
         # Release the parked workers only once the next scatter is on the
-        # pipes, so their late replies cannot have been drained beforehand.
-        send, sends = pool._send, []
+        # pipes, so their late replies are queued ahead of its answers.
+        workers = pool._sets[0]
+        send, sends = workers.send, []
 
         def send_then_release(shard, message):
             send(shard, message)
@@ -612,7 +758,7 @@ class TestProcessPoolScatter:
             if len(sends) == pool.num_shards:
                 _GatedExactIndex.gate.set()
 
-        pool._send = send_then_release
+        workers.send = send_then_release
         got = self.answers(asyncio.run(pool.search_async(0, queries[2:4], 3)))
         assert sends == [0, 1]
         assert got == self.expected(serial, queries[2:4])
@@ -622,40 +768,71 @@ class TestProcessPoolScatter:
         # The timeout named every shard that still owed its reply.
         assert "shard workers [0, 1] did not reply within 0.2s" in str(raised.value)
 
-    def test_contended_scatter_waits_off_the_loop(self, small, pools):
-        """While another thread (a publisher inside ``prepare``) holds the
-        pipes a scatter waits — and the loop it runs on does not."""
-        queries, _ = small
-        pool, serial = pools
-        held, release = threading.Event(), threading.Event()
+    def test_contended_scatter_waits_off_the_loop(self, small, monkeypatch):
+        """Readers do not feel a process-pool publish: while the new worker
+        set's build is parked, searches on the old version all complete
+        (regression: ``prepare`` held the pipes' lock across the build, so
+        every scatter waited for the publish).  Once the publish lands and
+        one scatter ran at the new version, only the new set is alive."""
+        from repro.serving.gateway import index as index_module
+
+        queries, services = small
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setitem(index_module._INDEX_REGISTRY, _ParkedBuildIndex.name,
+                            _ParkedBuildIndex)
+        monkeypatch.setattr(_ParkedBuildIndex, "gate", fork.Event())
+        monkeypatch.setattr(_ParkedBuildIndex, "entered", fork.Event())
+        expected = [  # v1 negates the catalogue: every ranking changes
+            ExactIndex().build(table).search(queries[:20], 5)[0].tolist()
+            for table in (services, -services)
+        ]
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        _, shard_zero = store.snapshot().shard(0)
+        monkeypatch.setattr(_ParkedBuildIndex, "marker", -shard_zero[0])
+        gateway = ShardedGateway(store, index=_ParkedBuildIndex.name,
+                                 workers="process", cache_capacity=0,
+                                 max_batch_size=8, max_wait_s=0.001)
+        errors = []
 
         def publisher():
-            with pool._io_lock:
-                held.set()
-                release.wait(20.0)  # a parked loop fails the test, not hangs it
+            try:
+                store.publish(queries, -services)
+            except BaseException as error:
+                errors.append(error)
 
         async def scenario():
-            scatter = asyncio.ensure_future(pool.search_async(0, queries[2:4], 3))
-            ticks = 0
-            for _ in range(50):
-                await asyncio.sleep(0)
-                ticks += 1
-            pending_while_held = not scatter.done() and not release.is_set()
-            release.set()
-            return ticks, pending_while_held, self.answers(await scatter)
+            thread = threading.Thread(target=publisher)
+            thread.start()
+            try:
+                while not _ParkedBuildIndex.entered.is_set():
+                    await asyncio.sleep(0.001)
+                searches = [asyncio.ensure_future(gateway.search_async(q, 5))
+                            for q in range(20)]
+                # The bound only turns a stalled scatter into a failure.
+                done, _ = await asyncio.wait(searches, timeout=20.0)
+                during = [(len(done), not _ParkedBuildIndex.gate.is_set(),
+                           thread.is_alive())]
+            finally:
+                _ParkedBuildIndex.gate.set()
+            while thread.is_alive():
+                await asyncio.sleep(0.005)
+            thread.join()
+            parked = [ids.tolist() for ids, _ in await asyncio.gather(*searches)]
+            ids, _ = await gateway.search_async(0, 5)  # the first scatter at v1
+            children = len(multiprocessing.active_children())
+            await gateway.stop_async()
+            return during, parked, ids.tolist(), children
 
-        thread = threading.Thread(target=publisher)
-        thread.start()
         try:
-            assert held.wait(10.0)
-            ticks, pending_while_held, got = asyncio.run(
+            during, parked, after, children = asyncio.run(
                 asyncio.wait_for(scenario(), timeout=60.0))
         finally:
-            release.set()
-            thread.join(10.0)
-        assert not thread.is_alive()
-        assert ticks == 50 and pending_while_held
-        assert got == self.expected(serial, queries[2:4])
+            gateway.close()
+        assert during == [(20, True, True)]
+        assert errors == [] and store.version == 1
+        assert parked == expected[0]
+        assert after == expected[1][0]
+        assert children == gateway.num_shards
 
     def test_steady_state_scatters_start_no_thread_and_leave_no_reader(self, small):
         """A ``sharded_process``-shaped gateway answers on the loop thread
@@ -675,7 +852,7 @@ class TestProcessPoolScatter:
                 await asyncio.gather(
                     *(gateway.search_async(q, 5) for q in range(start, start + 6)))
                 readers_left += [loop.remove_reader(conn.fileno())
-                                 for conn in gateway.pool._conns]
+                                 for conn in gateway.pool._sets[0].conns]
             names = {thread.name for thread in threading.enumerate()}
             await gateway.stop_async()
             return readers_left, names
@@ -696,38 +873,81 @@ class TestProcessPoolScatter:
 
         async def scenario():
             scatter = asyncio.ensure_future(pool.search_async(0, queries[:2], 3))
-            while not pool._io_lock.locked():  # sent: the workers are parked
+            while pool._scatter is None:  # sent: the workers are parked
                 await asyncio.sleep(0)
             scatter.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await scatter
-            still_held = pool._io_lock.locked()
+            still_held = pool._scatter is not None
             _GatedExactIndex.gate.set()
             replies = await pool.search_async(0, queries[2:4], 3)
             return still_held, self.answers(replies)
 
         still_held, got = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
         assert still_held  # the cycle outlived its caller
-        assert not pool._io_lock.locked()
+        assert pool._scatter is None
         assert got == self.expected(serial, queries[2:4])
 
-    def test_one_failing_shard_still_drains_the_other(self, small, pools):
+    def test_stop_mid_scatter_drains_the_queue_behind_it(self, small, monkeypatch):
+        """``stop_async()`` cancels the batch on the pipes and drains the
+        queue: the drained batch waits for the cancelled batch's cycle to
+        read what it is owed instead of failing on the in-flight guard."""
+        from repro.serving.gateway import index as index_module
+
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        monkeypatch.setitem(index_module._INDEX_REGISTRY, _GatedExactIndex.name,
+                            _GatedExactIndex)
+        monkeypatch.setattr(_GatedExactIndex, "gate",
+                            multiprocessing.get_context("fork").Event())
+        monkeypatch.setattr(_GatedExactIndex, "marker", store.snapshot().queries[0])
+        gateway = ShardedGateway(store, index=_GatedExactIndex.name,
+                                 workers="process", cache_capacity=0)
+        oracle, _ = ExactIndex().build(services).search(queries[1:5], 5)
+
+        async def scenario():
+            first = asyncio.ensure_future(gateway.search_async(0, 5))
+            while gateway.pool._scatter is None:  # on the pipes, parked
+                await asyncio.sleep(0)
+            rest = [asyncio.ensure_future(gateway.search_async(q, 5))
+                    for q in range(1, 5)]
+            await asyncio.sleep(0)
+            stopping = asyncio.ensure_future(gateway.stop_async())
+            while gateway.scheduler.in_flight_count != len(rest):
+                await asyncio.sleep(0)  # the drained batch waits on the first
+            _GatedExactIndex.gate.set()
+            await stopping
+            return await asyncio.gather(first, *rest, return_exceptions=True)
+
+        try:
+            outcomes = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        finally:
+            _GatedExactIndex.gate.set()
+            gateway.close()
+        assert isinstance(outcomes[0], asyncio.CancelledError)
+        assert [ids.tolist() for ids, _ in outcomes[1:]] == oracle.tolist()
+
+    def test_one_failing_shard_still_drains_the_other(
+            self, small, snapshot, pools, monkeypatch):
         """Shard 0 answers ``error`` at once while shard 1 still owes its
         ``result``: the error is held back until both pipes were read."""
+        from repro.serving.sharded import pool as pool_module
+
         queries, services = small
         pool, serial = pools
         # Version 7: shard 0's table cannot score a query, shard 1's is real.
-        pool._cycle([
-            ("prepare", 7, np.zeros((4, queries.shape[1] + 1)), 0, None),
-            ("prepare", 7, services[300:], 300, None),
-        ])
-        recv, reads = pool._recv, []
+        payloads = [(7, np.zeros((4, queries.shape[1] + 1)), 0, None),
+                    (7, services[300:], 300, None)]
+        monkeypatch.setattr(pool_module, "_shard_payload",
+                            lambda _snapshot, shard: payloads[shard])
+        pool.prepare(dataclasses.replace(snapshot, version=7))
+        reads = []
+        for workers in pool._sets.values():
+            def recording_recv(shard, *rest, recv=workers.recv):
+                reads.append(shard)
+                return recv(shard, *rest)
 
-        def recording_recv(shard, *rest):
-            reads.append(shard)
-            return recv(shard, *rest)
-
-        pool._recv = recording_recv
+            workers.recv = recording_recv
 
         async def scenario():
             scatter = asyncio.ensure_future(pool.search_async(7, queries[:2], 3))
@@ -735,7 +955,7 @@ class TestProcessPoolScatter:
                 await asyncio.sleep(0.001)
             for _ in range(5):
                 await asyncio.sleep(0)
-            held_back = not scatter.done() and pool._io_lock.locked()
+            held_back = not scatter.done() and pool._scatter is not None
             _GatedExactIndex.gate.set()  # ... and shard 1 answers only now
             with pytest.raises(RuntimeError, match="shard worker 0 failed"):
                 await scatter
@@ -756,7 +976,7 @@ class TestProcessPoolScatter:
 
         async def scenario():
             scatter = asyncio.ensure_future(pool.search_async(0, queries[:2], 3))
-            while not pool._io_lock.locked():
+            while pool._scatter is None:
                 await asyncio.sleep(0)
             with pytest.raises(RuntimeError, match=r"stop_async\(\)"):
                 pool.close()
@@ -766,6 +986,34 @@ class TestProcessPoolScatter:
         asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
         pool.close()  # nothing in flight: closes (the fixture's is a no-op)
         assert pool._closed
+
+    def test_set_retired_under_a_scatter_is_a_stale_version(
+            self, small, snapshot, pools):
+        """The publisher drops the set a scatter is still reading (an aborted
+        publish's): the scatter surfaces ``StaleVersionError`` — which the
+        gateway re-pins on — never "is gone", and stops that set as it ends."""
+        queries, _ = small
+        pool, serial = pools
+        pool.prepare(dataclasses.replace(snapshot, version=1))  # never flipped
+        doomed = pool._sets[1]
+
+        async def scenario():
+            sent = pool._cycles + 1
+            scatter = asyncio.ensure_future(pool.search_async(1, queries[:2], 3))
+            while pool._cycles != sent:  # on the pipes: the workers are parked
+                await asyncio.sleep(0)
+            await asyncio.to_thread(pool.retire, 1)
+            deferred = not doomed.stopped
+            _GatedExactIndex.gate.set()
+            with pytest.raises(StaleVersionError, match="version 1"):
+                await scatter
+            return deferred, self.answers(await pool.search_async(0, queries[2:4], 3))
+
+        deferred, got = asyncio.run(asyncio.wait_for(scenario(), timeout=60.0))
+        assert deferred and doomed.stopped
+        assert sorted(pool._sets) == [0]
+        assert got == self.expected(serial, queries[2:4])
+        assert len(multiprocessing.active_children()) == pool.num_shards
 
     def test_publish_beside_a_search_stream_answers_at_one_version(self, small):
         """One real ``store.publish`` on a publisher thread beside a stream
