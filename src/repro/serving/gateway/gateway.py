@@ -37,7 +37,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -221,8 +220,7 @@ class ServingGateway(SnapshotListener):
 
         params = {
             key: value for key, value in self.index_params.items()
-            if key in ("num_probes", "refine", "refine_factor", "num_lists",
-                       "shrink_margin")
+            if key in ("num_probes", "refine", "refine_factor", "num_lists")
         }
         try:
             return durable.load_index(
@@ -273,22 +271,13 @@ class ServingGateway(SnapshotListener):
         traced requests) receives a ``score`` span covering the scan.
         """
         index = self._index_for(snapshot)
-        # A shared index is read-only while searching: IVF-PQ's shortlist
-        # counts come back with the call.  Whichever thread scores fills this
-        # call's own list; telemetry hears of it here, after the await.
-        shortlist: List[Tuple[int, int]] = []
-        kwargs = ({"shortlist_stats": lambda *counts: shortlist.append(counts)}
-                  if self.index_kind == "ivfpq" else {})
         offloaded = self._cpu_executor is not None
         started = self._clock() if spans is not None else 0.0
         if offloaded:
             result = await asyncio.get_running_loop().run_in_executor(
-                self._cpu_executor,
-                partial(index.search, query_matrix, k, **kwargs))
+                self._cpu_executor, index.search, query_matrix, k)
         else:
-            result = index.search(query_matrix, k, **kwargs)
-        for counts in shortlist:
-            self.telemetry.record_shortlist(*counts)
+            result = index.search(query_matrix, k)
         if spans is not None:
             spans.add("score", started, self._clock(),
                       queries=query_matrix.shape[0], k=k, offloaded=offloaded)

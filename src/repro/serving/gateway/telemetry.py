@@ -132,14 +132,6 @@ class GatewayTelemetry:
             "gateway_gathered_candidates_total",
             help="Real top-K entries gathered across shards.",
         )
-        self._shortlist_candidates = registry.counter(
-            "gateway_shortlist_candidates_total",
-            help="Refinement candidates the static shortlist would re-score.",
-        )
-        self._shortlist_kept = registry.counter(
-            "gateway_shortlist_kept_total",
-            help="Refinement candidates kept after the adaptive shrink.",
-        )
         self._overloads = registry.counter(
             "gateway_overload_rejections_total",
             help="Requests shed by admission control.",
@@ -290,20 +282,6 @@ class GatewayTelemetry:
         self._shard_candidates.labels(key).inc(int(candidates))
         self._gathered.inc(int(candidates))
 
-    def record_shortlist(self, candidates: int, kept: int) -> None:
-        """Refinement shortlist counts of one quantized-index search.
-
-        ``candidates`` is what the static ``refine_factor * k`` shortlist
-        would have re-scored; ``kept`` is what survived the ADC-margin
-        shrink (the ``shortlist_stats`` callback of
-        :meth:`IVFPQIndex.search`).  Their ratio is the observable saving
-        of the adaptive shrink.
-        """
-        if not self.enabled:
-            return
-        self._shortlist_candidates.inc(int(candidates))
-        self._shortlist_kept.inc(int(kept))
-
     # Loop-front-end events (admission control, deadlines, the drive task).
     def record_overload(self, tag: Optional[str] = None) -> None:
         if not self.enabled:
@@ -360,14 +338,6 @@ class GatewayTelemetry:
     @property
     def gathered_candidates(self) -> int:
         return self._gathered.value
-
-    @property
-    def shortlist_candidates(self) -> int:
-        return self._shortlist_candidates.value
-
-    @property
-    def shortlist_kept(self) -> int:
-        return self._shortlist_kept.value
 
     @property
     def overload_rejections(self) -> int:
@@ -547,8 +517,6 @@ class GatewayTelemetry:
                 float("nan") if self.recall_at_k is None else self.recall_at_k
             ),
             "gathered_candidates": float(self.gathered_candidates),
-            "shortlist_candidates": float(self.shortlist_candidates),
-            "shortlist_kept": float(self.shortlist_kept),
             "overload_rejections": float(self.overload_rejections),
             "deadline_misses": float(self.deadline_misses),
             "cancelled_requests": float(self.cancelled_requests),

@@ -11,9 +11,10 @@ scores a probed cell as
 
 so the scan touches a few bytes per candidate — an order of magnitude less
 memory traffic than the fp scan — and never reconstructs the catalogue.
-An optional refinement stage (IVFADC+R) re-scores the ADC shortlist
-(``refine_factor * k`` candidates per query) against a symmetric int8 table,
-recovering most of the PQ reconstruction loss for one byte per dimension.
+An optional refinement stage (IVFADC+R) re-scores a fixed ADC shortlist
+(the best ``refine_factor * k`` candidates per query) against a symmetric
+int8 table, recovering most of the PQ reconstruction loss for one byte per
+dimension.
 
 Two deviations from the textbook layout keep the pure-numpy scan fast:
 
@@ -37,7 +38,7 @@ freshly published snapshot.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +47,6 @@ from repro.serving.quant.kmeans import grouped_mean, kmeans
 from repro.serving.quant.opq import OPQQuantizer
 from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Table, quantize_int8
-
-#: Default adaptive-shortlist margin (see ``IVFPQIndex(shrink_margin=...)``).
-#: Calibrated on the bench workload: the relative margin an eventually-top-k
-#: candidate sits below the ADC kth score reaches ~4.1 at the tail, so 4.0
-#: trims only candidates far outside anything the refinement ever promotes.
-DEFAULT_SHRINK_MARGIN = 4.0
 
 
 class Int8Index(RetrievalIndex):
@@ -136,10 +131,7 @@ class IVFPQIndex(RetrievalIndex):
 
     ``rotation="opq"`` trains the residual codebooks through an OPQ learned
     rotation (:class:`~repro.serving.quant.opq.OPQQuantizer`, ``opq_iters``
-    alternation rounds) — same scan loop, better codes.  ``shrink_margin``
-    adaptively narrows the refinement shortlist per batch: candidates whose
-    ADC score falls more than ``margin * (best - kth)`` below the k-th best
-    are dropped before the int8 re-score (``None`` disables the shrink).
+    alternation rounds) — same scan loop, better codes.
     """
 
     name = "ivfpq"
@@ -150,8 +142,7 @@ class IVFPQIndex(RetrievalIndex):
                  refine: Optional[str] = "int8", refine_factor: int = 8,
                  slack: float = 1.3, int8_table: Optional[Int8Table] = None,
                  seed: int = 0, rotation: Optional[str] = None,
-                 opq_iters: int = 4,
-                 shrink_margin: Optional[float] = DEFAULT_SHRINK_MARGIN) -> None:
+                 opq_iters: int = 4) -> None:
         if num_lists is not None and num_lists <= 0:
             raise ValueError("num_lists must be positive")
         if num_probes is not None and num_probes <= 0:
@@ -166,8 +157,6 @@ class IVFPQIndex(RetrievalIndex):
             raise ValueError("rotation must be None or 'opq'")
         if opq_iters < 0:
             raise ValueError("opq_iters must be >= 0")
-        if shrink_margin is not None and shrink_margin < 0:
-            raise ValueError("shrink_margin must be None or >= 0")
         self.num_lists = num_lists
         self.num_probes = num_probes
         self.num_subspaces = num_subspaces
@@ -179,7 +168,6 @@ class IVFPQIndex(RetrievalIndex):
         self.slack = slack
         self.rotation = rotation
         self.opq_iters = opq_iters
-        self.shrink_margin = shrink_margin
         self._prebuilt_int8 = int8_table
         self.seed = seed
         self._pq: Optional[ProductQuantizer] = None
@@ -390,7 +378,6 @@ class IVFPQIndex(RetrievalIndex):
             seed=int(meta.get("seed", 0)),
             rotation=rotation,
             opq_iters=int(meta.get("opq_iters", 4)),
-            shrink_margin=params.pop("shrink_margin", DEFAULT_SHRINK_MARGIN),
         )
         params.pop("num_lists", None)  # layout is fixed by the persisted slots
         if params:
@@ -486,18 +473,8 @@ class IVFPQIndex(RetrievalIndex):
     # ------------------------------------------------------------------ #
     # Search: rectangular probe expansion + one ADC gather + batched top-k
     # ------------------------------------------------------------------ #
-    def search(self, queries: np.ndarray, k: int,
-               shortlist_stats: Optional[Callable[[int, int], None]] = None
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` per query row; the index itself is left untouched.
-
-        ``shortlist_stats(candidates, kept)`` is called once with this
-        search's refinement counts: ``candidates`` is the work the static
-        ``refine_factor * k`` shortlist would have cost, ``kept`` what the
-        adaptive shrink actually re-scored.  The counts go to the caller,
-        not into the index, so gateways sharing one built index each see
-        their own.
-        """
+    def search(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` per query row; the index itself is left untouched."""
         if self._pq is None or self._centroids is None:
             raise RuntimeError("index not built")
         queries = self._check_queries(queries, k).astype(np.float32)
@@ -552,11 +529,6 @@ class IVFPQIndex(RetrievalIndex):
                                    axis=1)[:, :shortlist_size]
         else:
             keep = np.tile(np.arange(width, dtype=np.int64), (batch, 1))
-        before = keep.shape[1]
-        if refining and self.shrink_margin is not None and before > k:
-            keep = self._shrink_shortlist(scores, keep, k)
-        if shortlist_stats is not None:
-            shortlist_stats(batch * before, batch * keep.shape[1])
         # Map kept columns back to slots (cheap: shortlist-sized only).
         short_cells = np.take_along_axis(probed, keep // size, axis=1)
         short_ids = self._slot_ids[short_cells * size + keep % size]
@@ -565,29 +537,6 @@ class IVFPQIndex(RetrievalIndex):
         else:
             short_scores = np.take_along_axis(scores, keep, axis=1)
         return _batched_rank(short_ids, short_scores, k)
-
-    def _shrink_shortlist(self, scores: np.ndarray, keep: np.ndarray,
-                          k: int) -> np.ndarray:
-        """Adaptively narrow the shortlist on the per-query ADC margin.
-
-        With ``best`` and ``kth`` the best and k-th best ADC scores inside a
-        query's shortlist, candidates below ``kth - margin * (best - kth)``
-        are very unlikely to be re-ranked into the top k by the int8
-        refinement, so they are dropped before the expensive gather.  The
-        batch stays rectangular: every query keeps the batch-max kept count
-        (fill slots just carry extra below-cutoff candidates).
-        """
-        short = np.take_along_axis(scores, keep, axis=1)
-        full = short.shape[1]
-        kth = -np.partition(-short, k - 1, axis=1)[:, k - 1]
-        best = short.max(axis=1)
-        cutoff = kth - np.float32(self.shrink_margin) * (best - kth)
-        kept_counts = (short >= cutoff[:, None]).sum(axis=1)
-        target = max(k, int(kept_counts.max(initial=0)))
-        if target >= full:
-            return keep
-        narrowed = np.argpartition(-short, target - 1, axis=1)[:, :target]
-        return np.take_along_axis(keep, narrowed, axis=1)
 
     def _refine_shortlist(self, queries: np.ndarray,
                           short_ids: np.ndarray) -> np.ndarray:

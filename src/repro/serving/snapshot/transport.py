@@ -176,6 +176,17 @@ def _json_frame(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
+def _json_object(payload: bytes, frame: str) -> dict:
+    """A peer's reply body as a JSON object, or a protocol error."""
+    try:
+        body = json.loads(payload)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ReplicationProtocolError(f"{frame} frame is not valid JSON") from exc
+    if not isinstance(body, dict):
+        raise ReplicationProtocolError(f"{frame} frame is not a JSON object")
+    return body
+
+
 # --------------------------------------------------------------------- #
 # Server
 # --------------------------------------------------------------------- #
@@ -460,7 +471,7 @@ class PeerConnection:
                 f"connection to peer {self.peer} failed ({exc})"
             ) from exc
         if kind == FRAME_ERR:
-            error = json.loads(payload)
+            error = _json_object(payload, "ERR")
             code = error.get("code", "error")
             message = error.get("message", "")
             if code == "protocol":
@@ -470,10 +481,7 @@ class PeerConnection:
             raise ReplicationProtocolError(
                 f"expected a META frame, got kind {kind}"
             )
-        try:
-            meta = json.loads(payload)
-        except ValueError as exc:
-            raise ReplicationProtocolError("META frame is not valid JSON") from exc
+        meta = _json_object(payload, "META")
         data = None
         if meta.get("data"):
             try:
@@ -487,10 +495,11 @@ class PeerConnection:
                     f"expected a DATA frame, got kind {kind}"
                 )
             declared = meta.get("nbytes")
-            if declared is not None and int(declared) != len(data):
+            if declared is not None and (type(declared) is not int
+                                         or declared != len(data)):
                 raise ReplicationProtocolError(
                     f"DATA frame holds {len(data)} bytes, META declared "
-                    f"{declared}"
+                    f"{declared!r}"
                 )
         return meta, data
 

@@ -59,8 +59,6 @@ def test_gateway_exposes_what_the_layer_report_reads(index):
         summary = gateway.summary()
         expected = ["requests", "cache_hit_rate", "overload_rejections",
                     "deadline_misses"]
-        if index == "ivfpq":
-            expected += ["shortlist_candidates", "shortlist_kept"]
         assert [key for key in expected if key not in summary] == []
         assert summary["requests"] == 8.0
     finally:

@@ -224,8 +224,8 @@ class TestOneBuildPerStoreVersion:
             for gateway in (busy, alone):
                 gateway.rank_batch(range(40))
             # The sharing gateway counts what an unshared one counts ...
-            assert busy.summary()["shortlist_candidates"] > 0
-            for key in ("shortlist_candidates", "shortlist_kept"):
+            assert busy.summary()["backend_queries"] == 40
+            for key in ("requests", "backend_queries"):
                 assert busy.summary()[key] == alone.summary()[key]
                 # ... and none of it lands on the gateway that sat idle.
                 assert idle.summary()[key] == 0

@@ -3,9 +3,9 @@
 Covers the OPQ quantizer contracts (orthonormal rotation across seeds, a
 recall win over plain PQ on correlated data), the integer scoring path's
 documented error bound and chunking invariance, the frozen query scale's
-propagation through shard views and durable snapshots, the adaptive
-shortlist shrink (parity with the unshrunk search, stats accounting,
-telemetry surfacing), the IVF-PQ rotation round-trip through persisted
+propagation through shard views and durable snapshots, IVF-PQ's read-only
+search (repeatable answers, an index left untouched, the same telemetry as
+every other kind), the IVF-PQ rotation round-trip through persisted
 state, and the acceptance contract: a warm-started gateway and a revived
 fleet replica serve rotated, integer-scored codes bit-identically to the
 in-memory trainer.
@@ -158,23 +158,28 @@ class TestIntegerScoring:
 
 
 # --------------------------------------------------------------------- #
-# IVF-PQ: rotation, shortlist shrink, state round-trip
+# IVF-PQ: rotation, read-only search, state round-trip
 # --------------------------------------------------------------------- #
 class TestIVFPQRotation:
     def test_shrink_parity_and_stats(self, clustered):
+        """A shared index is read-only: searching leaves every attribute
+        as built, and the same batch searched again answers the same."""
         queries, services = clustered
         index = IVFPQIndex(num_subspaces=4, rotation="opq",
                            refine_factor=12).build(services)
+        built = {name: np.copy(value) if isinstance(value, np.ndarray) else value
+                 for name, value in vars(index).items()}
         probe = queries[:96]
-        stats = []
-        shrunk_ids, _ = index.search(
-            probe, 10, shortlist_stats=lambda *counts: stats.append(counts))
-        # One report per search, handed to the caller: the index keeps none.
-        [(candidates, kept)] = stats
-        assert candidates >= kept > 0
-        index.shrink_margin = None
-        full_ids, _ = index.search(probe, 10)
-        assert recall_at_k(shrunk_ids, full_ids, 10) == 1.0
+        first_ids, first_scores = index.search(probe, 10)
+        again_ids, again_scores = index.search(probe, 10)
+        assert np.array_equal(first_ids, again_ids)
+        assert np.array_equal(first_scores, again_scores)
+        assert vars(index).keys() == built.keys()
+        for name, value in vars(index).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, built[name]), name
+            else:
+                assert value is built[name], name
 
     @pytest.mark.parametrize("refine", [None, "int8"])
     def test_opq_rotation_does_not_regress_index_recall(self, correlated,
@@ -326,17 +331,20 @@ class TestDurableRoundTrip:
             replica.close()
 
     def test_gateway_telemetry_surfaces_shortlist_counts(self, clustered):
+        """An IVF-PQ gateway reports exactly the keys every other kind does."""
         queries, services = clustered
         store = VersionedEmbeddingStore(queries, services)
-        gateway = ServingGateway(store, index="ivfpq",
-                                 index_params={"num_subspaces": 4,
-                                               "refine_factor": 12},
-                                 cache_capacity=0)
+        ivfpq = ServingGateway(store, index="ivfpq",
+                               index_params={"num_subspaces": 4,
+                                             "refine_factor": 12},
+                               cache_capacity=0)
+        exact = ServingGateway(store, index="exact", cache_capacity=0)
         try:
-            for query_id in range(24):
-                gateway.rank(query_id, 10)
-            summary = gateway.summary()
-            assert summary["shortlist_candidates"] > 0
-            assert 0 < summary["shortlist_kept"] <= summary["shortlist_candidates"]
+            for gateway in (ivfpq, exact):
+                for query_id in range(24):
+                    gateway.rank(query_id, 10)
+            assert ivfpq.summary()["requests"] == 24
+            assert ivfpq.summary().keys() == exact.summary().keys()
         finally:
-            gateway.close()
+            ivfpq.close()
+            exact.close()

@@ -1,6 +1,7 @@
 """Tests for the serving gateway: ANN recall, batching, caching, hot-swap."""
 
 import asyncio
+import inspect
 import threading
 import time
 
@@ -92,6 +93,15 @@ class TestIndexes:
             assert build_index(kind, services).num_services == services.shape[0]
         with pytest.raises(ValueError):
             build_index("annoy", services)
+
+    def test_every_kind_searches_with_queries_and_k_only(self):
+        """One search surface: no kind takes a side channel beside (queries, k)."""
+        from repro.serving.gateway import index as index_module
+
+        for kind in index_kinds():
+            search = index_module._INDEX_REGISTRY[kind].search
+            assert list(inspect.signature(search).parameters) == [
+                "self", "queries", "k"], kind
 
     def test_invalid_k_rejected(self, clustered):
         _, services = clustered

@@ -12,6 +12,7 @@ its last good version (mirroring the PR 8 crash-safety contract).
 """
 
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.serving.gateway.store import VersionedEmbeddingStore
 from repro.serving.snapshot import (
     ReplicationError,
     ReplicationIntegrityError,
+    ReplicationProtocolError,
     ReplicationUnavailableError,
     SnapshotError,
     SnapshotFetcher,
@@ -34,12 +36,74 @@ from repro.serving.snapshot import (
     read_pointer,
     unpin_version,
 )
+from repro.serving.snapshot.transport import (
+    FRAME_DATA,
+    FRAME_ERR,
+    FRAME_META,
+    PeerConnection,
+    recv_frame,
+    send_frame,
+)
 
 DIM = 8
 
 
 class KilledFetch(RuntimeError):
     """Stands in for a process death between two landed chunks."""
+
+
+class TinyModel:
+    """The smallest model ``deploy_gateway`` can rebuild a store from."""
+
+    def query_embeddings(self):
+        return np.zeros((4, DIM), dtype=np.float32)
+
+    def service_embeddings(self):
+        return np.eye(DIM, dtype=np.float32)
+
+
+class StubPeer:
+    """A raw-socket peer that answers every request with the same frames.
+
+    ``chunk_filter`` only reaches chunk payloads; this stub can put any
+    bytes in any frame, which is how the malformed-reply rows are made.
+    """
+
+    def __init__(self, *frames):
+        self.frames = frames  # (kind, payload) pairs, sent in order
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def address(self):
+        return self._listener.getsockname()[:2]
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stopping.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+    def _serve(self):
+        while not self._stopping.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                try:
+                    while True:
+                        recv_frame(conn)
+                        for kind, payload in self.frames:
+                            send_frame(conn, kind, payload)
+                except (ReplicationError, OSError):
+                    pass  # the client hung up
 
 
 # --------------------------------------------------------------------- #
@@ -426,13 +490,6 @@ class TestErrorTaxonomy:
         assert not (dst / "MANIFEST").exists()
 
     def test_failed_wire_boot_falls_back_to_model(self, tmp_path):
-        class TinyModel:
-            def query_embeddings(self):
-                return np.zeros((4, DIM), dtype=np.float32)
-
-            def service_embeddings(self):
-                return np.eye(DIM, dtype=np.float32)
-
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
@@ -441,6 +498,53 @@ class TestErrorTaxonomy:
         with pytest.warns(RuntimeWarning, match="warm start"):
             gateway = deploy_gateway(model=TinyModel(), warm_start=str(dst),
                                      remote_peer=("127.0.0.1", free_port))
+        try:
+            assert gateway.store.num_services == DIM
+        finally:
+            gateway.close()
+
+
+MALFORMED_REPLIES = {
+    "err-body-not-json": [(FRAME_ERR, b"\xff\xfe not json")],
+    "err-body-json-list": [(FRAME_ERR, b'["protocol", "rejected"]')],
+    "meta-body-json-list": [(FRAME_META, b'[{"data": true}]')],
+    "nbytes-not-an-integer": [(FRAME_META, b'{"data": true, "nbytes": "three"}'),
+                              (FRAME_DATA, b"abc")],
+}
+each_malformed_reply = pytest.mark.parametrize(
+    "reply", list(MALFORMED_REPLIES.values()), ids=list(MALFORMED_REPLIES))
+
+
+class TestMalformedPeerReplies:
+    """Whatever bytes a peer sends back, the failure stays a ReplicationError."""
+
+    @each_malformed_reply
+    def test_request_raises_protocol_error(self, reply):
+        with StubPeer(*reply) as peer:
+            conn = PeerConnection(peer.address, timeout_s=5.0)
+            try:
+                with pytest.raises(ReplicationProtocolError):
+                    conn.request({"op": "manifest"})
+            finally:
+                conn.close(polite=False)
+
+    @each_malformed_reply
+    def test_fetch_fails_typed_and_lands_nothing(self, tmp_path, reply):
+        with StubPeer(*reply) as peer:
+            fetcher = SnapshotFetcher(peer.address, tmp_path, retries=2,
+                                      backoff_s=0.01, timeout_s=5.0)
+            with pytest.raises(ReplicationUnavailableError,
+                               match="manifest fetch"):
+                fetcher.fetch()
+        assert not (tmp_path / "MANIFEST").exists()
+
+    def test_malformed_peer_boot_falls_back_to_model(self, tmp_path):
+        dst = tmp_path / "dst"
+        dst.mkdir()
+        with StubPeer(*MALFORMED_REPLIES["err-body-json-list"]) as peer:
+            with pytest.warns(RuntimeWarning, match="warm start"):
+                gateway = deploy_gateway(model=TinyModel(), warm_start=str(dst),
+                                         remote_peer=peer.address)
         try:
             assert gateway.store.num_services == DIM
         finally:
