@@ -12,10 +12,10 @@ Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
    micro-batching, result cache) and report QPS / latency / recall under a
    Zipf request load — the latency story behind the paper's inner-product
    deployment choice (Sec. V-F.1),
-6. publish *quantized* snapshots (int8 + product-quantized service tables)
-   and serve the same load through the IVF-PQ index, reporting the
-   memory-vs-recall trade-off that lets one shard hold a far larger
-   catalogue under the same daily-refresh contract,
+6. publish *quantized* snapshots (an int8 service table) and serve the
+   same load through the IVF-PQ index, reporting the memory-vs-recall
+   trade-off that lets one shard hold a far larger catalogue under the
+   same daily-refresh contract,
 7. scale out: deploy the same model across 4 shard workers behind the
    scatter/gather gateway (``repro.serving.sharded``) — per-shard top-K
    lists merge exactly, per-shard telemetry shows the near-uniform load,
@@ -54,10 +54,10 @@ Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
     mmapped read-only, no re-quantization, and the ranked lists are
     bit-identical to the pre-kill deployment,
 13. rotate the codes: train the OPQ learned rotation into the IVF-PQ
-    deployment (``rotation="opq"``), publish the rotation matrix and the
-    frozen int8 query scale as content-addressed chunks alongside the
-    rotated codebooks (``quantization=("int8", "opq")``), bound on-disk
-    retention with ``keep_last``, then kill everything and warm-start —
+    deployment (``rotation="opq"``), persist the index — rotation matrix
+    and rotated codebooks — as a sidecar beside the snapshot that carries
+    the frozen int8 query scale, bound on-disk retention with
+    ``keep_last``, then kill everything and warm-start —
     the restored gateway and a revived fleet replica serve the rotated,
     integer-scored codes bit-identically to the in-memory trainer, with
     zero retraining.
@@ -99,6 +99,7 @@ from repro.serving.gateway import (
     OverloadError,
     ServingGateway,
     VersionedEmbeddingStore,
+    build_index,
     deploy_gateway,
     zipf_query_ids,
 )
@@ -186,18 +187,14 @@ def main() -> None:
           "benchmarks/e2e run prices each index kind at serving scale "
           "(iso.index.us_per_query.exact / .ivf).")
 
-    print("\n6) Quantized serving: int8 + PQ snapshots behind the IVF-PQ index\n")
+    print("\n6) Quantized serving: int8 snapshots behind the IVF-PQ index\n")
     # Toy-catalogue sizing: a ~60-service table needs few coarse cells, and
-    # the PQ codebooks must stay small or they would outweigh the codes they
-    # compress (at 12k services the defaults amortize them away).
-    gateway = deploy_gateway(garcia, index="ivfpq",
-                             index_params=dict(num_lists=8, num_probes=6,
-                                               num_subspaces=4),
-                             quantization=("int8", "pq"),
-                             quantization_params={"pq": dict(num_subspaces=4,
-                                                             num_centroids=16)},
-                             top_k=top_k, max_batch_size=batch_size,
-                             cache_capacity=0)
+    # its PQ codebooks outweigh the codes they compress (at 12k services
+    # the defaults amortize them away).
+    ivfpq_params = dict(num_lists=8, num_probes=6, num_subspaces=4)
+    gateway = deploy_gateway(garcia, index="ivfpq", index_params=ivfpq_params,
+                             quantization=("int8",), top_k=top_k,
+                             max_batch_size=batch_size, cache_capacity=0)
     started = time.perf_counter()
     for offset in range(0, len(stream), batch_size):
         gateway.rank_batch(stream[offset:offset + batch_size])
@@ -205,16 +202,23 @@ def main() -> None:
     gateway.recall_probe(k=top_k, num_queries=256, seed=1)
     quant = summarize_gateway("ivfpq", gateway, elapsed_s=elapsed)
     snapshot = gateway.store.snapshot()
+    int8_table = snapshot.quantized_services("int8")
+    # The gateway's index over this snapshot, rebuilt with its parameters
+    # (every fit is seeded, so this is the same index, byte for byte): PQ
+    # codes, codebooks, cells and the shared int8 refinement table.
+    ivfpq = build_index("ivfpq", snapshot.all_services(),
+                        int8_table=int8_table, **ivfpq_params)
     print(format_float_table(
         compression_report(snapshot.all_services(), {
-            "int8": snapshot.quantized_services("int8"),
-            "pq": snapshot.quantized_services("pq"),
+            "int8 table": int8_table,
+            "ivfpq index": ivfpq,
         }),
-        title="Published service-table snapshots (float32 baseline)",
+        title="Published int8 table and the IVF-PQ index (float32 baseline)",
     ))
     print(f"\nIVF-PQ serves the same Zipf load at {quant.qps:,.0f} QPS with "
-          f"recall@{top_k} = {quant.recall_at_k:.3f}; the quantized tables "
-          "hot-swap atomically with every daily refresh (Sec. V-F / Fig. 9). "
+          f"recall@{top_k} = {quant.recall_at_k:.3f}; the int8 table and the "
+          "index built from it hot-swap atomically with every daily refresh "
+          "(Sec. V-F / Fig. 9). "
           "benchmarks/e2e's ivfpq_uniform workload measures this index at "
           "24k services; tests/test_quantized_serving.py holds the memory "
           "and recall floors.")
@@ -461,15 +465,13 @@ def main() -> None:
     print("\n12) Durable snapshots: publish to disk, kill the workers, "
           "warm-start from the manifest\n")
     # Everything so far rebuilt the store from the model on every deploy —
-    # a restart re-quantizes the whole catalogue (int8 scales + PQ codebook
-    # training) before the first request.  ``durable_dir`` persists every
-    # published version as checksummed, content-addressed chunks behind an
-    # atomically-flipped MANIFEST pointer, and a warm start mmaps them back.
+    # a restart re-quantizes the whole catalogue (int8 scales) before the
+    # first request.  ``durable_dir`` persists every published version as
+    # checksummed, content-addressed chunks behind an atomically-flipped
+    # MANIFEST pointer, and a warm start mmaps them back.
     snap_dir = tempfile.mkdtemp(prefix="garcia-snapshots-")
     gateway = deploy_gateway(garcia, index="int8", num_shards=4,
-                             workers="process",
-                             quantization=("int8", "pq"),
-                             quantization_params={"pq": {"num_subspaces": 4}},
+                             workers="process", quantization=("int8",),
                              durable_dir=snap_dir, top_k=top_k,
                              max_batch_size=batch_size, cache_capacity=0)
     probe_ids = [int(stream[i]) for i in range(8)]
@@ -487,7 +489,7 @@ def main() -> None:
 
     # Daily refresh: the service tables are unchanged, so the delta publish
     # rewrites only the drifted query chunks — every service-side chunk
-    # (fp, int8 codes/scales, PQ codebooks/codes) is shared with v0.
+    # (fp, int8 codes/scales) is shared with v0.
     snapshot = gateway.store.snapshot()
     drifted = snapshot.queries + np.float32(0.01)
     version = gateway.store.publish(drifted, snapshot.services)
@@ -522,24 +524,17 @@ def main() -> None:
     # The IVF-PQ residual codebooks now train through a learned orthonormal
     # rotation (OPQ: alternating k-means / Procrustes), and the int8 path
     # scores with integer arithmetic end to end under a query-quantization
-    # step frozen at publish time.  Both artifacts — the rotation matrix and
-    # the query scale — are published as content-addressed chunks, so a
-    # restart serves the rotated codes without retraining anything.
+    # step frozen at publish time.  Both artifacts are content-addressed
+    # chunks: the query scale rides with the snapshot's int8 table, the
+    # rotation with the IVF-PQ index's sidecar, so a restart serves the
+    # rotated codes without retraining anything.
     opq_dir = tempfile.mkdtemp(prefix="garcia-opq-snapshots-")
     opq_params = dict(num_lists=8, num_probes=6, num_subspaces=4,
                       num_centroids=16, rotation="opq")
     gateway = deploy_gateway(garcia, index="ivfpq", index_params=opq_params,
-                             quantization=("int8", "opq"),
-                             quantization_params={"opq": dict(num_subspaces=4,
-                                                              num_centroids=16)},
-                             durable_dir=opq_dir, keep_last=2, top_k=top_k,
+                             quantization=("int8",), durable_dir=opq_dir,
+                             keep_last=2, top_k=top_k,
                              max_batch_size=batch_size, cache_capacity=0)
-    snapshot = gateway.store.snapshot()
-    rotation = snapshot.quantized_services("opq").quantizer.rotation_
-    print(f"Trained the OPQ rotation in-memory: {rotation.shape[0]}x"
-          f"{rotation.shape[1]} orthonormal matrix published at version "
-          f"{gateway.store.version}, int8 query scale frozen = "
-          f"{snapshot.quantized_services('int8').query_scale:.6f}.")
 
     # keep_last=2 bounds retention: three daily refreshes later, only the
     # newest two manifests (plus the live pointer target) remain on disk.
@@ -554,9 +549,18 @@ def main() -> None:
           "older manifests and their unreferenced chunks were pruned after "
           "each activate.")
     after_refresh = [gateway.rank(query_id, top_k) for query_id in probe_ids]
-    # Persist the trained index (coarse centroids + rotated codebooks) so
-    # the warm start below restores it instead of re-running k-means.
+    # Persist the trained index (coarse centroids, rotated codebooks and the
+    # rotation itself) so the warm start below restores it instead of
+    # re-running k-means.
     gateway.persist_index()
+    snapshot = gateway.store.snapshot()
+    meta, arrays = snapshot.durable.load_index("ivfpq").export_state()
+    rotation = arrays["rotation"]
+    print(f"Persisted the IVF-PQ index at version {snapshot.version}: "
+          f"rotation={meta['rotation']!r}, a {rotation.shape[0]}x"
+          f"{rotation.shape[1]} orthonormal matrix in its sidecar; int8 query "
+          f"scale frozen = "
+          f"{snapshot.quantized_services('int8').query_scale:.6f}.")
     gateway.close()
 
     warm = deploy_gateway(warm_start=opq_dir, index="ivfpq", top_k=top_k,

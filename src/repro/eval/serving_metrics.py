@@ -113,10 +113,11 @@ def summarize_gateway(mode: str, gateway,
 def memory_footprint(table) -> int:
     """Resident bytes of a service table or retrieval index.
 
-    Accepts anything with an ``nbytes`` attribute — a plain numpy table, a
-    quantized table (:class:`~repro.serving.quant.scalar.Int8Table` /
-    :class:`~repro.serving.quant.pq.PQTable`) or a built
-    :class:`~repro.serving.gateway.index.RetrievalIndex`.
+    Accepts anything with an ``nbytes`` attribute — a plain numpy table,
+    the store's int8 table (:class:`~repro.serving.quant.scalar.Int8Table`)
+    or a built :class:`~repro.serving.gateway.index.RetrievalIndex` (an
+    :class:`~repro.serving.quant.ivfpq.IVFPQIndex` counts its PQ codes,
+    codebooks and refinement table).
     """
     nbytes = getattr(table, "nbytes", None)
     if nbytes is None:

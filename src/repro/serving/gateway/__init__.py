@@ -20,8 +20,8 @@ MIPS retrieval)         pure-numpy :class:`IVFIndex` (k-means coarse
 Daily embedding         :mod:`~repro.serving.gateway.store` —
 refresh (Fig. 9)        :class:`VersionedEmbeddingStore`, shard-aware with
                         atomic hot-swap, stale-read protection, and
-                        quantized (int8 / PQ) snapshot tables published
-                        alongside the fp arrays
+                        an int8 snapshot table published alongside the fp
+                        arrays
 Online serving under    :mod:`~repro.serving.gateway.scheduler` —
 heavy traffic           :class:`AsyncBatchScheduler` micro-batching on one
                         event loop with a max-wait deadline;

@@ -619,7 +619,6 @@ class ServingGateway(SnapshotListener):
 
 def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] = None,
                    num_shards: int = 1, quantization: Sequence[str] = (),
-                   quantization_params: Optional[dict] = None,
                    workers: str = "auto", warm_start: Optional[str] = None,
                    durable_dir: Optional[str] = None,
                    keep_last: Optional[int] = None,
@@ -627,12 +626,11 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
                    **gateway_kwargs) -> ServingGateway:
     """Export a trained model's embeddings behind a full serving gateway.
 
-    ``quantization`` kinds (``"int8"`` / ``"pq"`` / ``"opq"``) are published
-    with every snapshot so compressed service tables hot-swap with the fp
-    arrays, with per-kind options in ``quantization_params``; pick
-    ``index="ivfpq"`` / ``"int8"`` to also *search* through quantized codes
-    (``index_params={"rotation": "opq"}`` trains the IVF-PQ residual
-    codebooks through the learned OPQ rotation).
+    ``quantization=("int8",)`` publishes an int8 service table with every
+    snapshot so it hot-swaps with the fp arrays; pick ``index="ivfpq"`` /
+    ``"int8"`` to also *search* through quantized codes (both reuse the
+    published int8 table; ``index_params={"rotation": "opq"}`` trains the
+    IVF-PQ residual codebooks through the learned OPQ rotation).
 
     With ``num_shards > 1`` the one-call deployment becomes the sharded
     tier: a :class:`~repro.serving.sharded.ShardedGateway` runs one
@@ -685,8 +683,7 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
             raise ValueError("deploy_gateway needs a model, a warm_start dir, or both")
         store = VersionedEmbeddingStore.from_model(
             model, num_shards=num_shards, quantization=quantization,
-            quantization_params=quantization_params, durable_dir=durable_dir,
-            keep_last=keep_last,
+            durable_dir=durable_dir, keep_last=keep_last,
         )
     elif num_shards not in (1, store.num_shards):
         raise ValueError(

@@ -17,10 +17,10 @@ arrays in place on refresh, which a concurrent reader can observe as a
   a staleness budget (the "embeddings must be at most a day old" contract);
 * the snapshot dtype is configurable (``float32`` by default — half the
   seed's ``float64`` resident size with no measurable recall impact), and
-  the store can additionally publish **quantized service tables** (int8 /
-  product-quantized, :mod:`repro.serving.quant`) alongside the fp arrays:
-  compressed replicas are built *inside* the snapshot, so they hot-swap
-  atomically with the embeddings they mirror and stay row-aligned with the
+  the store can additionally publish an **int8 service table**
+  (:func:`repro.serving.quant.quantize_int8`) alongside the fp arrays: the
+  compressed replica is built *inside* the snapshot, so it hot-swaps
+  atomically with the embeddings it mirrors and stays row-aligned with the
   shard layout;
 * **two-phase publish**: subscribed :class:`SnapshotListener`\\ s (the
   gateway's index builder, the sharded tier's worker pool) get
@@ -49,7 +49,7 @@ from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.quant import QUANTIZER_KINDS, quantize_table
+from repro.serving.quant import quantize_int8
 
 
 class StaleReadError(RuntimeError):
@@ -144,8 +144,8 @@ def _freeze(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
 class EmbeddingSnapshot:
     """One immutable published version of the embedding tables.
 
-    ``quantized`` maps a quantizer kind (``"int8"`` / ``"pq"`` / ``"opq"``)
-    to the compressed service table built from exactly this version's ``services``
+    ``quantized`` maps ``"int8"`` (when the store publishes it) to the
+    compressed service table built from exactly this version's ``services``
     matrix — row-aligned with it, so shard ranges and service ids carry
     over unchanged.
 
@@ -257,12 +257,12 @@ class VersionedEmbeddingStore:
     """Thread-safe store of embedding snapshots with atomic publish.
 
     ``dtype`` sets the fp snapshot precision (default ``float32``).
-    ``quantization`` names the compressed service tables to publish with
-    every snapshot (any of ``"int8"`` / ``"pq"`` / ``"opq"``), with
-    per-kind parameters in ``quantization_params`` (e.g. ``{"opq":
-    {"num_subspaces": 8}}``).  Published int8 tables freeze the global
-    query-quantization step from the snapshot's query table, so the
-    end-to-end integer scoring path ranks bit-identically on every replica.
+    ``quantization=("int8",)`` publishes an int8 service table with every
+    snapshot; ``"int8"`` is the only kind (PQ and OPQ codes belong to the
+    IVF-PQ index that searches them: ``index_params={"rotation": "opq"}``).
+    The int8 table freezes the global query-quantization step from the
+    snapshot's query table, so the end-to-end integer scoring path ranks
+    bit-identically on every replica.
 
     ``keep_last=N`` (with a ``durable_dir``) bounds on-disk retention:
     after each durable publish activates, :func:`~repro.serving.snapshot.
@@ -274,7 +274,6 @@ class VersionedEmbeddingStore:
                  num_shards: int = 1, version: int = 0,
                  dtype: np.dtype = np.float32,
                  quantization: Sequence[str] = (),
-                 quantization_params: Optional[Mapping[str, Mapping]] = None,
                  clock: Callable[[], float] = time.monotonic,
                  durable_dir: Optional[str] = None,
                  durable_rows_per_chunk: Optional[int] = None,
@@ -289,19 +288,11 @@ class VersionedEmbeddingStore:
             raise ValueError(f"snapshot dtype must be floating, got {self.dtype}")
         self.quantization = tuple(quantization)
         for kind in self.quantization:
-            if kind not in QUANTIZER_KINDS:
-                known = ", ".join(QUANTIZER_KINDS)
-                raise ValueError(f"unknown quantization kind {kind!r} (known: {known})")
-        self.quantization_params = {
-            kind: dict(params)
-            for kind, params in (quantization_params or {}).items()
-        }
-        unused = set(self.quantization_params) - set(self.quantization)
-        if unused:
-            raise ValueError(
-                f"quantization_params for kinds not being published: "
-                f"{sorted(unused)} (quantization={self.quantization})"
-            )
+            if kind != "int8":
+                raise ValueError(
+                    f"unknown quantization kind {kind!r}: the store publishes "
+                    f"only 'int8' (PQ / OPQ codes live in the ivfpq index)"
+                )
         self._clock = clock
         self._lock = threading.Lock()
         self._listeners: List[SnapshotListener] = []
@@ -349,14 +340,11 @@ class VersionedEmbeddingStore:
         shards = min(self.num_shards, max(1, services.shape[0]))
         bounds = tuple(int(b) for b in np.linspace(0, services.shape[0], shards + 1).round())
         quantized = {}
-        for kind in self.quantization:
-            params = dict(self.quantization_params.get(kind, {}))
-            if kind == "int8":
-                # Freeze the global query-quantization step into the table:
-                # every replica hydrating this version then scores the
-                # integer path with the same step (bit-identical ranking).
-                params.setdefault("queries", queries)
-            quantized[kind] = quantize_table(kind, services, **params)
+        if "int8" in self.quantization:
+            # Freeze the global query-quantization step into the table:
+            # every replica hydrating this version then scores the integer
+            # path with the same step (bit-identical ranking).
+            quantized["int8"] = quantize_int8(services, queries=queries)
         return EmbeddingSnapshot(
             version=version,
             published_at=self._clock(),
@@ -386,7 +374,6 @@ class VersionedEmbeddingStore:
             extra_meta={
                 "dtype": self.dtype.str,
                 "quantization": list(self.quantization),
-                "quantization_params": self.quantization_params,
                 "rows_per_chunk": self.durable_rows_per_chunk,
                 "keep_last": self.keep_last,
             },
@@ -566,9 +553,9 @@ class VersionedEmbeddingStore:
                 remote: Optional[Tuple[str, int]] = None) -> "VersionedEmbeddingStore":
         """Warm-start a store from an on-disk snapshot directory.
 
-        The fp tables, int8 codes/scales, and PQ codes/codebooks are served
-        straight off the mmapped chunks — nothing is re-quantized and no
-        codebook is re-trained, which is what makes a warm boot orders of
+        The fp tables and int8 codes/scales are served straight off the
+        mmapped chunks — nothing is re-quantized, which (with the IVF-PQ
+        sidecar a gateway restores) is what makes a warm boot orders of
         magnitude faster than reconstructing the store from raw embeddings.
         Damaged or missing data raises a typed
         :class:`~repro.serving.snapshot.SnapshotError`; callers that hold
@@ -595,10 +582,6 @@ class VersionedEmbeddingStore:
         store.num_shards = max(1, len(durable.shard_bounds) - 1)
         store.dtype = np.dtype(str(meta.get("dtype", "<f4")))
         store.quantization = tuple(meta.get("quantization", ()))
-        store.quantization_params = {
-            kind: dict(params)
-            for kind, params in (meta.get("quantization_params") or {}).items()
-        }
         store._clock = clock
         store._lock = threading.Lock()
         store._listeners = []
@@ -613,15 +596,13 @@ class VersionedEmbeddingStore:
     def from_model(cls, model, num_shards: int = 1, version: int = 0,
                    dtype: np.dtype = np.float32,
                    quantization: Sequence[str] = (),
-                   quantization_params: Optional[Mapping[str, Mapping]] = None,
                    clock: Callable[[], float] = time.monotonic,
                    durable_dir: Optional[str] = None,
                    durable_rows_per_chunk: Optional[int] = None,
                    keep_last: Optional[int] = None) -> "VersionedEmbeddingStore":
         return cls(model.query_embeddings(), model.service_embeddings(),
                    num_shards=num_shards, version=version, dtype=dtype,
-                   quantization=quantization,
-                   quantization_params=quantization_params, clock=clock,
+                   quantization=quantization, clock=clock,
                    durable_dir=durable_dir,
                    durable_rows_per_chunk=durable_rows_per_chunk,
                    keep_last=keep_last)

@@ -13,52 +13,25 @@ telemetry:
   codebooks, byte codes, and asymmetric-distance (ADC) lookup tables that
   score queries against codes without decompressing;
 * :mod:`~repro.serving.quant.opq` — OPQ: a learned orthonormal rotation
-  (alternating k-means / SVD Procrustes) in front of the PQ codebooks,
-  persisted as a snapshot chunk so replicas never retrain it;
+  (alternating k-means / SVD Procrustes) in front of the PQ codebooks;
 * :mod:`~repro.serving.quant.ivfpq` — the quantized retrieval indexes
   (:class:`IVFPQIndex`, :class:`Int8Index`) registered with the gateway's
   :func:`~repro.serving.gateway.index.build_index`;
 * :mod:`~repro.serving.quant.kmeans` — the seeded Lloyd iteration shared by
   every quantizer (and by the fp IVF coarse quantizer).
 
-:func:`quantize_table` is the store-facing entry point: the
-:class:`~repro.serving.gateway.store.VersionedEmbeddingStore` publishes the
-tables it returns alongside the fp snapshot, so quantized replicas hot-swap
-atomically with the embeddings they mirror.
+The :class:`~repro.serving.gateway.store.VersionedEmbeddingStore` publishes
+one :func:`quantize_int8` table alongside the fp snapshot, so quantized
+replicas hot-swap atomically with the embeddings they mirror.  PQ and OPQ
+codes live only inside the :class:`IVFPQIndex` that searches them.
 """
 
 from __future__ import annotations
 
 from repro.serving.quant.kmeans import kmeans
-from repro.serving.quant.opq import OPQQuantizer, OPQTable, quantize_opq
-from repro.serving.quant.pq import PQTable, ProductQuantizer, quantize_pq
+from repro.serving.quant.opq import OPQQuantizer
+from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Quantizer, Int8Table, quantize_int8
-
-#: Snapshot-table kinds the store can publish (see ``quantize_table``).
-QUANTIZER_KINDS = ("int8", "pq", "opq")
-
-
-def quantize_table(kind: str, vectors, **params):
-    """Compress one float table into an immutable quantized table.
-
-    ``kind`` is ``"int8"`` (:func:`quantize_int8`; the only parameter is
-    ``queries``, which freezes the global query-quantization step for the
-    integer scoring path), ``"pq"`` (:func:`quantize_pq`; accepts
-    ``num_subspaces``, ``num_centroids``, ``kmeans_iters``, ``seed``) or
-    ``"opq"`` (:func:`quantize_opq`; PQ parameters plus ``opq_iters`` /
-    ``opq_init`` for the learned rotation).
-    """
-    if kind == "int8":
-        queries = params.pop("queries", None)
-        if params:
-            raise ValueError(f"int8 quantization takes no parameters, got {params}")
-        return quantize_int8(vectors, queries=queries)
-    if kind == "pq":
-        return quantize_pq(vectors, **params)
-    if kind == "opq":
-        return quantize_opq(vectors, **params)
-    known = ", ".join(QUANTIZER_KINDS)
-    raise ValueError(f"unknown quantizer kind {kind!r} (known: {known})")
 
 
 # The index classes import the gateway's RetrievalIndex base, which itself
@@ -78,13 +51,7 @@ __all__ = [
     "Int8Table",
     "IVFPQIndex",
     "OPQQuantizer",
-    "OPQTable",
-    "PQTable",
     "ProductQuantizer",
-    "QUANTIZER_KINDS",
     "kmeans",
     "quantize_int8",
-    "quantize_opq",
-    "quantize_pq",
-    "quantize_table",
 ]

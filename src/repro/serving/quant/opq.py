@@ -27,19 +27,19 @@ Because ``R`` is orthonormal, inner products survive the rotation —
 
 — so MIPS scoring rotates the query once inside ``adc_tables`` and reuses
 the untouched ADC machinery (and the IVF-PQ scan loop) unchanged.  The
-learned ``(padded_dim, padded_dim)`` float32 matrix persists as a
-content-addressed snapshot chunk, so warm-started gateways, fleet replicas
-and shard workers serve rotated codes without re-running the alternation.
+learned ``(padded_dim, padded_dim)`` float32 matrix persists in the IVF-PQ
+index's sidecar payload (``IVFPQIndex(rotation="opq").export_state()``), so
+warm-started gateways and fleet replicas serve rotated codes without
+re-running the alternation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.serving.quant.pq import ProductQuantizer, PQTable
+from repro.serving.quant.pq import ProductQuantizer
 
 
 class OPQQuantizer(ProductQuantizer):
@@ -131,38 +131,3 @@ class OPQQuantizer(ProductQuantizer):
         slots = [direction for bucket in buckets for direction in bucket]
         # Row j of R is the principal direction assigned to rotated slot j.
         return eigvecs[:, slots].T.copy()
-
-
-@dataclass(frozen=True)
-class OPQTable(PQTable):
-    """A rotated-PQ service table; the quantizer carries the rotation."""
-
-    kind = "opq"
-
-    @property
-    def nbytes(self) -> int:
-        """Resident size: codes + codebooks + the rotation matrix."""
-        return int(
-            self.codes.nbytes
-            + self.quantizer.codebooks_.nbytes
-            + self.quantizer.rotation_.nbytes
-        )
-
-    def rows(self, lo: int, hi: int) -> "OPQTable":
-        """A zero-copy view of one contiguous row range (shard layout)."""
-        return OPQTable(codes=self.codes[lo:hi], quantizer=self.quantizer)
-
-
-def quantize_opq(vectors: np.ndarray, num_subspaces: int = 8,
-                 num_centroids: int = 256, kmeans_iters: int = 10,
-                 seed: int = 0, init: str = "kmeans++",
-                 opq_iters: int = 4, opq_init: str = "eigen") -> OPQTable:
-    """Fit + encode one float table into an immutable :class:`OPQTable`."""
-    quantizer = OPQQuantizer(
-        num_subspaces=num_subspaces, num_centroids=num_centroids,
-        kmeans_iters=kmeans_iters, seed=seed, init=init,
-        opq_iters=opq_iters, opq_init=opq_init,
-    ).fit(vectors)
-    codes = quantizer.encode(vectors)
-    codes.setflags(write=False)
-    return OPQTable(codes=codes, quantizer=quantizer)

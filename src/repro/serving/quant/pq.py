@@ -21,7 +21,6 @@ straight over the byte codes (:mod:`repro.serving.quant.ivfpq`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -174,52 +173,3 @@ class ProductQuantizer:
         padded = np.zeros((vectors.shape[0], self.padded_dim_), dtype=vectors.dtype)
         padded[:, :vectors.shape[1]] = vectors
         return padded
-
-
-@dataclass(frozen=True)
-class PQTable:
-    """A PQ-coded service table, row-aligned with the fp table it mirrors."""
-
-    codes: np.ndarray  # (num_vectors, M) uint8, read-only
-    quantizer: ProductQuantizer
-
-    kind = "pq"
-
-    @property
-    def num_vectors(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return int(self.quantizer.dim_)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident size of the compressed table (codes + codebooks)."""
-        return int(self.codes.nbytes + self.quantizer.codebooks_.nbytes)
-
-    def decode(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
-        codes = self.codes if ids is None else self.codes[np.asarray(ids, dtype=np.int64)]
-        return self.quantizer.decode(codes)
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        """Full ADC scan: ``(batch, num_vectors)`` without decompressing."""
-        tables = self.quantizer.adc_tables(queries)
-        return self.quantizer.adc_scores(tables, self.codes)
-
-    def rows(self, lo: int, hi: int) -> "PQTable":
-        """A zero-copy view of one contiguous row range (shard layout)."""
-        return PQTable(codes=self.codes[lo:hi], quantizer=self.quantizer)
-
-
-def quantize_pq(vectors: np.ndarray, num_subspaces: int = 8,
-                num_centroids: int = 256, kmeans_iters: int = 10,
-                seed: int = 0, init: str = "kmeans++") -> PQTable:
-    """Fit + encode one float table into an immutable :class:`PQTable`."""
-    quantizer = ProductQuantizer(
-        num_subspaces=num_subspaces, num_centroids=num_centroids,
-        kmeans_iters=kmeans_iters, seed=seed, init=init,
-    ).fit(vectors)
-    codes = quantizer.encode(vectors)
-    codes.setflags(write=False)
-    return PQTable(codes=codes, quantizer=quantizer)

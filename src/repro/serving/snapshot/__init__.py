@@ -5,13 +5,14 @@ files (:mod:`~repro.serving.snapshot.format`) behind a versioned manifest
 and an atomically-flipped ``MANIFEST`` pointer
 (:mod:`~repro.serving.snapshot.manifest`);
 :mod:`~repro.serving.snapshot.codec` maps
-:class:`~repro.serving.gateway.store.EmbeddingSnapshot` — fp tables, int8
-scales/codes (and the frozen integer-scoring query scale), PQ/OPQ
-codebooks/codes, the learned OPQ rotation, and trained index payloads —
-onto that container (kinds registered in
-:data:`~repro.serving.snapshot.format.SECTION_ARRAYS`).  ``write_snapshot`` publishes a delta (only chunks absent from
-the store hit disk); ``open_snapshot`` mmaps everything read-only so a
-replica warm-starts without re-quantizing or re-training anything.
+:class:`~repro.serving.gateway.store.EmbeddingSnapshot` — fp tables and
+int8 scales/codes (with the frozen integer-scoring query scale), kinds
+registered in :data:`~repro.serving.snapshot.format.SECTION_ARRAYS` — onto
+that container, and trained index payloads (IVF-PQ cells, PQ codebooks and
+the learned OPQ rotation) into sidecar manifests beside it.
+``write_snapshot`` publishes a delta (only chunks absent from the store hit
+disk); ``open_snapshot`` mmaps everything read-only so a replica
+warm-starts without re-quantizing or re-training anything.
 """
 
 from repro.serving.snapshot.codec import (

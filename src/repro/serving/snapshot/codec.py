@@ -3,21 +3,22 @@
 :func:`write_snapshot` lowers one
 :class:`~repro.serving.gateway.store.EmbeddingSnapshot` into sectioned,
 content-addressed chunks (fp tables, int8 scales/codes plus the frozen
-query-quantization step, PQ/OPQ codebooks/codes, the learned OPQ rotation)
-plus a self-checksummed manifest; :func:`open_snapshot` mmaps those chunks
-read-only and rebuilds the snapshot — including its quantized tables —
-without re-fitting a single quantizer, which is the whole warm-start win.
+query-quantization step) plus a self-checksummed manifest;
+:func:`open_snapshot` mmaps those chunks read-only and rebuilds the
+snapshot — including its int8 table — without re-quantizing anything,
+which is the whole warm-start win.
 
 Because chunks are content addressed, ``write_snapshot`` on version ``v+1``
 only touches disk for tables that actually changed: an unchanged service
-catalogue (and its deterministic int8/PQ encodings) dedups to zero new
+catalogue (and its deterministic int8 encoding) dedups to zero new
 chunks and the publish reduces to one small manifest plus the atomic
 pointer flip.
 
 Index payloads (a trained :class:`~repro.serving.quant.ivfpq.IVFPQIndex`'s
-coarse centroids, slot layout, and residual codebooks) ride in sidecar
-manifests next to the version manifest, sharing the same chunk store — a
-warm-started gateway restores its ANN index instead of re-running k-means.
+coarse centroids, slot layout, residual codebooks and, with OPQ, the learned
+rotation) ride in sidecar manifests next to the version manifest, sharing
+the same chunk store — a warm-started gateway restores its ANN index
+instead of re-running k-means.
 """
 
 from __future__ import annotations
@@ -129,18 +130,6 @@ class DurableRef:
                                    params=params)
 
 
-def _pq_meta(pq) -> dict:
-    return {
-        "num_subspaces": int(pq.num_subspaces),
-        "num_centroids": int(pq.num_centroids),
-        "kmeans_iters": int(pq.kmeans_iters),
-        "seed": int(pq.seed),
-        "init": str(pq.init),
-        "dim": int(pq.dim_),
-        "padded_dim": int(pq.padded_dim_),
-    }
-
-
 def _section_arrays(snapshot) -> Dict[str, Tuple[dict, Dict[str, np.ndarray]]]:
     """Decompose a snapshot into ``{section: (meta, {name: array})}``.
 
@@ -155,38 +144,16 @@ def _section_arrays(snapshot) -> Dict[str, Tuple[dict, Dict[str, np.ndarray]]]:
              "services": np.asarray(snapshot.services)},
         )
     }
-    for kind, table in snapshot.quantized.items():
-        if kind == "int8":
-            arrays = {"codes": table.codes, "scales": table.scales}
-            if table.query_scale is not None:
-                # The frozen query-quantization step rides as its own tiny
-                # chunk so every replica scores the integer path with the
-                # exact same step (bit-identical ranking).
-                arrays["query_scale"] = np.asarray(
-                    [table.query_scale], dtype=np.float32
-                )
-            sections["int8"] = ({}, arrays)
-        elif kind == "pq":
-            pq = table.quantizer
-            sections["pq"] = (
-                _pq_meta(pq),
-                {"codes": table.codes, "codebooks": pq.codebooks_},
-            )
-        elif kind == "opq":
-            pq = table.quantizer
-            meta = _pq_meta(pq)
-            meta["opq_iters"] = int(pq.opq_iters)
-            meta["opq_init"] = str(pq.opq_init)
-            sections["opq"] = (
-                meta,
-                {
-                    "codes": table.codes,
-                    "codebooks": pq.codebooks_,
-                    "rotation": pq.rotation_,
-                },
-            )
-        else:  # pragma: no cover - future quantizer kinds
-            raise SnapshotError(f"no snapshot codec for quantized table kind {kind!r}")
+    table = snapshot.quantized.get("int8")
+    if table is not None:
+        arrays = {"codes": table.codes, "scales": table.scales}
+        if table.query_scale is not None:
+            # The frozen query-quantization step rides as its own tiny chunk
+            # so every replica scores the integer path with the exact same
+            # step (bit-identical ranking).
+            arrays["query_scale"] = np.asarray([table.query_scale],
+                                               dtype=np.float32)
+        sections["int8"] = ({}, arrays)
     return sections
 
 
@@ -292,9 +259,6 @@ class DurableSnapshot:
             ) from exc
         return [ChunkRef.from_json(r) for r in refs]
 
-    def _section_meta(self, section: str) -> dict:
-        return self.manifest["sections"][section].get("meta", {})
-
     def has_section(self, section: str) -> bool:
         return section in self.manifest.get("sections", {})
 
@@ -324,30 +288,6 @@ class DurableSnapshot:
                          scales=self.array("int8", "scales"),
                          query_scale=self._query_scale())
 
-    def pq_table(self):
-        """The version's :class:`~repro.serving.quant.pq.PQTable`, with the
-        codebooks mmapped and no k-means re-run (or ``None``)."""
-        if not self.has_section("pq"):
-            return None
-        from repro.serving.quant.pq import PQTable
-
-        meta = self._section_meta("pq")
-        quantizer = _rebuild_pq(meta, self.array("pq", "codebooks"))
-        return PQTable(codes=self.array("pq", "codes"), quantizer=quantizer)
-
-    def opq_table(self):
-        """The version's :class:`~repro.serving.quant.opq.OPQTable`, with
-        codebooks *and* the learned rotation mmapped — no alternating
-        minimization is ever re-run on a warm start (or ``None``)."""
-        if not self.has_section("opq"):
-            return None
-        from repro.serving.quant.opq import OPQTable
-
-        meta = self._section_meta("opq")
-        quantizer = _rebuild_pq(meta, self.array("opq", "codebooks"),
-                                rotation=self.array("opq", "rotation"))
-        return OPQTable(codes=self.array("opq", "codes"), quantizer=quantizer)
-
     def to_snapshot(self, *, published_at: float):
         """Rebuild the full in-memory snapshot over mmapped arrays."""
         from repro.serving.gateway.store import EmbeddingSnapshot
@@ -356,12 +296,6 @@ class DurableSnapshot:
         int8 = self.int8_table()
         if int8 is not None:
             quantized["int8"] = int8
-        pq = self.pq_table()
-        if pq is not None:
-            quantized["pq"] = pq
-        opq = self.opq_table()
-        if opq is not None:
-            quantized["opq"] = opq
         return EmbeddingSnapshot(
             version=self.version,
             published_at=published_at,
@@ -396,47 +330,6 @@ def latest_version(root) -> int:
 # ---------------------------------------------------------------------- #
 # Index payloads
 # ---------------------------------------------------------------------- #
-def _rebuild_pq(meta: dict, codebooks: np.ndarray,
-                rotation: Optional[np.ndarray] = None):
-    from repro.serving.quant.opq import OPQQuantizer
-    from repro.serving.quant.pq import ProductQuantizer
-
-    common = dict(
-        num_subspaces=int(meta["num_subspaces"]),
-        num_centroids=int(meta["num_centroids"]),
-        kmeans_iters=int(meta.get("kmeans_iters", 10)),
-        seed=int(meta.get("seed", 0)),
-        init=str(meta.get("init", "kmeans++")),
-    )
-    if rotation is None:
-        quantizer = ProductQuantizer(**common)
-    else:
-        quantizer = OPQQuantizer(
-            **common,
-            opq_iters=int(meta.get("opq_iters", 4)),
-            opq_init=str(meta.get("opq_init", "eigen")),
-        )
-    quantizer.dim_ = int(meta["dim"])
-    quantizer.padded_dim_ = int(meta["padded_dim"])
-    codebooks = np.asarray(codebooks, dtype=np.float32)
-    if codebooks.ndim != 3 or codebooks.shape[0] != quantizer.num_subspaces:
-        raise SnapshotIntegrityError(
-            f"PQ codebooks have shape {codebooks.shape}, expected "
-            f"({quantizer.num_subspaces}, K, dsub)"
-        )
-    quantizer.codebooks_ = codebooks
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=np.float32)
-        pdim = quantizer.padded_dim_
-        if rotation.shape != (pdim, pdim):
-            raise SnapshotIntegrityError(
-                f"OPQ rotation has shape {rotation.shape}, expected "
-                f"({pdim}, {pdim})"
-            )
-        quantizer.rotation_ = rotation
-    return quantizer
-
-
 def export_index_state(index) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Extract the persistable state of a built index.
 

@@ -71,16 +71,13 @@ CHUNK_SUFFIX = ".chunk"
 #: * ``int8``  — symmetric int8 codes + per-dimension scales, plus the
 #:   optional frozen ``query_scale`` step (a 1-element float32 chunk) that
 #:   makes the end-to-end integer scoring path bit-identical on every
-#:   replica that hydrates the version;
-#: * ``pq``    — product-quantization byte codes + sub-space codebooks;
-#: * ``opq``   — OPQ: PQ codes/codebooks trained under a learned
-#:   orthonormal rotation, persisted alongside them so no replica ever
-#:   re-runs the alternating minimization.
+#:   replica that hydrates the version.
+#:
+#: PQ / OPQ codebooks and the learned rotation are not snapshot sections:
+#: they belong to the IVF-PQ index and persist in its sidecar manifest.
 SECTION_ARRAYS = {
     "fp": ("queries", "services"),
     "int8": ("codes", "scales", "query_scale"),
-    "pq": ("codes", "codebooks"),
-    "opq": ("codes", "codebooks", "rotation"),
 }
 
 

@@ -3,9 +3,11 @@
 PR 8 made store versions durable on *local* disk; this module moves them
 between hosts.  A :class:`SnapshotServer` serves manifests and chunks from
 a durable directory over a minimal framed protocol (length-prefixed frames
-on a local TCP socket — the same strictly-paired request/reply discipline
-as the sharded tier's pipes in ``sharded/pool.py``), and a
-:class:`SnapshotFetcher` hydrates a fresh durable directory from a peer:
+on a local TCP socket; a session sends one request and reads its whole
+reply before the next, and a session that fails mid-reply is closed and
+rebuilt rather than read again, so no reply can answer a later request),
+and a :class:`SnapshotFetcher` hydrates a fresh durable directory from a
+peer:
 
 * **manifest first** — the fetcher asks for the peer's live manifest (or a
   pinned explicit version), validates its self-checksum *in memory*, and

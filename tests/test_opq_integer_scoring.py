@@ -24,12 +24,10 @@ from repro.serving.gateway import (
 )
 from repro.serving.quant import (
     OPQQuantizer,
-    OPQTable,
+    ProductQuantizer,
     quantize_int8,
-    quantize_opq,
-    quantize_pq,
-    quantize_table,
 )
+from repro.serving.snapshot import SECTION_ARRAYS
 from repro.eval.serving_metrics import recall_at_k
 
 
@@ -83,23 +81,30 @@ class TestOPQQuantizer:
         queries, services = correlated
         probe = queries[:128]
         exact_ids, _ = ExactIndex().build(services).search(probe, 10)
-        plain = quantize_pq(services, num_subspaces=4, num_centroids=32)
-        rotated = quantize_opq(services, num_subspaces=4, num_centroids=32)
-        plain_ids = np.argsort(-plain.scores(probe), axis=1)[:, :10]
-        rotated_ids = np.argsort(-rotated.scores(probe), axis=1)[:, :10]
-        plain_recall = recall_at_k(plain_ids, exact_ids, 10)
-        rotated_recall = recall_at_k(rotated_ids, exact_ids, 10)
-        assert rotated_recall >= plain_recall
+        recall = {}
+        for name, quantizer in (
+            ("plain", ProductQuantizer(num_subspaces=4, num_centroids=32)),
+            ("rotated", OPQQuantizer(num_subspaces=4, num_centroids=32)),
+        ):
+            quantizer.fit(services)
+            decoded = quantizer.decode(quantizer.encode(services))
+            ids = np.argsort(-(probe @ decoded.T), axis=1)[:, :10]
+            recall[name] = recall_at_k(ids, exact_ids, 10)
+        assert recall["rotated"] >= recall["plain"]
 
-    def test_opq_table_is_registered_and_sliceable(self, correlated):
-        _, services = correlated
-        table = quantize_table("opq", services, num_subspaces=4,
-                               num_centroids=32)
-        assert isinstance(table, OPQTable) and table.kind == "opq"
-        shard = table.rows(100, 300)
-        assert isinstance(shard, OPQTable)
-        assert shard.quantizer is table.quantizer
-        assert np.array_equal(shard.codes, table.codes[100:300])
+    def test_opq_table_is_registered_and_sliceable(self, clustered):
+        """OPQ is not a store table: the store refuses the kind, the
+        snapshot format registers no section for it, and the rotation is
+        one array of the IVF-PQ index's own persisted state."""
+        queries, services = clustered
+        with pytest.raises(ValueError, match="'int8'"):
+            VersionedEmbeddingStore(queries, services, quantization=("opq",))
+        assert set(SECTION_ARRAYS) == {"fp", "int8"}
+        index = IVFPQIndex(num_subspaces=4, rotation="opq",
+                           seed=2).build(services)
+        _, arrays = index.export_state()
+        pdim = arrays["codebooks"].shape[0] * arrays["codebooks"].shape[2]
+        assert arrays["rotation"].shape == (pdim, pdim)
 
     def test_zero_iters_keeps_the_eigen_init(self, correlated):
         _, services = correlated
@@ -243,25 +248,28 @@ class TestDurableRoundTrip:
         queries, services = clustered
         store = VersionedEmbeddingStore(
             queries, services, num_shards=2,
-            quantization=("int8", "opq"),
-            quantization_params={"opq": dict(num_subspaces=4,
-                                             num_centroids=32)},
+            quantization=("int8",),
             durable_dir=str(tmp_path / "snap"),
         )
         return store, tmp_path / "snap"
 
     def test_opq_and_query_scale_survive_restore(self, durable_store):
+        """The rotation rides in the IVF-PQ sidecar, the query scale in the
+        snapshot's int8 section; both come back bit-identical."""
         store, root = durable_store
         snapshot = store.snapshot()
+        with ServingGateway(store, index="ivfpq", cache_capacity=0,
+                            index_params={"num_subspaces": 4,
+                                          "rotation": "opq"}) as gateway:
+            gateway.persist_index()
+            _, trained = gateway._index_for(snapshot).export_state()
         restored = VersionedEmbeddingStore.restore(str(root))
         revived = restored.snapshot()
-        original_opq = snapshot.quantized["opq"]
-        revived_opq = revived.quantized["opq"]
-        assert np.array_equal(original_opq.codes, revived_opq.codes)
-        assert np.array_equal(original_opq.quantizer.rotation_,
-                              revived_opq.quantizer.rotation_)
-        assert np.array_equal(original_opq.quantizer.codebooks_,
-                              revived_opq.quantizer.codebooks_)
+        assert set(revived.quantized) == {"int8"}
+        meta, arrays = revived.durable.load_index("ivfpq").export_state()
+        assert meta["rotation"] == "opq"
+        for name in ("rotation", "codebooks", "slot_codes"):
+            assert np.array_equal(arrays[name], trained[name]), name
         original_int8 = snapshot.quantized["int8"]
         revived_int8 = revived.quantized["int8"]
         assert revived_int8.query_scale == original_int8.query_scale

@@ -17,6 +17,7 @@ from repro.eval.serving_metrics import (
 )
 from repro.serving import ServingPipeline
 from repro.serving.embedding_store import EmbeddingStore
+import repro.serving.quant as quant_package
 from repro.serving.gateway import (
     ExactIndex,
     Int8Index,
@@ -25,6 +26,7 @@ from repro.serving.gateway import (
     VersionedEmbeddingStore,
     build_index,
     clustered_embeddings,
+    deploy_gateway,
     index_kinds,
 )
 from repro.serving.quant import (
@@ -32,8 +34,6 @@ from repro.serving.quant import (
     ProductQuantizer,
     kmeans,
     quantize_int8,
-    quantize_pq,
-    quantize_table,
 )
 from repro.serving.quant.kmeans import grouped_mean
 
@@ -55,6 +55,13 @@ def exact_top10(clustered):
 def small():
     """A smaller, lower-dim workload where plain PQ stays accurate."""
     return clustered_embeddings(300, 800, 16, num_clusters=10, spread=0.25, seed=3)
+
+
+def pq_top_k(quantizer, services, queries, k=10):
+    """Top-``k`` ids of a raw scan over ``services``' PQ reconstruction."""
+    decoded = quantizer.decode(quantizer.encode(services))
+    scores = np.asarray(queries, dtype=np.float32) @ decoded.T
+    return np.argsort(-scores, axis=1)[:, :k]
 
 
 # --------------------------------------------------------------------- #
@@ -145,8 +152,8 @@ class TestKMeans:
         probe = queries[:256]
         recalls = {}
         for init in ("random", "kmeans++"):
-            table = quantize_pq(services, num_subspaces=8, seed=0, init=init)
-            ids = np.argsort(-table.scores(probe), axis=1)[:, :10]
+            pq = ProductQuantizer(num_subspaces=8, seed=0, init=init).fit(services)
+            ids = pq_top_k(pq, services, probe)
             recalls[init] = recall_at_k(ids, exact_top10[:256], 10)
         assert recalls["kmeans++"] >= recalls["random"] - 0.01
 
@@ -252,19 +259,19 @@ class TestProductQuantizer:
     def test_pq_recall_floor(self, small):
         queries, services = small
         exact_ids, _ = ExactIndex().build(services).search(queries, 10)
-        table = quantize_pq(services, num_subspaces=8)
-        ids = np.argsort(-table.scores(queries), axis=1)[:, :10]
+        pq = ProductQuantizer(num_subspaces=8).fit(services)
+        ids = pq_top_k(pq, services, queries)
         assert recall_at_k(ids, exact_ids, 10) >= 0.85
 
     def test_pq_table_memory(self, clustered):
         _, services = clustered
-        table = quantize_pq(services, num_subspaces=8)
-        assert table.nbytes < services.astype(np.float32).nbytes / 4
+        pq = ProductQuantizer(num_subspaces=8).fit(services)
+        codes = pq.encode(services)
+        assert codes.nbytes + pq.codebooks_.nbytes < services.astype(np.float32).nbytes / 4
         # One byte per subspace per row; everything else is the codebook, a
         # constant in the catalogue size (32x under this float64 fixture).
-        assert table.codes.nbytes == services.shape[0] * 8
-        with pytest.raises(ValueError):
-            table.codes[0, 0] = 1  # frozen
+        assert codes.dtype == np.uint8 and codes.nbytes == services.shape[0] * 8
+        assert pq.decode(codes).shape == services.shape
 
 
 # --------------------------------------------------------------------- #
@@ -351,26 +358,40 @@ class TestQuantizedStore:
 
     def test_publishes_quantized_tables(self, clustered):
         queries, services = clustered
-        store = VersionedEmbeddingStore(
-            queries, services, quantization=("int8", "pq"),
-            quantization_params={"pq": {"num_subspaces": 8}},
-        )
+        store = VersionedEmbeddingStore(queries, services, quantization=("int8",))
         snapshot = store.snapshot()
+        assert set(snapshot.quantized) == {"int8"}
         int8_table = snapshot.quantized_services("int8")
-        pq_table = snapshot.quantized_services("pq")
-        assert int8_table.num_vectors == pq_table.num_vectors == snapshot.num_services
-        assert pq_table.quantizer.num_subspaces == 8
+        assert int8_table.num_vectors == snapshot.num_services
         with pytest.raises(ValueError):
             int8_table.codes[0, 0] = 1  # immutable like the fp arrays
-        with pytest.raises(KeyError):
-            snapshot.quantized_services("fp8")
-        with pytest.raises(ValueError):
+        for kind in ("fp8", "pq", "opq"):
+            with pytest.raises(KeyError, match="published: int8"):
+                snapshot.quantized_services(kind)
+        with pytest.raises(ValueError, match="int8"):
             VersionedEmbeddingStore(queries, services, quantization=("fp8",))
-        with pytest.raises(ValueError):  # params for a kind never published
-            VersionedEmbeddingStore(
-                queries, services, quantization=("int8",),
-                quantization_params={"pq": {"num_subspaces": 8}},
-            )
+
+    @pytest.mark.parametrize("kind", ["pq", "opq"])
+    def test_store_refuses_pq_and_opq_kinds(self, clustered, kind):
+        queries, services = clustered
+        with pytest.raises(ValueError, match="'int8'"):
+            VersionedEmbeddingStore(queries, services, quantization=("int8", kind))
+        with pytest.raises(ValueError, match="'int8'"):
+            VersionedEmbeddingStore(queries, services, quantization=(kind,))
+
+    def test_deploy_gateway_refuses_quantization_params(self, clustered):
+        queries, services = clustered
+
+        class Model:
+            def query_embeddings(self):
+                return queries
+
+            def service_embeddings(self):
+                return services
+
+        with pytest.raises(TypeError, match="quantization_params"):
+            deploy_gateway(Model(), index="exact", quantization=("int8",),
+                           quantization_params={"pq": {"num_subspaces": 4}})
 
     def test_quantized_shard_row_alignment(self, clustered):
         queries, services = clustered
@@ -407,38 +428,38 @@ class TestQuantizedGateway:
     def make_gateway(clustered, **kwargs):
         queries, services = clustered
         store = VersionedEmbeddingStore(queries, services, num_shards=2,
-                                        quantization=("int8", "pq"))
+                                        quantization=("int8",))
         defaults = dict(index="ivfpq", top_k=10, max_batch_size=16)
         defaults.update(kwargs)
         return ServingGateway(store, **defaults)
 
     def test_gateway_serves_through_ivfpq(self, clustered):
-        gateway = self.make_gateway(clustered)
-        assert gateway.recall_probe(k=10, num_queries=128) >= 0.9
-        ranked = gateway.rank(7, 10)
+        with self.make_gateway(clustered) as gateway:
+            assert gateway.recall_probe(k=10, num_queries=128) >= 0.9
+            ranked = gateway.rank(7, 10)
         assert len(ranked) == 10 and len(set(ranked)) == 10
 
     def test_cache_invalidated_when_quantized_snapshot_published(self, clustered):
         queries, services = clustered
-        gateway = self.make_gateway(clustered, cache_capacity=64)
-        first = gateway.rank(3)
-        again = gateway.rank(3)
-        assert first == again and gateway.telemetry.cache_hits >= 1
-        rng = np.random.default_rng(9)
-        gateway.hot_swap(queries, rng.normal(size=services.shape))
-        assert gateway.store.snapshot().quantized_services("int8") is not None
-        swapped = gateway.rank(3)
-        assert swapped != first  # new embeddings, not a stale cached result
-        assert len(gateway.cache) <= 1 + 1  # old-version entries dropped
+        with self.make_gateway(clustered, cache_capacity=64) as gateway:
+            first = gateway.rank(3)
+            again = gateway.rank(3)
+            assert first == again and gateway.telemetry.cache_hits >= 1
+            rng = np.random.default_rng(9)
+            gateway.hot_swap(queries, rng.normal(size=services.shape))
+            assert gateway.store.snapshot().quantized_services("int8") is not None
+            swapped = gateway.rank(3)
+            assert swapped != first  # new embeddings, not a stale cached result
+            assert len(gateway.cache) <= 1 + 1  # old-version entries dropped
 
     def test_gateway_reuses_published_int8_table(self, clustered):
         for kind, getter in (("int8", lambda idx: idx.table),
                              ("ivfpq", lambda idx: idx._refine_table)):
-            gateway = self.make_gateway(clustered, index=kind)
-            snapshot = gateway.store.snapshot()
-            index = gateway._index_for(snapshot)
-            # shared object, not a second quantization of the same catalogue
-            assert getter(index) is snapshot.quantized_services("int8")
+            with self.make_gateway(clustered, index=kind) as gateway:
+                snapshot = gateway.store.snapshot()
+                index = gateway._index_for(snapshot)
+                # shared object, not a second quantization of the same catalogue
+                assert getter(index) is snapshot.quantized_services("int8")
 
     def test_prebuilt_table_shape_mismatch_rejected(self, clustered):
         _, services = clustered
@@ -483,10 +504,12 @@ class TestCompressionReport:
             memory_footprint(object())
 
     def test_quantize_table_factory(self, small):
-        _, services = small
-        assert quantize_table("int8", services).kind == "int8"
-        assert quantize_table("pq", services, num_subspaces=4).kind == "pq"
-        with pytest.raises(ValueError):
-            quantize_table("fp4", services)
-        with pytest.raises(ValueError):
-            quantize_table("int8", services, num_subspaces=4)
+        """``quantize_int8`` is the one table factory: the PQ / OPQ table
+        types and the kind-dispatching factory are gone from the package."""
+        queries, services = small
+        table = quantize_int8(services, queries=queries)
+        assert table.kind == "int8" and table.query_scale is not None
+        for name in ("PQTable", "OPQTable", "quantize_pq", "quantize_opq",
+                     "quantize_table", "QUANTIZER_KINDS"):
+            assert not hasattr(quant_package, name), name
+            assert name not in quant_package.__all__

@@ -67,7 +67,7 @@ def clustered():
 def quantized_store(clustered):
     queries, services = clustered
     return VersionedEmbeddingStore(
-        queries, services, num_shards=4, quantization=("int8", "pq")
+        queries, services, num_shards=4, quantization=("int8",)
     )
 
 

@@ -37,7 +37,7 @@ from repro.serving.snapshot import (
 )
 import repro.serving.snapshot.format as format_module
 from repro.serving.snapshot.format import HEADER_SIZE, ChunkRef, write_bytes_atomic
-from repro.serving.snapshot.manifest import manifest_rel
+from repro.serving.snapshot.manifest import load_manifest, manifest_rel, write_manifest
 
 DIM = 16
 
@@ -55,8 +55,7 @@ def durable_store(tmp_path, embeddings):
     queries, services = embeddings
     store = VersionedEmbeddingStore(
         queries, services, num_shards=4,
-        quantization=("int8", "pq"),
-        quantization_params={"pq": {"num_subspaces": 4}},
+        quantization=("int8",),
         durable_dir=str(tmp_path),
     )
     return store, tmp_path
@@ -183,13 +182,33 @@ class TestSnapshotRoundTrip:
                               snap.quantized["int8"].codes)
         assert np.array_equal(back.quantized["int8"].scales,
                               snap.quantized["int8"].scales)
-        assert np.array_equal(back.quantized["pq"].codes,
-                              snap.quantized["pq"].codes)
-        assert np.array_equal(back.quantized["pq"].quantizer.codebooks_,
-                              snap.quantized["pq"].quantizer.codebooks_)
+        assert back.quantized["int8"].query_scale == snap.quantized["int8"].query_scale
+        assert set(back.quantized) == {"int8"}
         assert restored.quantization == store.quantization
-        assert restored.quantization_params == store.quantization_params
         assert restored.num_shards == store.num_shards
+
+    def test_manifest_with_retired_pq_sections_opens_fp_and_int8(
+            self, durable_store, embeddings):
+        """A manifest that still lists ``pq`` / ``opq`` sections restores
+        with its fp and int8 tables, and the restored store keeps
+        publishing."""
+        store, root = durable_store
+        rel = read_pointer(root)
+        manifest = load_manifest(root, rel)
+        codes = manifest["sections"]["int8"]["arrays"]["codes"]
+        manifest["sections"]["pq"] = {"meta": {"num_subspaces": 4},
+                                      "arrays": {"codes": codes}}
+        manifest["sections"]["opq"] = {"meta": {"num_subspaces": 4},
+                                       "arrays": {"codes": codes}}
+        manifest["meta"]["quantization"] = ["int8", "opq", "pq"]
+        write_manifest(root, manifest, rel)
+        restored = VersionedEmbeddingStore.restore(str(root))
+        back = restored.snapshot()
+        assert set(back.quantized) == {"int8"}
+        assert np.array_equal(back.services, store.snapshot().services)
+        queries, services = embeddings
+        assert restored.publish(queries + 1.0, services) == 1
+        assert set(open_snapshot(root).manifest["sections"]) == {"fp", "int8"}
 
     def test_restored_arrays_are_zero_copy_read_only(self, durable_store):
         _, root = durable_store
@@ -212,7 +231,7 @@ class TestSnapshotRoundTrip:
         assert report.chunks_written == 0
         manifest = open_snapshot(root).manifest
         v0 = open_snapshot(root, version=0).manifest
-        for section in ("fp", "int8", "pq"):
+        for section in ("fp", "int8"):
             for name, refs in manifest["sections"][section]["arrays"].items():
                 if (section, name) in (("fp", "queries"),
                                        ("int8", "query_scale")):
@@ -495,7 +514,7 @@ class TestIndexPayloads:
         for module, name in ((index_module, "kmeans"), (pq_module, "kmeans"),
                              (ivfpq_module, "kmeans"),
                              (ivfpq_module, "quantize_int8"),
-                             (store_module, "quantize_table")):
+                             (store_module, "quantize_int8")):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
         gateway = ServingGateway(store, index="ivfpq",
                                  index_params={"num_subspaces": 4},
