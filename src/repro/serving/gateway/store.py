@@ -373,7 +373,6 @@ class VersionedEmbeddingStore:
             flip=flip,
             extra_meta={
                 "dtype": self.dtype.str,
-                "quantization": list(self.quantization),
                 "rows_per_chunk": self.durable_rows_per_chunk,
                 "keep_last": self.keep_last,
             },
@@ -486,7 +485,7 @@ class VersionedEmbeddingStore:
         from repro.serving import snapshot as snapshot_io
 
         if remote is not None:
-            snapshot_io.fetch_snapshot(remote, root)
+            snapshot_io.SnapshotFetcher(remote, root).fetch()
         durable = snapshot_io.open_snapshot(root, verify=verify)
         with self._lock:
             if durable.version <= self._current.version:
@@ -574,14 +573,15 @@ class VersionedEmbeddingStore:
         from repro.serving import snapshot as snapshot_io
 
         if remote is not None:
-            snapshot_io.fetch_snapshot(remote, durable_dir, version=version)
+            snapshot_io.SnapshotFetcher(remote, durable_dir).fetch(version)
         durable = snapshot_io.open_snapshot(durable_dir, version=version,
                                             verify=verify)
         meta = durable.meta
         store = cls.__new__(cls)
         store.num_shards = max(1, len(durable.shard_bounds) - 1)
         store.dtype = np.dtype(str(meta.get("dtype", "<f4")))
-        store.quantization = tuple(meta.get("quantization", ()))
+        # Not meta["quantization"]: an older manifest lists retired kinds.
+        store.quantization = ("int8",) if durable.has_section("int8") else ()
         store._clock = clock
         store._lock = threading.Lock()
         store._listeners = []

@@ -57,7 +57,6 @@ from repro.serving.snapshot.transport import (
     ReplicationUnavailableError,
     SnapshotFetcher,
     SnapshotServer,
-    fetch_snapshot,
 )
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "abandon_snapshot",
     "content_id",
     "export_index_state",
-    "fetch_snapshot",
     "flip_pointer",
     "latest_version",
     "list_versions",

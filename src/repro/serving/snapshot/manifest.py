@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Set
 from repro.serving.snapshot.format import (
     CHUNK_DIR,
     CHUNK_SUFFIX,
+    ChunkRef,
     SnapshotIntegrityError,
     SnapshotNotFoundError,
     write_bytes_atomic,
@@ -178,13 +179,20 @@ def pinned_versions(root: Path) -> Set[int]:
         return set(_PINS.get(_pin_key(root), ()))
 
 
+def _chunk_refs(*manifests: dict) -> Dict[str, ChunkRef]:
+    """Every distinct chunk the manifests reference, in first-seen order."""
+    refs: Dict[str, ChunkRef] = {}
+    for manifest in manifests:
+        for section in manifest.get("sections", {}).values():
+            for array_refs in section.get("arrays", {}).values():
+                for ref_json in array_refs:
+                    ref = ChunkRef.from_json(ref_json)
+                    refs.setdefault(ref.chunk_id, ref)
+    return refs
+
+
 def _referenced_chunks(manifest: dict) -> set:
-    chunk_ids = set()
-    for section in manifest.get("sections", {}).values():
-        for refs in section.get("arrays", {}).values():
-            for ref in refs:
-                chunk_ids.add(ref["chunk"])
-    return chunk_ids
+    return set(_chunk_refs(manifest))
 
 
 def prune(root: Path, keep_versions: Optional[int] = 2) -> dict:

@@ -5,7 +5,7 @@ between hosts.  A :class:`SnapshotServer` serves manifests and chunks from
 a durable directory over a minimal framed protocol (length-prefixed frames
 on a local TCP socket; a session sends one request and reads its whole
 reply before the next, and a session that fails mid-reply is closed and
-rebuilt rather than read again, so no reply can answer a later request),
+reopened rather than read again, so no reply can answer a later request),
 and a :class:`SnapshotFetcher` hydrates a fresh durable directory from a
 peer:
 
@@ -25,11 +25,14 @@ peer:
   nothing that already landed;
 * **bounded retry/backoff** — transient failures (a dropped connection, a
   corrupt frame) retry per chunk up to ``retries`` times with exponential
-  backoff before surfacing as a typed :class:`ReplicationError`;
-* **prune-safe serving** — the server pins the version a session is
-  streaming (:func:`~repro.serving.snapshot.manifest.pin_version`), so a
-  concurrent publish with ``keep_last`` retention never garbage-collects a
-  manifest or chunk out from under a mid-flight fetch.
+  backoff before surfacing as a typed :class:`ReplicationError`; a retry
+  that reopens the session re-pins the version the fetch started on;
+* **prune-safe serving** — every session runs on its own server thread and
+  pins the version it is streaming
+  (:func:`~repro.serving.snapshot.manifest.pin_version`), so a concurrent
+  publish with ``keep_last`` retention never garbage-collects a manifest
+  or chunk out from under a mid-flight fetch; :meth:`SnapshotServer.stop`
+  joins every session, so no pin outlives it.
 
 Error taxonomy (all :class:`~repro.serving.snapshot.format.SnapshotError`
 subclasses, so existing warm-start fallbacks treat a failed wire hydration
@@ -38,8 +41,8 @@ exactly like a damaged local snapshot):
 * :class:`ReplicationError` — base class for wire-path failures;
 * :class:`ReplicationProtocolError` — malformed, truncated or oversized
   frames, bad magic, replies out of protocol;
-* :class:`ReplicationUnavailableError` — the peer is unreachable or died
-  mid-fetch (also a ``ConnectionError``);
+* :class:`ReplicationUnavailableError` — the peer is unreachable, stalled
+  past ``timeout_s``, or died mid-fetch (also a ``ConnectionError``);
 * :class:`ReplicationIntegrityError` — a chunk or manifest kept failing
   its checksums after every retry (also a ``SnapshotIntegrityError``).
 
@@ -65,15 +68,15 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.serving.snapshot.format import (
-    ChunkRef,
     SnapshotError,
     SnapshotIntegrityError,
     chunk_path,
@@ -83,6 +86,7 @@ from repro.serving.snapshot.format import (
 )
 from repro.serving.snapshot.manifest import (
     MANIFEST_DIR,
+    _chunk_refs,
     decode_manifest,
     flip_pointer,
     load_manifest,
@@ -100,7 +104,6 @@ __all__ = [
     "ReplicationUnavailableError",
     "SnapshotFetcher",
     "SnapshotServer",
-    "fetch_snapshot",
 ]
 
 FRAME_MAGIC = b"RSNW"
@@ -146,7 +149,7 @@ def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     while remaining:
         try:
             part = sock.recv(min(remaining, 1 << 20))
-        except OSError as exc:
+        except OSError as exc:  # socket.timeout included
             raise ReplicationUnavailableError(
                 f"connection lost mid-frame ({exc})"
             ) from exc
@@ -195,11 +198,13 @@ def _json_object(payload: bytes, frame: str) -> dict:
 class SnapshotServer:
     """Serve a durable snapshot directory to fetching peers.
 
-    One accept-loop thread plus one handler thread per connection; every
-    session speaks strictly-paired request/reply frames.  The manifest a
-    session is streaming is pinned for the session's lifetime (released on
-    ``done`` or disconnect), so retention pruning on the served directory
-    never deletes a version mid-fetch.
+    A stdlib :class:`socketserver.ThreadingTCPServer` accepts, and every
+    peer session runs on its own handler thread, speaking strictly-paired
+    request/reply frames.  A session pins the version whose manifest it
+    last served — one pin, swapped by a re-request, released on ``done``
+    or when the session ends — so retention pruning on the served
+    directory never deletes a version mid-fetch.  :meth:`stop` shuts every
+    session down and joins its thread, so no pin outlives it.
 
     ``chunk_filter`` is a test seam: ``(chunk_id, raw_bytes) -> bytes``
     applied to every outgoing chunk payload, where fault-matrix tests
@@ -212,66 +217,54 @@ class SnapshotServer:
         self.root = Path(root)
         self.chunk_filter = chunk_filter
         self.timeout_s = float(timeout_s)
-        self._listen_host = host
-        self._listen_port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
+        self._bind = (host, port)
+        self._server: Optional[_Listener] = None
+        self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._sessions: Set[socket.socket] = set()
-        self._pinned: Dict[socket.socket, int] = {}
+        self._sessions: Set[_Session] = set()
+        self._stopping = False
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
     def start(self) -> Tuple[str, int]:
         """Bind, listen, and start accepting; returns ``(host, port)``."""
-        if self._listener is not None:
-            return self.address
-        listener = socket.create_server(
-            (self._listen_host, self._listen_port), reuse_port=False
-        )
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._stopping.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="snapshot-server-accept", daemon=True
-        )
-        self._accept_thread.start()
+        if self._server is None:
+            self._server = _Listener(self)
+            self._stopping = False
+            self._thread = threading.Thread(
+                target=self._server.serve_forever, kwargs={"poll_interval": 0.2},
+                name="snapshot-server", daemon=True,
+            )
+            self._thread.start()
         return self.address
 
     @property
     def address(self) -> Tuple[str, int]:
-        if self._listener is None:
+        if self._server is None:
             raise RuntimeError("server is not started")
-        host, port = self._listener.getsockname()[:2]
+        host, port = self._server.server_address[:2]
         return host, port
 
     def stop(self) -> None:
-        """Stop accepting, drop every session, release every pin."""
-        self._stopping.set()
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
+        """Stop accepting, shut every session down and join its thread.
+
+        Every session pin is released when this returns; a second call is
+        a no-op.
+        """
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.shutdown()  # serve_forever has returned: no more accepts
+        self._thread.join()
         with self._lock:
+            # A session accepted just before shutdown() may not have
+            # registered yet; the flag turns it away.
+            self._stopping = True
             sessions = list(self._sessions)
-        for conn in sessions:
+        for session in sessions:
             try:
-                conn.shutdown(socket.SHUT_RDWR)
+                session.request.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            conn.close()
-        # Handler threads unpin on their way out; wait for them briefly so
-        # a stop() immediately followed by prune() sees no stale pins.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._sessions:
-                    break
-            time.sleep(0.01)
+        server.server_close()  # closes the listener, joins every session
 
     def __enter__(self) -> "SnapshotServer":
         self.start()
@@ -283,163 +276,152 @@ class SnapshotServer:
     def pinned_count(self) -> int:
         """Live session pins (test/ops visibility)."""
         with self._lock:
-            return len(self._pinned)
+            return sum(session.pinned is not None for session in self._sessions)
 
-    # ------------------------------------------------------------------ #
-    # Accept + session loops
-    # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            listener = self._listener
-            if listener is None:
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """The accept loop behind a :class:`SnapshotServer`."""
+
+    allow_reuse_address = True  # what socket.create_server sets on POSIX
+    # server_close() joins only non-daemon handler threads (Python 3.11
+    # skips daemon ones), and SnapshotServer.stop() relies on that join.
+    daemon_threads = False
+
+    def __init__(self, owner: SnapshotServer) -> None:
+        self.owner = owner
+        super().__init__(owner._bind, _Session)
+
+
+class _Session(socketserver.BaseRequestHandler):
+    """One peer session: read a request, send its whole reply, repeat."""
+
+    pinned: Optional[int] = None
+
+    def setup(self) -> None:
+        self.owner: SnapshotServer = self.server.owner
+        self.request.settimeout(self.owner.timeout_s)
+
+    def handle(self) -> None:
+        with self.owner._lock:
+            if self.owner._stopping:
+                return  # accepted just before stop(): never served
+            self.owner._sessions.add(self)
+        while True:
+            try:
+                kind, payload = recv_frame(self.request)
+            except ReplicationError:
+                return  # the peer went away; finish() unpins
+            if kind != FRAME_REQ:
+                self._send_error("protocol",
+                                 f"expected a request frame, got kind {kind}")
                 return
             try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed under us: stopping
-            conn.settimeout(self.timeout_s)
-            with self._lock:
-                self._sessions.add(conn)
-            threading.Thread(
-                target=self._session_loop, args=(conn,),
-                name="snapshot-server-session", daemon=True,
-            ).start()
+                request = json.loads(payload)
+                op = request["op"]
+            except (ValueError, KeyError, TypeError):
+                self._send_error("protocol", "malformed request body")
+                return
+            try:
+                self._serve(op, request)
+            except SnapshotError as exc:
+                self._send_error("snapshot", f"{type(exc).__name__}: {exc}")
+            except Exception as exc:  # keep the session alive on odd ops
+                self._send_error("internal", f"{type(exc).__name__}: {exc}")
 
-    def _session_loop(self, conn: socket.socket) -> None:
-        try:
-            while not self._stopping.is_set():
-                try:
-                    kind, payload = recv_frame(conn)
-                except (ReplicationError, OSError):
-                    return  # client went away; pins release in finally
-                if kind != FRAME_REQ:
-                    self._send_error(conn, "protocol",
-                                     f"expected a request frame, got kind {kind}")
-                    return
-                try:
-                    request = json.loads(payload)
-                    op = request["op"]
-                except (ValueError, KeyError, TypeError):
-                    self._send_error(conn, "protocol", "malformed request body")
-                    return
-                try:
-                    if not self._handle(conn, op, request):
-                        return
-                except BrokenPipeError:
-                    return
-                except SnapshotError as exc:
-                    self._send_error(conn, "snapshot",
-                                     f"{type(exc).__name__}: {exc}")
-                except Exception as exc:  # keep the session alive on odd ops
-                    self._send_error(conn, "internal",
-                                     f"{type(exc).__name__}: {exc}")
-        finally:
-            self._unpin_session(conn)
-            with self._lock:
-                self._sessions.discard(conn)
-            conn.close()
+    def finish(self) -> None:
+        self._unpin()
+        with self.owner._lock:
+            self.owner._sessions.discard(self)
 
-    def _handle(self, conn: socket.socket, op: str, request: dict) -> bool:
-        """Serve one request; returns False when the session should end."""
+    def _serve(self, op: str, request: dict) -> None:
         if op == "manifest":
-            self._serve_manifest(conn, request.get("version"))
+            self._serve_manifest(request.get("version"))
         elif op == "file":
-            self._serve_file(conn, str(request.get("rel", "")))
+            self._serve_file(str(request.get("rel", "")))
         elif op == "chunk":
-            self._serve_chunk(conn, str(request.get("id", "")))
+            self._serve_chunk(str(request.get("id", "")))
         elif op == "done":
-            self._unpin_session(conn)
-            send_frame(conn, FRAME_META, _json_frame({"ok": True}))
+            self._unpin()
+            self._reply({"ok": True})
         else:
-            self._send_error(conn, "protocol", f"unknown op {op!r}")
-        return True
+            self._send_error("protocol", f"unknown op {op!r}")
 
-    def _serve_manifest(self, conn: socket.socket,
-                        version: Optional[int]) -> None:
+    def _serve_manifest(self, version: Optional[int]) -> None:
         """Pin + serve the live (or explicitly requested) version manifest."""
-        if version is None:
-            rel = read_pointer(self.root)
-        else:
-            rel = manifest_rel(int(version))
-        raw = self._read_rel(conn, rel)
+        root = self.owner.root
+        rel = read_pointer(root) if version is None else manifest_rel(int(version))
+        raw = self._read_rel(rel)
         if raw is None:
             return
         manifest = decode_manifest(raw, source=rel)  # never serve garbage
         served_version = int(manifest["version"])
         # One pin per session: re-requesting (a resume, a different
         # version) swaps the pin rather than leaking the old one.
-        self._unpin_session(conn)
-        pin_version(self.root, served_version)
-        with self._lock:
-            self._pinned[conn] = served_version
+        self._unpin()
+        pin_version(root, served_version)
+        self.pinned = served_version
         sidecars = sorted(
             f"{MANIFEST_DIR}/{path.name}"
-            for path in (self.root / MANIFEST_DIR).glob(
+            for path in (root / MANIFEST_DIR).glob(
                 f"v{served_version}-index-*.json"
             )
         )
-        send_frame(conn, FRAME_META, _json_frame({
-            "rel": rel, "version": served_version,
-            "sidecars": sidecars, "data": True,
-        }))
-        send_frame(conn, FRAME_DATA, raw)
+        self._reply({"rel": rel, "version": served_version,
+                     "sidecars": sidecars}, raw)
 
-    def _serve_file(self, conn: socket.socket, rel: str) -> None:
+    def _serve_file(self, rel: str) -> None:
         """Serve a sidecar manifest of the session's pinned version."""
-        with self._lock:
-            pinned = self._pinned.get(conn)
-        prefix = f"{MANIFEST_DIR}/v{pinned}-index-"
-        if pinned is None or not rel.startswith(prefix) or "/" in rel[len(prefix):]:
+        prefix = f"{MANIFEST_DIR}/v{self.pinned}-index-"
+        if (self.pinned is None or not rel.startswith(prefix)
+                or "/" in rel[len(prefix):]):
             self._send_error(
-                conn, "protocol",
-                f"file {rel!r} is not a sidecar of the pinned version",
+                "protocol", f"file {rel!r} is not a sidecar of the pinned version"
             )
             return
-        raw = self._read_rel(conn, rel)
-        if raw is None:
-            return
-        send_frame(conn, FRAME_META,
-                   _json_frame({"rel": rel, "nbytes": len(raw), "data": True}))
-        send_frame(conn, FRAME_DATA, raw)
+        raw = self._read_rel(rel)
+        if raw is not None:
+            self._reply({"rel": rel, "nbytes": len(raw)}, raw)
 
-    def _serve_chunk(self, conn: socket.socket, chunk_id: str) -> None:
+    def _serve_chunk(self, chunk_id: str) -> None:
         if len(chunk_id) != 32 or not all(c in "0123456789abcdef"
                                           for c in chunk_id):
-            self._send_error(conn, "protocol", f"bad chunk id {chunk_id!r}")
+            self._send_error("protocol", f"bad chunk id {chunk_id!r}")
             return
         try:
-            raw = chunk_path(self.root, chunk_id).read_bytes()
+            raw = chunk_path(self.owner.root, chunk_id).read_bytes()
         except FileNotFoundError:
-            self._send_error(conn, "not_found", f"no chunk {chunk_id} on disk")
+            self._send_error("not_found", f"no chunk {chunk_id} on disk")
             return
-        if self.chunk_filter is not None:
-            raw = self.chunk_filter(chunk_id, raw)
-        send_frame(conn, FRAME_META,
-                   _json_frame({"id": chunk_id, "nbytes": len(raw),
-                                "data": True}))
-        send_frame(conn, FRAME_DATA, raw)
+        if self.owner.chunk_filter is not None:
+            raw = self.owner.chunk_filter(chunk_id, raw)
+        self._reply({"id": chunk_id, "nbytes": len(raw)}, raw)
 
-    def _read_rel(self, conn: socket.socket, rel: str) -> Optional[bytes]:
+    def _read_rel(self, rel: str) -> Optional[bytes]:
         try:
-            return (self.root / rel).read_bytes()
+            return (self.owner.root / rel).read_bytes()
         except FileNotFoundError:
-            self._send_error(conn, "not_found", f"no manifest at {rel}")
+            self._send_error("not_found", f"no manifest at {rel}")
             return None
 
-    def _send_error(self, conn: socket.socket, code: str, message: str) -> None:
+    def _reply(self, meta: dict, data: Optional[bytes] = None) -> None:
+        """One META frame, plus one DATA frame when there is a payload."""
+        if data is not None:
+            meta = {**meta, "data": True}
+        send_frame(self.request, FRAME_META, _json_frame(meta))
+        if data is not None:
+            send_frame(self.request, FRAME_DATA, data)
+
+    def _send_error(self, code: str, message: str) -> None:
         try:
-            send_frame(conn, FRAME_ERR,
+            send_frame(self.request, FRAME_ERR,
                        _json_frame({"code": code, "message": message}))
         except OSError:
             pass
 
-    def _unpin_session(self, conn: socket.socket) -> None:
-        with self._lock:
-            pinned = self._pinned.pop(conn, None)
+    def _unpin(self) -> None:
+        pinned, self.pinned = self.pinned, None
         if pinned is not None:
-            unpin_version(self.root, pinned)
+            unpin_version(self.owner.root, pinned)
 
 
 # --------------------------------------------------------------------- #
@@ -457,21 +439,20 @@ class PeerConnection:
                 f"cannot reach snapshot peer {self.peer[0]}:{self.peer[1]} "
                 f"({exc})"
             ) from exc
-        self._sock.settimeout(timeout_s)
 
     def request(self, body: dict) -> Tuple[dict, Optional[bytes]]:
-        """One paired round trip; returns ``(meta, data-or-None)``."""
+        """One paired round trip; returns ``(meta, data-or-None)``.
+
+        Every failure is a :class:`ReplicationError` (a stall past
+        ``timeout_s`` is a :class:`ReplicationUnavailableError`).
+        """
         try:
             send_frame(self._sock, FRAME_REQ, _json_frame(body))
-            kind, payload = recv_frame(self._sock)
-        except socket.timeout as exc:
-            raise ReplicationUnavailableError(
-                f"peer {self.peer} timed out mid-request"
-            ) from exc
-        except OSError as exc:
+        except OSError as exc:  # socket.timeout included
             raise ReplicationUnavailableError(
                 f"connection to peer {self.peer} failed ({exc})"
             ) from exc
+        kind, payload = recv_frame(self._sock)
         if kind == FRAME_ERR:
             error = _json_object(payload, "ERR")
             code = error.get("code", "error")
@@ -486,12 +467,7 @@ class PeerConnection:
         meta = _json_object(payload, "META")
         data = None
         if meta.get("data"):
-            try:
-                kind, data = recv_frame(self._sock)
-            except socket.timeout as exc:
-                raise ReplicationUnavailableError(
-                    f"peer {self.peer} timed out mid-payload"
-                ) from exc
+            kind, data = recv_frame(self._sock)
             if kind != FRAME_DATA:
                 raise ReplicationProtocolError(
                     f"expected a DATA frame, got kind {kind}"
@@ -532,6 +508,12 @@ class FetchReport:
 class SnapshotFetcher:
     """Hydrate a local durable directory from a peer's snapshot server.
 
+    A fetch talks to the peer over one session at a time, which pins the
+    fetched version there.  A session whose round trip fails is closed on
+    the spot (its reply may be half read); the next retry round opens a
+    fresh one that re-pins the *same* version, so a fetch never mixes two
+    versions even if the peer published in between.
+
     ``observer`` (a test/telemetry seam) is called as
     ``observer(chunk_id, nbytes)`` after each chunk lands durably —
     raising from it models a process kill *between* chunk N and N+1.
@@ -549,21 +531,37 @@ class SnapshotFetcher:
         self.timeout_s = float(timeout_s)
         self.observer = observer
         self._retry_count = 0
+        self._conn: Optional[PeerConnection] = None
+        self._version: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Connection + retry plumbing
-    # ------------------------------------------------------------------ #
-    def _connect(self) -> PeerConnection:
-        return PeerConnection(self.peer, timeout_s=self.timeout_s)
+    def _request(self, body: dict) -> Tuple[dict, Optional[bytes]]:
+        """One round trip on the fetch's session, reopening it if it broke.
 
-    def _with_retries(self, attempt: Callable[[], object], what: str):
-        """Run ``attempt`` up to ``retries`` times with exponential backoff.
+        A reopened session first re-requests the manifest of the version
+        this fetch is on, so the peer pins that version again and the
+        fetch never mixes two versions, even if the peer published since.
+        """
+        try:
+            if self._conn is None:
+                self._conn = PeerConnection(self.peer, timeout_s=self.timeout_s)
+                if self._version is not None:
+                    self._conn.request({"op": "manifest", "version": self._version})
+            return self._conn.request(body)
+        except ReplicationError:
+            if self._conn is not None:  # its reply may be half read
+                self._conn.close(polite=False)
+                self._conn = None
+            raise
 
-        Transient failures — a dropped connection, a truncated frame, a
-        chunk that failed its checksum — retry; the final failure surfaces
-        typed: availability errors as
-        :class:`ReplicationUnavailableError`, integrity errors as
-        :class:`ReplicationIntegrityError`.
+    def _with_retries(self, body: dict, check: Callable[[dict, bytes], object],
+                      what: str) -> Tuple[dict, bytes, object]:
+        """``(meta, data, check(meta, data))`` of one round trip, retried.
+
+        ``check`` verifies the payload in memory (a manifest's checksum, a
+        chunk's header and CRC).  Transient failures — a dropped connection,
+        a truncated frame, a failed check — retry with exponential backoff;
+        the last one surfaces as :class:`ReplicationUnavailableError`, or as
+        :class:`ReplicationIntegrityError` if it failed a check.
         """
         last: Optional[Exception] = None
         for round_index in range(self.retries):
@@ -571,11 +569,10 @@ class SnapshotFetcher:
                 self._retry_count += 1
                 time.sleep(self.backoff_s * (2 ** (round_index - 1)))
             try:
-                return attempt()
+                meta, data = self._request(body)
+                return meta, data, check(meta, data)
             except (ReplicationUnavailableError, ReplicationProtocolError,
-                    ConnectionError, socket.timeout) as exc:
-                last = exc
-            except SnapshotIntegrityError as exc:
+                    SnapshotIntegrityError) as exc:
                 last = exc
         if isinstance(last, SnapshotIntegrityError):
             raise ReplicationIntegrityError(
@@ -586,9 +583,6 @@ class SnapshotFetcher:
             f"{what} failed after {self.retries} attempts: {last}"
         ) from last
 
-    # ------------------------------------------------------------------ #
-    # Fetch
-    # ------------------------------------------------------------------ #
     def fetch(self, version: Optional[int] = None) -> FetchReport:
         """Pull one version (the peer's live one by default) into ``root``.
 
@@ -599,149 +593,70 @@ class SnapshotFetcher:
         version and a re-run resumes without re-transferring landed chunks.
         """
         self._retry_count = 0
-        state: Dict[str, object] = {}
-
-        def _open_session() -> PeerConnection:
-            conn = self._connect()
-            try:
-                body: Dict[str, object] = {"op": "manifest"}
-                # A resume (or a reconnect mid-fetch) must keep fetching
-                # the *same* version even if the peer's pointer moved.
-                wanted = state.get("version", version)
-                if wanted is not None:
-                    body["version"] = int(wanted)
-                meta, raw = conn.request(body)
-                manifest = decode_manifest(raw, source=str(meta.get("rel")))
-                state["version"] = int(manifest["version"])
-                state["rel"] = str(meta["rel"])
-                state["manifest"] = manifest
-                state["manifest_raw"] = raw
-                state["sidecars"] = [str(s) for s in meta.get("sidecars", ())]
-                return conn
-            except BaseException:
-                conn.close(polite=False)
-                raise
-
-        conn = self._with_retries(_open_session, "manifest fetch")
+        self._version = None
+        body: Dict[str, object] = {"op": "manifest"}
+        if version is not None:
+            body["version"] = int(version)
         try:
-            report = self._fetch_pinned(conn, state)
-        finally:
-            conn.close()
-        return report
+            meta, raw, manifest = self._with_retries(
+                body,
+                lambda meta, raw: decode_manifest(raw, source=str(meta.get("rel"))),
+                "manifest fetch",
+            )
+            self._version = int(manifest["version"])
+            rel = str(meta["rel"])
 
-    def _fetch_pinned(self, conn: PeerConnection,
-                      state: Dict[str, object]) -> FetchReport:
-        manifest: dict = state["manifest"]  # type: ignore[assignment]
-        fetched_version = int(state["version"])  # type: ignore[arg-type]
-        rel = str(state["rel"])
-
-        # Sidecar index payloads ride along so a warm start on this host
-        # restores the trained index too; their manifests arrive (and are
-        # validated) before their chunks are scheduled.
-        sidecar_raw: Dict[str, bytes] = {}
-        sidecar_manifests: List[dict] = []
-        for sidecar_rel in state["sidecars"]:  # type: ignore[union-attr]
-            def _one_sidecar(rel_=sidecar_rel):
-                _meta, raw = self._session_request(
-                    conn, state, {"op": "file", "rel": rel_}
+            # Sidecar index payloads ride along so a warm start on this host
+            # restores the trained index too; their manifests arrive (and are
+            # validated) before their chunks are scheduled.
+            sidecars: Dict[str, bytes] = {}
+            manifests = [manifest]
+            for sidecar_rel in map(str, meta.get("sidecars", ())):
+                _meta, sidecars[sidecar_rel], decoded = self._with_retries(
+                    {"op": "file", "rel": sidecar_rel},
+                    lambda _meta, data: decode_manifest(data, source=sidecar_rel),
+                    f"sidecar fetch ({sidecar_rel})",
                 )
-                return decode_manifest(raw, source=rel_), raw
+                manifests.append(decoded)
 
-            decoded, raw = self._with_retries(
-                _one_sidecar, f"sidecar fetch ({sidecar_rel})"
-            )
-            sidecar_raw[sidecar_rel] = raw
-            sidecar_manifests.append(decoded)
+            refs = _chunk_refs(*manifests)
+            needed = [
+                ref for ref in refs.values()
+                if not chunk_path(self.root, ref.chunk_id).exists()
+            ]
+            bytes_fetched = 0
+            for ref in needed:
+                _meta, data, _array = self._with_retries(
+                    {"op": "chunk", "id": ref.chunk_id},
+                    lambda _meta, data: verify_chunk_bytes(
+                        data, ref, source=f"wire:{self.peer}"),
+                    f"chunk fetch ({ref.chunk_id})",
+                )
+                write_bytes_atomic(chunk_path(self.root, ref.chunk_id), data)
+                bytes_fetched += len(data)
+                if self.observer is not None:
+                    self.observer(ref.chunk_id, len(data))
 
-        refs = _manifest_chunk_refs([manifest, *sidecar_manifests])
-        needed = [
-            ref for ref in refs
-            if not chunk_path(self.root, ref.chunk_id).exists()
-        ]
-        already_local = len(refs) - len(needed)
-
-        bytes_fetched = 0
-        for ref in needed:
-            raw = self._with_retries(
-                lambda ref=ref: self._fetch_one_chunk(conn, state, ref),
-                f"chunk fetch ({ref.chunk_id})",
-            )
-            write_bytes_atomic(chunk_path(self.root, ref.chunk_id), raw)
-            bytes_fetched += len(raw)
-            if self.observer is not None:
-                self.observer(ref.chunk_id, len(raw))
-
-        # Chunks are all durable: land the manifest files, then flip.
-        for sidecar_rel, raw in sidecar_raw.items():
-            write_bytes_atomic(self.root / sidecar_rel, raw)
-        write_bytes_atomic(self.root / rel, state["manifest_raw"])
-        flipped = self._flip_if_newer(fetched_version, rel)
+            # Chunks are all durable: land the manifest files, then flip.
+            for sidecar_rel, data in sidecars.items():
+                write_bytes_atomic(self.root / sidecar_rel, data)
+            write_bytes_atomic(self.root / rel, raw)
+            flipped = self._flip_if_newer(self._version, rel)
+        finally:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
         return FetchReport(
             peer=self.peer,
-            version=fetched_version,
+            version=self._version,
             manifest_rel=rel,
             chunks_fetched=len(needed),
-            chunks_already_local=already_local,
+            chunks_already_local=len(refs) - len(needed),
             bytes_fetched=bytes_fetched,
-            sidecars_fetched=len(sidecar_raw),
+            sidecars_fetched=len(sidecars),
             retries=self._retry_count,
             flipped=flipped,
         )
-
-    def _fetch_one_chunk(self, conn: PeerConnection,
-                         state: Dict[str, object], ref: ChunkRef) -> bytes:
-        """One chunk round trip, verified in memory before it may land."""
-        _meta, raw = self._session_request(
-            conn, state, {"op": "chunk", "id": ref.chunk_id}
-        )
-        verify_chunk_bytes(raw, ref, source=f"wire:{self.peer}")
-        return raw
-
-    def _session_request(self, conn: PeerConnection, state: Dict[str, object],
-                         body: dict) -> Tuple[dict, Optional[bytes]]:
-        """One round trip on the session, reconnecting first if it broke.
-
-        A failure mid-frame leaves the socket in an unusable state (the
-        reply stream is partially consumed), so the session is marked
-        broken and the *next* attempt — a retry round — rebuilds it.
-        """
-        self._reconnect_if_needed(conn, state)
-        try:
-            return conn.request(body)
-        except (ReplicationError, OSError):
-            state["broken"] = True
-            try:
-                conn._sock.close()
-            except OSError:
-                pass
-            raise
-
-    def _reconnect_if_needed(self, conn: PeerConnection,
-                             state: Dict[str, object]) -> PeerConnection:
-        """Reuse the session socket, or rebuild it after a peer restart.
-
-        The replacement session re-requests the pinned version's manifest
-        (re-pinning it on the peer) so the fetch continues at the version
-        it started on, never a mix.
-        """
-        if conn._sock.fileno() >= 0 and state.get("broken") is not True:
-            return conn
-        fresh = self._connect()
-        try:
-            meta, raw = fresh.request(
-                {"op": "manifest", "version": int(state["version"])}
-            )
-            decode_manifest(raw, source=str(meta.get("rel")))
-        except BaseException:
-            fresh.close(polite=False)
-            raise
-        try:
-            conn._sock.close()
-        except OSError:
-            pass
-        conn._sock = fresh._sock
-        state["broken"] = False
-        return conn
 
     def _flip_if_newer(self, fetched_version: int, rel: str) -> bool:
         """Flip the local pointer unless it already names a newer version.
@@ -760,26 +675,3 @@ class SnapshotFetcher:
         flip_pointer(self.root, rel)
         fsync_dir(self.root)
         return True
-
-
-def _manifest_chunk_refs(manifests: Sequence[dict]) -> List[ChunkRef]:
-    """Every distinct chunk ref the given manifests reference, stable order."""
-    refs: List[ChunkRef] = []
-    seen: Set[str] = set()
-    for manifest in manifests:
-        for section in manifest.get("sections", {}).values():
-            for array_refs in section.get("arrays", {}).values():
-                for ref_json in array_refs:
-                    ref = ChunkRef.from_json(ref_json)
-                    if ref.chunk_id not in seen:
-                        seen.add(ref.chunk_id)
-                        refs.append(ref)
-    return refs
-
-
-def fetch_snapshot(peer: Tuple[str, int], root, *, version: Optional[int] = None,
-                   retries: int = 3, backoff_s: float = 0.05,
-                   timeout_s: float = 30.0) -> FetchReport:
-    """One-shot convenience wrapper: ``SnapshotFetcher(peer, root).fetch()``."""
-    return SnapshotFetcher(peer, root, retries=retries, backoff_s=backoff_s,
-                           timeout_s=timeout_s).fetch(version=version)

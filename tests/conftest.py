@@ -7,11 +7,14 @@ exercising the full data → graph → model pipeline.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticConfig
 from repro.pipeline import Scenario, prepare_scenario
+from repro.serving.snapshot import pinned_versions
 
 
 TINY_CONFIG = SyntheticConfig(
@@ -54,3 +57,16 @@ def tiny_forest(tiny_scenario):
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def no_leaked_threads_or_pins(tmp_path):
+    """The test stops what it started: no thread it started outlives it, and
+    no snapshot version stays pinned under its directories.  A replication
+    module applies it to every test with ``pytest.mark.usefixtures``."""
+    threads = set(threading.enumerate())
+    yield
+    assert [t for t in threading.enumerate() if t not in threads] == []
+    for path in [tmp_path, *tmp_path.rglob("*")]:
+        if path.is_dir():
+            assert pinned_versions(path) == set(), f"{path} still pinned"

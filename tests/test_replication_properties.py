@@ -24,6 +24,9 @@ from repro.serving.snapshot.manifest import (
     read_pointer,
 )
 
+# Every test stops its servers and peers: see conftest.py.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
+
 DIM = 8
 
 

@@ -45,6 +45,9 @@ from repro.serving.snapshot.transport import (
     send_frame,
 )
 
+# Every test stops its servers and peers: see conftest.py.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
+
 DIM = 8
 
 
@@ -511,6 +514,7 @@ MALFORMED_REPLIES = {
     "nbytes-not-an-integer": [(FRAME_META, b'{"data": true, "nbytes": "three"}'),
                               (FRAME_DATA, b"abc")],
 }
+STALLED_REPLY = [(FRAME_META, b'{"data": true}')]  # ... and no DATA frame
 each_malformed_reply = pytest.mark.parametrize(
     "reply", list(MALFORMED_REPLIES.values()), ids=list(MALFORMED_REPLIES))
 
@@ -537,6 +541,27 @@ class TestMalformedPeerReplies:
                                match="manifest fetch"):
                 fetcher.fetch()
         assert not (tmp_path / "MANIFEST").exists()
+
+    def test_stalled_peer_request_fails_typed(self):
+        """A peer that announces a payload and then goes silent."""
+        with StubPeer(*STALLED_REPLY) as peer:
+            conn = PeerConnection(peer.address, timeout_s=0.2)
+            try:
+                with pytest.raises(ReplicationUnavailableError):
+                    conn.request({"op": "manifest"})
+            finally:
+                conn.close(polite=False)
+
+    def test_stalled_peer_fetch_fails_typed_and_lands_nothing(self, tmp_path):
+        dst = tmp_path / "dst"
+        dst.mkdir()
+        with StubPeer(*STALLED_REPLY) as peer:
+            fetcher = SnapshotFetcher(peer.address, dst, retries=2,
+                                      backoff_s=0.01, timeout_s=0.2)
+            with pytest.raises(ReplicationUnavailableError,
+                               match="manifest fetch"):
+                fetcher.fetch()
+        assert list(dst.iterdir()) == []
 
     def test_malformed_peer_boot_falls_back_to_model(self, tmp_path):
         dst = tmp_path / "dst"
@@ -588,6 +613,46 @@ class TestPruneDuringFetch:
             SnapshotFetcher(server.address, dst).fetch()
             assert server.pinned_count() == 0
         assert pinned_versions(src) == set()
+
+    def test_stop_joins_an_idle_pinned_session(self, tmp_path):
+        store, src = make_source(tmp_path)
+        before = set(threading.enumerate())
+        server = SnapshotServer(src)
+        server.start()
+        conn = PeerConnection(server.address, timeout_s=5.0)
+        try:
+            conn.request({"op": "manifest"})  # pins, then idles
+            assert pinned_versions(src) == {store.version}
+            server.stop()
+            assert pinned_versions(src) == set()
+            assert [t for t in threading.enumerate() if t not in before] == []
+            server.stop()  # a second stop is a no-op
+        finally:
+            conn.close(polite=False)
+
+    def test_reconnect_repins_the_same_version(self, tmp_path):
+        store, src = make_source(tmp_path)
+        dst = tmp_path / "dst"
+        dst.mkdir()
+        started = store.version
+        pins = []
+        with SnapshotServer(src) as server:
+
+            def publish_then_drop_session(chunk_id, nbytes):
+                if store.version == started:
+                    snapshot = store.snapshot()
+                    store.publish(np.asarray(snapshot.queries).copy(),
+                                  np.asarray(snapshot.services).copy() + 0.5)
+                    for session in list(server._sessions):
+                        session.request.shutdown(socket.SHUT_RDWR)
+                else:
+                    pins.append(pinned_versions(src))
+
+            report = SnapshotFetcher(server.address, dst,
+                                     observer=publish_then_drop_session).fetch()
+        assert report.retries >= 1
+        assert report.version == started
+        assert pins and all(pinned == {started} for pinned in pins)
 
     def test_keep_last_prune_spares_mid_stream_manifest(self, tmp_path):
         store, src = make_source(tmp_path, keep_last=1)

@@ -203,12 +203,14 @@ class TestSnapshotRoundTrip:
         manifest["meta"]["quantization"] = ["int8", "opq", "pq"]
         write_manifest(root, manifest, rel)
         restored = VersionedEmbeddingStore.restore(str(root))
+        assert restored.quantization == ("int8",)
         back = restored.snapshot()
         assert set(back.quantized) == {"int8"}
         assert np.array_equal(back.services, store.snapshot().services)
         queries, services = embeddings
         assert restored.publish(queries + 1.0, services) == 1
         assert set(open_snapshot(root).manifest["sections"]) == {"fp", "int8"}
+        assert open_snapshot(root).meta["quantization"] == ["int8"]
 
     def test_restored_arrays_are_zero_copy_read_only(self, durable_store):
         _, root = durable_store
