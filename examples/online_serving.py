@@ -3,7 +3,9 @@
 Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
 
 1. train GARCIA and the deployed baseline (KGAT) offline,
-2. export embeddings into the serving pipeline (retrieval + ranking),
+2. rank with each model's own click head (Eq. 12, ``model.rank``) — the
+   scorer the offline tables evaluate; the gateway steps below serve the
+   inner product of the exported embeddings instead (Sec. V-F.1),
 3. replay a week of simulated user traffic through both buckets and report
    the relative CTR / Valid-CTR improvement per day,
 4. print the case-study ranked lists (with MAU and rating) for two
@@ -81,7 +83,6 @@ from repro.eval.serving_metrics import (
 )
 from repro.experiments.common import ExperimentSettings, build_model, train_model
 from repro.pipeline import prepare_scenario
-from repro.serving import deploy_model
 from repro.serving.abtest import (
     ABExperimentConfig,
     BucketRouter,
@@ -116,16 +117,15 @@ def main() -> None:
     garcia = build_model("GARCIA", scenario, settings)
     train_model(garcia, scenario, settings)
 
-    print("2) Deploying both models through the serving pipeline ...")
-    baseline_pipeline = deploy_model(baseline, scenario.dataset, top_k=5)
-    garcia_pipeline = deploy_model(garcia, scenario.dataset, top_k=5)
+    print("2) Both buckets rank with their model's own click head "
+          "(Eq. 12, model.rank) ...")
 
     print("3) Running the simulated 7-day bucket (A/B) test ...\n")
     ab_test = OnlineABTest(
         scenario.dataset, scenario.oracle,
         config=ABTestConfig(num_days=7, sessions_per_day=500, top_k=5, seed=0),
     )
-    outcome = ab_test.run(baseline_pipeline, garcia_pipeline, start_date="2022/10/01")
+    outcome = ab_test.run(baseline, garcia, start_date="2022/10/01")
     print(format_float_table(outcome.as_rows(), title="Fig. 10 style: relative improvement per day (%)"))
     print(f"\nAggregated absolute gains: CTR {outcome.absolute_ctr_gain():+.3f} pp, "
           f"Valid CTR {outcome.absolute_valid_ctr_gain():+.3f} pp\n")
@@ -137,15 +137,16 @@ def main() -> None:
         query = scenario.dataset.query_by_id(query_id)
         print(f"Query: '{query.text}' (search PV {query.frequency})")
         rows = []
-        for system, pipeline in (("BASELINE", baseline_pipeline), ("GARCIA", garcia_pipeline)):
-            for entry in pipeline.rank_with_metadata(query_id, 5):
+        for system, model in (("BASELINE", baseline), ("GARCIA", garcia)):
+            for position, service_id in enumerate(model.rank(query_id, 5), start=1):
+                service = scenario.dataset.service_by_id(service_id)
                 rows.append(
                     {
                         "system": system,
-                        "rank": entry.rank,
-                        "service": entry.name,
-                        "MAU": entry.mau,
-                        "rating": "*" * entry.rating,
+                        "rank": position,
+                        "service": service.name,
+                        "MAU": service.mau,
+                        "rating": "*" * service.rating,
                     }
                 )
         print(format_float_table(rows))

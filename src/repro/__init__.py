@@ -4,7 +4,7 @@ GARCIA powers representations of long-tail queries in service search with a
 graph encoder, an intention-tree encoder and a multi-granularity contrastive
 learning objective.  This package re-implements the full system — including
 every substrate the paper depends on (autograd engine, GNN layers, synthetic
-long-tail data, service-search graph, serving pipeline and A/B simulator) —
+long-tail data, service-search graph, serving stack and A/B simulator) —
 in pure NumPy-backed Python.
 
 High-level entry points:

@@ -151,8 +151,10 @@ class OnlineABTest:
     """Replay simulated traffic against two rankers and compare buckets.
 
     A *ranker* is anything exposing ``rank(query_id, k) -> sequence of service
-    ids`` — in practice the serving pipeline of
-    :mod:`repro.serving` wrapping either GARCIA or a baseline.
+    ids``: a trained model (:meth:`repro.models.base.RankingModel.rank`, its
+    click head over the whole catalogue) or a serving gateway
+    (:func:`repro.serving.gateway.deploy_gateway`, the inner product of the
+    exported embeddings).
     """
 
     def __init__(self, dataset: ServiceSearchDataset, oracle: ClickOracle,

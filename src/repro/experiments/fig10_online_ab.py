@@ -5,12 +5,14 @@ KGAT-augmented Wide&Deep model) over seven days, reporting the daily relative
 improvement of CTR and Valid CTR; aggregated, GARCIA gains +0.79 pp CTR and
 +0.60 pp Valid CTR.  The reproduction trains both models offline and replays
 simulated user traffic through the ground-truth click oracle, with two
-deployment backends:
+backends that rank with different scorers:
 
-* ``backend="pipeline"`` (the original replay) deploys both models through
-  the serving pipeline (inner-product retrieval, Sec. V-F.1) and drives the
-  offline :class:`~repro.eval.ab_test.OnlineABTest` simulator;
-* ``backend="gateway"`` deploys each bucket behind its own serving gateway
+* ``backend="pipeline"`` (the original replay) ranks with each model's own
+  Eq. 12 click head (:meth:`~repro.models.base.RankingModel.rank`, the whole
+  catalogue scored by ``model.predict``) and drives the offline
+  :class:`~repro.eval.ab_test.OnlineABTest` simulator;
+* ``backend="gateway"`` deploys each bucket behind its own serving gateway,
+  which ranks by the inner product of the exported embeddings (Sec. V-F.1),
   and replays day-partitioned session streams *through the serving stack*
   (:class:`~repro.serving.abtest.OnlineABExperiment`): sessions are hashed
   into buckets deterministically, requests flow open-loop through
@@ -25,7 +27,6 @@ from typing import Optional
 
 from repro.eval.ab_test import ABTestConfig, OnlineABTest
 from repro.experiments.common import ExperimentResult, ExperimentSettings, build_model, scenario_for, train_model
-from repro.serving.pipeline import deploy_model
 
 
 def run(
@@ -66,13 +67,10 @@ def run(
             control_index, treatment_index,
         )
 
-    baseline_pipeline = deploy_model(baseline, scenario.dataset, top_k=top_k)
-    garcia_pipeline = deploy_model(garcia, scenario.dataset, top_k=top_k)
-
     ab_config = ABTestConfig(num_days=num_days, sessions_per_day=sessions_per_day,
                              top_k=top_k, seed=settings.seed)
     ab_test = OnlineABTest(scenario.dataset, scenario.oracle, config=ab_config)
-    outcome = ab_test.run(baseline_pipeline, garcia_pipeline, start_date="2022/10/01")
+    outcome = ab_test.run(baseline, garcia, start_date="2022/10/01")
 
     result = ExperimentResult(
         experiment_id="fig10",

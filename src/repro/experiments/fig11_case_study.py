@@ -4,8 +4,9 @@ The paper shows the top-5 services returned for two representative long-tail
 queries by the deployed baseline and by GARCIA, annotating each service with
 its MAU and authoritative rating; GARCIA's lists contain markedly
 higher-quality services.  The reproduction picks the tail queries with the
-most test exposure, ranks them with both deployed pipelines and reports the
-per-slot MAU / rating together with the mean quality of each list.
+most test exposure, ranks them with both trained models' click heads
+(:meth:`~repro.models.base.RankingModel.rank`) and reports the per-slot MAU /
+rating together with the mean quality of each list.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings, build_model, scenario_for, train_model
-from repro.serving.pipeline import deploy_model
 
 
 def _representative_tail_queries(scenario, num_queries: int) -> List[int]:
@@ -42,31 +42,26 @@ def run(
     garcia = build_model("GARCIA", scenario, settings)
     train_model(garcia, scenario, settings)
 
-    baseline_pipeline = deploy_model(baseline, scenario.dataset, top_k=top_k)
-    garcia_pipeline = deploy_model(garcia, scenario.dataset, top_k=top_k)
-
     result = ExperimentResult(
         experiment_id="fig11",
         title="Fig. 11: case study — top-5 services for representative tail queries",
     )
     for query_id in _representative_tail_queries(scenario, num_case_queries):
         query = scenario.dataset.query_by_id(query_id)
-        for system_name, pipeline in (("BASELINE", baseline_pipeline), ("GARCIA", garcia_pipeline)):
-            ranked = pipeline.rank_with_metadata(query_id, top_k)
-            for entry in ranked:
+        for system_name, model in (("BASELINE", baseline), ("GARCIA", garcia)):
+            services = [scenario.dataset.service_by_id(s) for s in model.rank(query_id, top_k)]
+            for position, service in enumerate(services, start=1):
                 result.rows.append(
                     {
                         "query": query.text,
                         "query_id": query_id,
                         "system": system_name,
-                        "rank": entry.rank,
-                        "service": entry.name,
-                        "mau": entry.mau,
-                        "rating": entry.rating,
+                        "rank": position,
+                        "service": service.name,
+                        "mau": service.mau,
+                        "rating": service.rating,
                     }
                 )
-            mean_quality = float(
-                np.mean([scenario.dataset.service_by_id(e.service_id).quality_score() for e in ranked])
-            ) if ranked else float("nan")
+            mean_quality = float(np.mean([service.quality_score() for service in services]))
             result.series[f"query{query_id}/{system_name}/mean_quality"] = [mean_quality]
     return result

@@ -8,9 +8,10 @@ the same contract:
 * :meth:`RankingModel.training_loss` returns the loss tensor of one
   mini-batch (used by the generic trainer);
 * :meth:`RankingModel.predict` returns click probabilities for aligned
-  (query, service) id arrays without recording gradients;
+  (query, service) id arrays without recording gradients, and
+  :meth:`RankingModel.rank` ranks the whole catalogue by them;
 * :meth:`RankingModel.query_embeddings` / :meth:`RankingModel.service_embeddings`
-  expose final representations for the serving / retrieval pipeline.
+  expose final representations for the inner-product serving stack.
 
 :class:`NodeFeatureEncoder` provides the attribute-aware initial node
 representations ``Z^(0)`` shared by all graph models (the paper extends the
@@ -19,7 +20,7 @@ baselines with the same node/edge attributes for a fair comparison).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,9 +88,11 @@ class NodeFeatureEncoder(Module):
 class ScoringHead(Module):
     """Two-layer MLP head predicting the click probability from ``[z_q || z_s]``.
 
-    Mirrors Eq. 12 of the paper.  The serving pipeline replaces it with an
-    inner product for efficient retrieval (Sec. V-F.1); that path lives in
-    :mod:`repro.serving.ranking`.
+    Mirrors Eq. 12 of the paper.  :meth:`RankingModel.rank` (the offline
+    A/B replay and the Fig. 11 case study) ranks with this head; the
+    serving gateway replaces it with an inner product over the exported
+    embeddings for efficient retrieval (Sec. V-F.1), see
+    :func:`repro.serving.gateway.deploy_gateway`.
     """
 
     def __init__(self, embedding_dim: int, hidden_dim: Optional[int] = None,
@@ -167,3 +170,19 @@ class RankingModel(Module):
             query_repr = Tensor(self._cached_query_embeddings[query_ids])
             service_repr = Tensor(self._cached_service_embeddings[service_ids])
             return self.score_pairs(query_repr, service_repr).numpy().reshape(-1)
+
+    def rank(self, query_id: int, k: int) -> List[int]:
+        """Top-``k`` service ids for one query by :meth:`predict` over the
+        whole catalogue, best first.
+
+        This is the ``rank(query_id, k)`` ranker protocol of
+        :class:`~repro.eval.ab_test.OnlineABTest`, so a trained model is a
+        ranker with no serving wrapper.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        services = np.arange(self.graph.num_services, dtype=np.int64)
+        scores = self.predict(np.full(len(services), query_id, dtype=np.int64), services)
+        k = min(k, len(services))
+        top = np.argpartition(-scores, k - 1)[:k]
+        return [int(service_id) for service_id in top[np.argsort(-scores[top], kind="stable")]]

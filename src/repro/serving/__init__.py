@@ -6,13 +6,14 @@ The production deployment runs a hybrid offline–online pipeline:
    service-search graph (here: :mod:`repro.serving.feature_extractor` wrapping
    the graph builder);
 2. **Offline training** — GARCIA is trained and its query/service embeddings
-   are exported daily to an embedding store;
+   are exported daily to a versioned embedding store;
 3. **Online serving** — a request looks up the query embedding, retrieves the
    top-K services by inner product (the MLP head of Eq. 12 is replaced by an
    inner product for latency reasons, Sec. V-F.1) and returns the ranked list.
 
-The high-throughput production variant of step 3 lives in
-:mod:`repro.serving.gateway`: approximate (IVF / IVF-PQ) and int8
+Offline, a trained model ranks with its own click head through
+:meth:`repro.models.base.RankingModel.rank`.  Step 3 lives in
+:mod:`repro.serving.gateway`: an exact scan plus approximate (IVF / IVF-PQ) and int8
 retrieval indexes, a versioned embedding store with atomic daily hot-swap,
 an asyncio-native micro-batching request scheduler (bounded admission
 queue, per-request deadlines, cooperative cancellation — the gateway's
@@ -51,7 +52,6 @@ from repro.serving.abtest import (
     GatewayABReport,
     OnlineABExperiment,
 )
-from repro.serving.embedding_store import EmbeddingStore
 from repro.serving.feature_extractor import NodeFeatureExtractor, RelationExtractor
 from repro.serving.fleet import (
     ChaosController,
@@ -72,9 +72,6 @@ from repro.serving.obs import (
     MetricsRegistry,
     Tracer,
 )
-from repro.serving.pipeline import ServingPipeline, deploy_model
-from repro.serving.ranking import RankedService, RankingModule
-from repro.serving.retrieval import InnerProductRetriever, ModelScoringRetriever
 from repro.serving.sharded import ShardedGateway
 from repro.serving.snapshot import (
     SnapshotError,
@@ -88,7 +85,6 @@ __all__ = [
     "ABExperimentConfig",
     "BucketRouter",
     "ChaosController",
-    "EmbeddingStore",
     "FleetRouter",
     "FleetUnavailableError",
     "FlightRecorder",
@@ -98,15 +94,10 @@ __all__ = [
     "MetricsRegistry",
     "OnlineABExperiment",
     "ReplicaDeadError",
-    "InnerProductRetriever",
-    "ModelScoringRetriever",
     "NodeFeatureExtractor",
     "Tracer",
-    "RankedService",
-    "RankingModule",
     "RelationExtractor",
     "ServingGateway",
-    "ServingPipeline",
     "ShardedGateway",
     "SnapshotError",
     "SnapshotIntegrityError",
@@ -114,7 +105,6 @@ __all__ = [
     "VersionedEmbeddingStore",
     "deploy_fleet",
     "deploy_gateway",
-    "deploy_model",
     "open_snapshot",
     "write_snapshot",
 ]

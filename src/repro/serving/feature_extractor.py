@@ -3,7 +3,7 @@
 In production these components mine node attributes and high-quality edges
 from raw logs before the graph builder assembles the service-search graph.
 Here they wrap the dataset and the :class:`~repro.graph.builder.GraphBuilder`
-so the serving pipeline mirrors the paper's deployment diagram one-to-one.
+so the serving package mirrors the paper's deployment diagram one-to-one.
 """
 
 from __future__ import annotations

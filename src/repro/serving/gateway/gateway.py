@@ -25,8 +25,9 @@ surface — :meth:`~ServingGateway.search`, :meth:`~ServingGateway.rank`,
 :meth:`~ServingGateway.rank_batch` — runs those same coroutines to
 completion on a loop the gateway creates on the first such call.
 
-The gateway satisfies the same ``rank(query_id, k)`` protocol as
-:class:`~repro.serving.pipeline.ServingPipeline`, so it can be dropped
+The gateway satisfies the ``rank(query_id, k)`` ranker protocol of
+:class:`~repro.eval.ab_test.OnlineABTest`, as a trained model's
+:meth:`~repro.models.base.RankingModel.rank` does, so it can be dropped
 straight into the A/B-test simulator.
 """
 

@@ -1,11 +1,10 @@
 """Versioned, shard-aware embedding store with atomic hot-swap.
 
 The production platform (Sec. V-F / Fig. 9) refreshes the exported query and
-service embeddings once per day while serving traffic continuously.  The
-seed :class:`~repro.serving.embedding_store.EmbeddingStore` mutates its
-arrays in place on refresh, which a concurrent reader can observe as a
-*torn* read — queries from version ``v`` scored against services from
-``v+1``.  This store fixes that:
+service embeddings once per day while serving traffic continuously.  Arrays
+replaced in place on refresh would let a concurrent reader observe a *torn*
+read — queries from version ``v`` scored against services from ``v+1``.
+This store rules that out:
 
 * every publish builds an immutable :class:`EmbeddingSnapshot` (arrays are
   marked read-only) and swaps a single reference under a lock, so readers
@@ -16,7 +15,7 @@ arrays in place on refresh, which a concurrent reader can observe as a
   :meth:`VersionedEmbeddingStore.snapshot` can reject snapshots older than
   a staleness budget (the "embeddings must be at most a day old" contract);
 * the snapshot dtype is configurable (``float32`` by default — half the
-  seed's ``float64`` resident size with no measurable recall impact), and
+  resident size of ``float64`` with no measurable recall impact), and
   the store can additionally publish an **int8 service table**
   (:func:`repro.serving.quant.quantize_int8`) alongside the fp arrays: the
   compressed replica is built *inside* the snapshot, so it hot-swaps
@@ -30,10 +29,8 @@ arrays in place on refresh, which a concurrent reader can observe as a
   snapshot ``v`` can always be answered entirely at ``v`` — across every
   shard worker — and no request ever sees a mixed-version pairing.
 
-The store is duck-compatible with the seed ``EmbeddingStore`` (``query`` /
-``service`` / ``all_services`` / ``refresh`` / ``version``), so the existing
-retrievers and :class:`~repro.serving.pipeline.ServingPipeline` work on it
-unchanged.
+Readers look rows up on a pinned :class:`EmbeddingSnapshot`, never on the
+store, so one lookup never mixes two versions.
 """
 
 from __future__ import annotations
@@ -499,9 +496,6 @@ class VersionedEmbeddingStore:
         """Daily refresh path: re-export embeddings from a trained model."""
         return self.publish(model.query_embeddings(), model.service_embeddings())
 
-    # Seed-store duck compatibility.
-    refresh = publish
-
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
@@ -532,15 +526,6 @@ class VersionedEmbeddingStore:
     @property
     def embedding_dim(self) -> int:
         return self._current.embedding_dim
-
-    def query(self, query_ids: Sequence[int]) -> np.ndarray:
-        return self._current.query(query_ids)
-
-    def service(self, service_ids: Sequence[int]) -> np.ndarray:
-        return self._current.service(service_ids)
-
-    def all_services(self) -> np.ndarray:
-        return self._current.all_services()
 
     def quantized_services(self, kind: str):
         return self._current.quantized_services(kind)

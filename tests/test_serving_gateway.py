@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from repro.eval.serving_metrics import recall_at_k, summarize_gateway
-from repro.serving import ServingPipeline
-from repro.serving.embedding_store import EmbeddingStore
 from repro.serving.gateway import (
     AsyncBatchScheduler,
     ExactIndex,
@@ -364,48 +362,48 @@ class TestServingGateway:
         return ServingGateway(store, **defaults)
 
     def test_gateway_recall_probe(self, clustered):
-        gateway = self.make_gateway(clustered)
-        assert gateway.recall_probe(k=10, num_queries=128, seed=0) >= 0.9
-        assert gateway.telemetry.recall_at_k >= 0.9
+        with self.make_gateway(clustered) as gateway:
+            assert gateway.recall_probe(k=10, num_queries=128, seed=0) >= 0.9
+            assert gateway.telemetry.recall_at_k >= 0.9
 
     def test_rank_matches_index_search(self, clustered):
         queries, services = clustered
-        gateway = self.make_gateway(clustered)
         expected, _ = IVFIndex(seed=0).build(services).search(queries[[7]], 10)
-        assert gateway.rank(7) == [int(i) for i in expected[0] if i >= 0]
+        with self.make_gateway(clustered) as gateway:
+            assert gateway.rank(7) == [int(i) for i in expected[0] if i >= 0]
 
     def test_batch_coalesces_duplicate_queries(self, clustered):
-        gateway = self.make_gateway(clustered)
-        results = gateway.rank_batch([5, 9, 5, 9, 5], k=6)
+        with self.make_gateway(clustered) as gateway:
+            results = gateway.rank_batch([5, 9, 5, 9, 5], k=6)
+            summary = gateway.summary()
         assert results[0] == results[2] == results[4]
-        summary = gateway.summary()
         assert summary["requests"] == 5
         assert summary["backend_queries"] == 2  # five requests, two unique lookups
 
     def test_repeat_requests_hit_cache(self, clustered):
-        gateway = self.make_gateway(clustered)
-        first = gateway.rank(3)
-        second = gateway.rank(3)
-        assert first == second
-        assert gateway.cache.hits == 1
-        assert gateway.summary()["cache_hit_rate"] == 0.5
+        with self.make_gateway(clustered) as gateway:
+            first = gateway.rank(3)
+            second = gateway.rank(3)
+            assert first == second
+            assert gateway.cache.hits == 1
+            assert gateway.summary()["cache_hit_rate"] == 0.5
 
     def test_cache_invalidation_on_hot_swap(self, clustered):
         queries, services = clustered
-        gateway = self.make_gateway(clustered)
-        before = gateway.rank(0)
-        assert gateway.cache.hits == 0
-        # New embeddings concentrate every query on service 0: any cached
-        # pre-swap result would be visibly stale.
-        new_queries = np.ones_like(queries)
-        new_services = np.zeros_like(services)
-        new_services[0] = 1.0
-        version = gateway.hot_swap(new_queries, new_services)
-        assert version == 1
-        after = gateway.rank(0)
-        assert after != before and after[0] == 0
-        assert gateway.cache.hits == 0  # the stale entry was never served
-        assert gateway.summary()["hot_swaps"] == 1
+        with self.make_gateway(clustered) as gateway:
+            before = gateway.rank(0)
+            assert gateway.cache.hits == 0
+            # New embeddings concentrate every query on service 0: any cached
+            # pre-swap result would be visibly stale.
+            new_queries = np.ones_like(queries)
+            new_services = np.zeros_like(services)
+            new_services[0] = 1.0
+            version = gateway.hot_swap(new_queries, new_services)
+            assert version == 1
+            after = gateway.rank(0)
+            assert after != before and after[0] == 0
+            assert gateway.cache.hits == 0  # the stale entry was never served
+            assert gateway.summary()["hot_swaps"] == 1
 
     def test_bad_request_fails_alone_not_its_batch(self, clustered):
         gateway = self.make_gateway(clustered, max_batch_size=8)
@@ -419,60 +417,61 @@ class TestServingGateway:
             with pytest.raises(IndexError, match="out of range"):
                 await bad.wait()
 
-        asyncio.run(scenario())
+        with gateway:
+            asyncio.run(scenario())
         assert gateway.scheduler.batches_dispatched == 1
 
     def test_stale_read_budget_enforced(self, clustered):
         queries, services = clustered
         clock = FakeClock()
         store = VersionedEmbeddingStore(queries, services, clock=clock)
-        gateway = ServingGateway(store, index="exact", max_staleness_s=60.0, clock=clock)
-        assert gateway.rank(1)
-        clock.advance(120.0)
-        with pytest.raises(StaleReadError):
-            gateway.rank(1)
-        gateway.hot_swap(queries, services)  # the daily refresh clears the condition
-        assert gateway.rank(1)
+        with ServingGateway(store, index="exact", max_staleness_s=60.0,
+                            clock=clock) as gateway:
+            assert gateway.rank(1)
+            clock.advance(120.0)
+            with pytest.raises(StaleReadError):
+                gateway.rank(1)
+            gateway.hot_swap(queries, services)  # the daily refresh clears the condition
+            assert gateway.rank(1)
 
     def test_deploy_gateway_from_model(self, tiny_scenario):
         from repro.models import LightGCN
 
         model = LightGCN(tiny_scenario.graph, embedding_dim=8, seed=0)
-        gateway = deploy_gateway(model, index="exact", top_k=4)
-        ranked = gateway.rank(0)
-        assert len(ranked) == 4
-        assert all(0 <= sid < tiny_scenario.dataset.num_services for sid in ranked)
-        assert gateway.hot_swap_from_model(model) == 1
+        with deploy_gateway(model, index="exact", top_k=4) as gateway:
+            ranked = gateway.rank(0)
+            assert len(ranked) == 4
+            assert all(0 <= sid < tiny_scenario.dataset.num_services for sid in ranked)
+            assert gateway.hot_swap_from_model(model) == 1
 
     def test_gateway_is_a_valid_ab_ranker(self, tiny_scenario):
         from repro.eval.ab_test import ABTestConfig, OnlineABTest
         from repro.models import LightGCN
 
         model = LightGCN(tiny_scenario.graph, embedding_dim=8, seed=0)
-        gateway = deploy_gateway(model, index="ivf", top_k=3)
         test = OnlineABTest(
             tiny_scenario.dataset, tiny_scenario.oracle,
             config=ABTestConfig(num_days=1, sessions_per_day=50, top_k=3, seed=0),
         )
-        outcome = test.run(gateway, gateway)
+        with deploy_gateway(model, index="ivf", top_k=3) as gateway:
+            outcome = test.run(gateway, gateway)
         assert outcome.baseline[0].impressions > 0
 
-    def test_pipeline_ann_scoring_mode(self, clustered):
-        """ANN ranking is the gateway's job; the pipeline scans exactly."""
+    def test_pipeline_ann_scoring_mode(self, clustered, exact_top10):
+        """ANN ranking is the gateway's job; ``ExactIndex`` is the exact scan."""
         queries, services = clustered
         with ServingGateway(VersionedEmbeddingStore(queries, services),
                             index="ivf") as gateway:
             ranked = gateway.rank(3, 5)
         assert len(ranked) == 5
-        exact = ServingPipeline(EmbeddingStore(queries, services),
-                                top_k=5, scoring="inner_product")
-        overlap = len(set(ranked) & set(exact.rank(3)))
+        overlap = len(set(ranked) & set(exact_top10[3, :5].tolist()))
         assert overlap >= 4  # ANN tracks the exact scan closely here
-        # candidate restriction is an exact scan over the subset
-        restricted = exact.ranking.rank(3, 2, candidate_ids=[1, 2, 3])
-        assert set(restricted) <= {1, 2, 3}
-        with pytest.raises(ValueError, match="unknown scoring mode"):
-            ServingPipeline(EmbeddingStore(queries, services), scoring="ann")
+        # candidate restriction is an exact scan over the subset's rows
+        candidates = np.array([1, 2, 3])
+        positions, _ = ExactIndex().build(services[candidates]).search(queries[3], 2)
+        assert set(candidates[positions[0]].tolist()) <= {1, 2, 3}
+        with pytest.raises(ValueError, match="unknown index kind"):
+            ServingGateway(VersionedEmbeddingStore(queries, services), index="ann")
 
 
 # --------------------------------------------------------------------- #
@@ -493,15 +492,15 @@ class TestServingMetrics:
         assert np.isnan(sample_percentiles_ms([])["p50_ms"])
 
     def test_summaries_round_trip(self, clustered):
-        gateway = TestServingGateway.make_gateway(clustered)
-        gateway.rank_batch(range(10))
-        gateway.recall_probe(k=10, num_queries=32)
-        summary = summarize_gateway("ivf", gateway)
-        row = summary.as_row()
-        assert row["mode"] == "ivf" and row["requests"] == 10
-        assert row["qps"] > 0 and row["recall_at_k"] >= 0.9
-        with pytest.raises(ValueError):
-            summarize_gateway("ivf", gateway, elapsed_s=0.0)
+        with TestServingGateway.make_gateway(clustered) as gateway:
+            gateway.rank_batch(range(10))
+            gateway.recall_probe(k=10, num_queries=32)
+            summary = summarize_gateway("ivf", gateway)
+            row = summary.as_row()
+            assert row["mode"] == "ivf" and row["requests"] == 10
+            assert row["qps"] > 0 and row["recall_at_k"] >= 0.9
+            with pytest.raises(ValueError):
+                summarize_gateway("ivf", gateway, elapsed_s=0.0)
 
     def test_zipf_stream_is_heavy_tailed(self):
         stream = zipf_query_ids(1000, 20_000, exponent=1.1, seed=0)
