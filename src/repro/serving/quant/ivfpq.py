@@ -18,17 +18,20 @@ dimension.
 
 Two deviations from the textbook layout keep the pure-numpy scan fast:
 
-* **Balanced cells.**  The coarse assignment is capacity-constrained (every
-  cell holds exactly ``ceil(n / num_lists)`` slots, most-confident points
-  claim their nearest cell first), so a probe set expands to a *rectangular*
-  ``(batch, probes * cell_size)`` candidate block — the entire micro-batch
-  is scored with one flat gather and one BLAS matvec, no ragged scatter and
-  no per-cell python loop.  Balanced lists also bound worst-case scan cost,
-  which is what a latency SLO actually needs (and what a sharded tier wants
-  shipped per shard).
-* **Sentinel LUT column.**  The handful of padding slots in the last cells
-  point at an extra always ``-inf`` column appended to each query's ADC
-  table, so padding is masked by the same sum that scores real candidates.
+* **Balanced cells.**  The coarse assignment is capacity-constrained (no
+  cell takes more than ``ceil(slack * n / num_lists)`` members,
+  most-confident points claim their nearest cell first), and every cell is
+  laid out with as many slots as the fullest one holds, so a probe set
+  expands to a *rectangular* ``(batch, probes * cell_size)`` candidate
+  block — the entire micro-batch is scored with one flat gather and one
+  BLAS matvec, no ragged scatter and no per-cell python loop.  Cells are
+  not equal-size: the slots a cell does not fill are padding (24 % of the
+  slots at 24,000 services in 465 cells with the default ``slack=1.3``).
+  Capped lists also bound worst-case scan cost, which is what a latency SLO
+  actually needs (and what a sharded tier wants shipped per shard).
+* **Sentinel LUT column.**  Padding slots point at an extra always ``-inf``
+  column appended to each query's ADC table, so padding is masked by the
+  same sum that scores real candidates.
 
 Like every gateway index both classes are immutable once built — ``search``
 writes nothing to the index, so one built index can serve every gateway on a
@@ -43,7 +46,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.serving.gateway.index import RetrievalIndex
-from repro.serving.quant.kmeans import grouped_mean, kmeans
+from repro.serving.quant.kmeans import ASSIGN_BLOCK_ROWS, grouped_mean, kmeans
 from repro.serving.quant.opq import OPQQuantizer
 from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Table, quantize_int8
@@ -116,9 +119,11 @@ class Int8Index(RetrievalIndex):
 class IVFPQIndex(RetrievalIndex):
     """Balanced inverted-file index over PQ residual codes (IVFADC+R).
 
-    ``build`` clusters the catalogue into ``num_lists`` equal-size cells,
-    trains one shared :class:`ProductQuantizer` on the residuals and lays
-    the codes out slot-major.  ``search`` probes the ``num_probes`` best
+    ``build`` clusters the catalogue into ``num_lists`` capacity-capped
+    cells (at most ``ceil(slack * n / num_lists)`` members each; every cell
+    gets ``cell_size`` slots, its members followed by padding), trains one
+    shared :class:`ProductQuantizer` on the residuals and lays the codes
+    out slot-major.  ``search`` probes the ``num_probes`` best
     cells per query (same affinity rule as the fp IVF index) and scores the
     whole batch's probed candidates with a single ADC gather.
 
@@ -272,7 +277,7 @@ class IVFPQIndex(RetrievalIndex):
 
     @property
     def cell_size(self) -> int:
-        """Slots per cell (balanced layout: identical for every cell)."""
+        """Slots per cell: the fullest cell's member count (the rest pad)."""
         return self._cell_size
 
     @property
@@ -562,7 +567,7 @@ class IVFPQIndex(RetrievalIndex):
 
 
 def _balanced_assign(points: np.ndarray, centroids: np.ndarray,
-                     slack: float = 1.5) -> np.ndarray:
+                     slack: float) -> np.ndarray:
     """Capacity-constrained nearest-centroid assignment.
 
     Every cell receives at most ``ceil(slack * n / cells)`` members — the
@@ -571,6 +576,11 @@ def _balanced_assign(points: np.ndarray, centroids: np.ndarray,
     order of how much they prefer their best cell over their runner-up, so
     the points a spill would hurt most are placed first and the spilled
     remainder land in near-equivalent cells.
+
+    Preferences and margins are computed one ``ASSIGN_BLOCK_ROWS`` row
+    block at a time (the block size :func:`~repro.serving.quant.kmeans.assign`
+    uses), so the only full-size temporary is the ``(n, cells)`` preference
+    table, kept as int16 while cell ids fit.
     """
     num_points, num_cells = points.shape[0], centroids.shape[0]
     capacity = np.full(
@@ -578,13 +588,22 @@ def _balanced_assign(points: np.ndarray, centroids: np.ndarray,
         max(1, int(np.ceil(slack * num_points / num_cells))),
         dtype=np.int64,
     )
-    affinity = points @ centroids.T - 0.5 * np.sum(centroids ** 2, axis=1)
-    preference = np.argsort(-affinity, axis=1)
-    if num_cells > 1:
-        top2 = -np.partition(-affinity, 1, axis=1)[:, :2]
-        margin = top2[:, 0] - top2[:, 1]
-    else:
-        margin = np.zeros(num_points)
+    half_sq_norms = 0.5 * np.sum(centroids ** 2, axis=1)
+    preference = np.empty(
+        (num_points, num_cells),
+        dtype=np.int16 if num_cells <= np.iinfo(np.int16).max else np.int32,
+    )
+    margin = np.zeros(num_points, dtype=np.result_type(points, centroids))
+    for start in range(0, num_points, ASSIGN_BLOCK_ROWS):
+        stop = start + ASSIGN_BLOCK_ROWS
+        cost = points[start:stop] @ centroids.T
+        cost -= half_sq_norms
+        np.negative(cost, out=cost)  # the negated affinity
+        preference[start:stop] = np.argsort(cost, axis=1)
+        if num_cells > 1:
+            # Best minus runner-up affinity: the two smallest costs.
+            cost.partition(1, axis=1)
+            margin[start:stop] = cost[:, 1] - cost[:, 0]
     assignment = np.empty(num_points, dtype=np.int64)
     for point in np.argsort(-margin):
         for cell in preference[point]:

@@ -7,6 +7,9 @@ and the versioned store publishing quantized snapshots that hot-swap with
 the fp tables.
 """
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,17 @@ from repro.serving.quant import (
     kmeans,
     quantize_int8,
 )
-from repro.serving.quant.kmeans import grouped_mean
+import repro.serving.quant.ivfpq as ivfpq_module
+from repro.serving.quant.ivfpq import _balanced_assign
+from repro.serving.quant.kmeans import (
+    INIT_KINDS,
+    _kmeanspp_init,
+    assign,
+    grouped_mean,
+)
+
+# The package re-exports the ``kmeans`` function under the submodule's name.
+kmeans_module = importlib.import_module("repro.serving.quant.kmeans")
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +92,11 @@ class TestKMeans:
         points = np.eye(3)
         centroids, assignment = kmeans(points, 10, iters=2, rng=1)
         assert centroids.shape[0] == 3 and sorted(assignment) == [0, 1, 2]
+        for init in INIT_KINDS:  # integer input clusters like its float copy
+            ints = np.arange(12).reshape(6, 2)
+            got = kmeans(ints, 2, iters=2, rng=1, init=init)
+            expected = kmeans(ints.astype(np.float64), 2, iters=2, rng=1, init=init)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         with pytest.raises(ValueError):
             kmeans(points, 0)
         with pytest.raises(ValueError):
@@ -120,6 +138,104 @@ class TestKMeans:
             assert np.array_equal(assignment, expected_assignment)
             # Empty cells drew from the generator exactly as the loop did.
             assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @staticmethod
+    def _reference_balanced_assign(points, centroids, slack):
+        """The whole-matrix body ``_balanced_assign`` ran before blocking."""
+        num_points, num_cells = points.shape[0], centroids.shape[0]
+        capacity = np.full(
+            num_cells, max(1, int(np.ceil(slack * num_points / num_cells))),
+            dtype=np.int64)
+        affinity = points @ centroids.T - 0.5 * np.sum(centroids ** 2, axis=1)
+        preference = np.argsort(-affinity, axis=1)
+        top2 = -np.partition(-affinity, 1, axis=1)[:, :2]
+        margin = top2[:, 0] - top2[:, 1]
+        assignment = np.empty(num_points, dtype=np.int64)
+        for point in np.argsort(-margin):
+            for cell in preference[point]:
+                if capacity[cell] > 0:
+                    assignment[point] = cell
+                    capacity[cell] -= 1
+                    break
+        return assignment
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_assignment_matches_one_shot(self, clustered, dtype,
+                                                 monkeypatch):
+        # Three full 96-row blocks and a last block of a single row.
+        for module in (kmeans_module, ivfpq_module):
+            monkeypatch.setattr(module, "ASSIGN_BLOCK_ROWS", 96)
+        _, services = clustered
+        points = services[:3 * 96 + 1].astype(dtype)
+        centroids = services[-40:].astype(dtype)
+        half = 0.5 * np.sum(centroids ** 2, axis=1)
+        assert np.array_equal(assign(points, centroids),
+                              np.argmax(points @ centroids.T - half, axis=1))
+
+        rng, reference_rng = (np.random.default_rng(5) for _ in range(2))
+        fitted, assignment = kmeans(points, 40, iters=6, rng=rng)
+        expected, expected_assignment = self._reference_kmeans(
+            points, 40, 6, reference_rng)
+        assert np.array_equal(fitted, expected)
+        assert np.array_equal(assignment, expected_assignment)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+        assert np.array_equal(
+            _balanced_assign(points, centroids, 1.3),
+            self._reference_balanced_assign(points, centroids, 1.3))
+
+    @staticmethod
+    def _reference_kmeanspp_init(points, num_clusters, rng):
+        """D²-weighted seeding that draws each seed with ``rng.choice``."""
+        num_points = points.shape[0]
+        sq_norms = np.sum(points ** 2, axis=1)
+        chosen = np.empty(num_clusters, dtype=np.int64)
+        chosen[0] = rng.integers(num_points)
+        d2 = sq_norms + sq_norms[chosen[0]] - 2.0 * (points @ points[chosen[0]])
+        np.maximum(d2, 0.0, out=d2)
+        for seed in range(1, num_clusters):
+            total = float(d2.sum())
+            if total <= 0.0:
+                chosen[seed] = rng.integers(num_points)
+            else:
+                chosen[seed] = rng.choice(num_points, p=d2 / total)
+            candidate = (sq_norms + sq_norms[chosen[seed]]
+                         - 2.0 * (points @ points[chosen[seed]]))
+            np.minimum(d2, np.maximum(candidate, 0.0), out=d2)
+        return points[chosen].copy()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kmeanspp_draw_equals_rng_choice(self, clustered, dtype):
+        _, services = clustered
+        # The duplicate-heavy input exhausts the D² mass (uniform fallback).
+        duplicates = np.repeat(services[:6], 30, axis=0)
+        for points, cells in ((services[:1500], 40), (duplicates, 16)):
+            points = points.astype(dtype)
+            rng, reference_rng = (np.random.default_rng(9) for _ in range(2))
+            seeds = _kmeanspp_init(points, cells, rng)
+            expected = self._reference_kmeanspp_init(points, cells, reference_rng)
+            assert seeds.dtype == dtype
+            assert np.array_equal(seeds, expected)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_build_temporaries_stay_below_one_affinity_matrix(self):
+        points = np.random.default_rng(0).normal(size=(6000, 32))
+        cells = 232
+        centroids, _ = kmeans(points, cells, iters=1, rng=0)
+        one_matrix = points.shape[0] * cells * 8  # float64 (n, cells) bytes
+        steps = {
+            "kmeans": lambda: kmeans(points, cells, iters=2, rng=0),
+            "_balanced_assign": lambda: _balanced_assign(points, centroids, 1.3),
+        }
+        peaks = {}
+        for name, step in steps.items():
+            tracemalloc.start()
+            try:
+                step()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < one_matrix, peaks
 
     def test_grouped_mean_reports_empty_groups(self):
         points = np.arange(12, dtype=np.float64).reshape(6, 2)
