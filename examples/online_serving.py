@@ -203,7 +203,7 @@ def main() -> None:
     gateway.recall_probe(k=top_k, num_queries=256, seed=1)
     quant = summarize_gateway("ivfpq", gateway, elapsed_s=elapsed)
     snapshot = gateway.store.snapshot()
-    int8_table = snapshot.quantized_services("int8")
+    int8_table = snapshot.int8
     # The gateway's index over this snapshot, rebuilt with its parameters
     # (every fit is seeded, so this is the same index, byte for byte): PQ
     # codes, codebooks, cells and the shared int8 refinement table.
@@ -555,13 +555,14 @@ def main() -> None:
     # re-running k-means.
     gateway.persist_index()
     snapshot = gateway.store.snapshot()
-    meta, arrays = snapshot.durable.load_index("ivfpq").export_state()
+    meta, arrays = snapshot.durable.load_index(
+        "ivfpq", int8_table=snapshot.int8).export_state()
     rotation = arrays["rotation"]
     print(f"Persisted the IVF-PQ index at version {snapshot.version}: "
           f"rotation={meta['rotation']!r}, a {rotation.shape[0]}x"
           f"{rotation.shape[1]} orthonormal matrix in its sidecar; int8 query "
           f"scale frozen = "
-          f"{snapshot.quantized_services('int8').query_scale:.6f}.")
+          f"{snapshot.int8.query_scale:.6f}.")
     gateway.close()
 
     warm = deploy_gateway(warm_start=opq_dir, index="ivfpq", top_k=top_k,

@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.eval.serving_metrics import recall_at_k
 from repro.serving.gateway.cache import LRUTTLCache
-from repro.serving.gateway.index import ExactIndex, RetrievalIndex, build_index
+from repro.serving.gateway.index import (
+    ExactIndex,
+    RetrievalIndex,
+    build_index,
+    needs_int8_table,
+)
 from repro.serving.gateway.scheduler import AsyncBatchScheduler, PendingRequest
 from repro.serving.gateway.store import (
     SnapshotListener,
@@ -188,47 +193,41 @@ class ServingGateway(SnapshotListener):
         return snapshot.derived(self._index_key, self._build_index)
 
     def _build_index(self, snapshot) -> RetrievalIndex:
-        """Restore or build this gateway's kind of index for ``snapshot``.
-
-        When the store published an int8 table with the snapshot and the
-        index kind can consume one (``int8`` scans it, ``ivfpq`` refines
-        against it), the published table is shared instead of re-quantizing
-        the catalogue at every build.
-        """
+        """Restore or build this gateway's kind of index for ``snapshot``."""
         index = self._restore_index(snapshot)
         if index is not None:
             return index
+        return build_index(self.index_kind, snapshot.all_services(),
+                           **self._params_for(snapshot))
+
+    def _params_for(self, snapshot) -> dict:
+        """This gateway's index params, plus the snapshot's int8 table if
+        they need it."""
         params = dict(self.index_params)
-        if self.index_kind in ("int8", "ivfpq"):
-            published = getattr(snapshot, "quantized", {}).get("int8")
-            if published is not None:
-                params.setdefault("int8_table", published)
-        return build_index(self.index_kind, snapshot.all_services(), **params)
+        if needs_int8_table(self.index_kind, params):
+            params["int8_table"] = snapshot.int8_table()
+        return params
 
     def _restore_index(self, snapshot) -> Optional[RetrievalIndex]:
         """A persisted index payload for this snapshot, or ``None``.
 
         Only ``ivfpq`` carries expensive trained state worth persisting.  A
-        missing payload is the normal cold-build path; a *damaged* one
-        raises the snapshot layer's typed integrity error, which is
-        surfaced as a warning here and answered with an in-memory rebuild —
-        warm start is an optimisation, never a correctness dependency.
+        missing payload, or one built with other params than this
+        gateway's, is the normal cold-build path; a *damaged* one raises
+        the snapshot layer's typed integrity error, which is surfaced as a
+        warning here and answered with an in-memory rebuild — warm start is
+        an optimisation, never a correctness dependency.
         """
-        durable = getattr(snapshot, "durable", None)
+        durable = snapshot.durable
         if durable is None or self.index_kind != "ivfpq":
             return None
         from repro.serving.snapshot import SnapshotError, SnapshotNotFoundError
 
-        params = {
-            key: value for key, value in self.index_params.items()
-            if key in ("num_probes", "refine", "refine_factor", "num_lists")
-        }
+        params = self._params_for(snapshot)
         try:
             return durable.load_index(
-                self.index_kind,
-                int8_table=getattr(snapshot, "quantized", {}).get("int8"),
-                params=params,
-            )
+                self.index_kind, int8_table=params.pop("int8_table", None),
+                params=params)
         except SnapshotNotFoundError:
             return None
         except (SnapshotError, ValueError) as error:
@@ -250,7 +249,7 @@ class ServingGateway(SnapshotListener):
         published durably (store ``durable_dir``).
         """
         snapshot = self.store.snapshot()
-        durable = getattr(snapshot, "durable", None)
+        durable = snapshot.durable
         if durable is None:
             raise ValueError(
                 "persist_index needs a durably-published snapshot — construct "
@@ -600,7 +599,7 @@ class ServingGateway(SnapshotListener):
 
         A store can outlive the gateways serving it; without unsubscribing,
         every future publish would keep building indexes for a gateway
-        nobody queries any more.
+        nobody queries any more.  An owned scoring thread is joined.
         """
         self.store.unsubscribe(self)
         with self._sync_lock:
@@ -608,7 +607,7 @@ class ServingGateway(SnapshotListener):
         if loop is not None:
             loop.close()
         if self._owns_cpu_executor and self._cpu_executor is not None:
-            self._cpu_executor.shutdown(wait=False)
+            self._cpu_executor.shutdown()
             self._cpu_executor = None
 
     def __enter__(self) -> "ServingGateway":

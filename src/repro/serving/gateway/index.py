@@ -30,7 +30,7 @@ index state trivially consistent with the store version it was built from.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class RetrievalIndex:
     """
 
     name: str = "base"
+
+    @classmethod
+    def takes_int8_table(cls, params: Mapping) -> bool:
+        """Whether ``params`` build this kind over an ``int8_table``."""
+        return False
 
     def build(self, services: np.ndarray) -> "RetrievalIndex":
         raise NotImplementedError
@@ -89,8 +94,17 @@ class RetrievalIndex:
         out_scores = np.full(k, -np.inf)
         if limit == 0:
             return out_ids, out_scores
-        top = np.argpartition(-scores, limit - 1)[:limit]
+        if limit < scores.size:
+            part = np.argpartition(-scores, limit)
+            cut, top = scores[part[limit]], part[:limit]  # cut: (k+1)-th best
+        else:
+            cut, top = None, np.arange(scores.size)
         order = top[np.lexsort((ids[top], -scores[top]))]
+        if cut is not None and scores[order[-1]] == cut:
+            # A tie straddles the cut and the partition kept arbitrary ids
+            # of it: re-select from all of it, so the id tie-break decides.
+            top = np.flatnonzero(scores >= cut)
+            order = top[np.lexsort((ids[top], -scores[top]))][:limit]
         out_ids[:limit] = ids[order]
         out_scores[:limit] = scores[order]
         return out_ids, out_scores
@@ -112,10 +126,18 @@ class RetrievalIndex:
         if limit == 0:
             return out_ids, out_scores
         if limit < width:
-            keep = np.argpartition(-scores, limit - 1, axis=1)[:, :limit]
+            # Keep the k + 1 best.  Where the (k+1)-th ties the k-th, the
+            # partition kept arbitrary ids of that tie: sort the row whole.
+            keep = np.argpartition(-scores, limit, axis=1)[:, :limit + 1]
+            kept_scores = np.take_along_axis(scores, keep, axis=1)
+            for row in np.flatnonzero(
+                    kept_scores[:, limit] == kept_scores[:, :limit].min(axis=1)):
+                keep[row] = np.lexsort((ids, -scores[row]))[:limit + 1]
+                kept_scores[row] = scores[row, keep[row]]
+            keep, kept_scores = keep[:, :limit], kept_scores[:, :limit]
         else:
             keep = np.tile(np.arange(width, dtype=np.int64), (batch, 1))
-        kept_scores = np.take_along_axis(scores, keep, axis=1)
+            kept_scores = np.take_along_axis(scores, keep, axis=1)
         kept_ids = ids[keep]
         order = np.lexsort((kept_ids, -kept_scores), axis=1)
         out_ids[:, :limit] = np.take_along_axis(kept_ids, order, axis=1)
@@ -302,17 +324,27 @@ def _register_quantized_indexes() -> None:
     _INDEX_REGISTRY.setdefault(Int8Index.name, Int8Index)
 
 
-def build_index(kind: str, services: np.ndarray, **params) -> RetrievalIndex:
-    """Build a retrieval index by registry name
-    (``exact`` / ``ivf`` / ``ivfpq`` / ``int8``)."""
+def _index_class(kind: str) -> type:
     if kind not in _INDEX_REGISTRY:
         _register_quantized_indexes()
     try:
-        factory = _INDEX_REGISTRY[kind]
+        return _INDEX_REGISTRY[kind]
     except KeyError:
         known = ", ".join(sorted(_INDEX_REGISTRY))
         raise ValueError(f"unknown index kind {kind!r} (known: {known})") from None
-    return factory(**params).build(services)
+
+
+def build_index(kind: str, services: np.ndarray, **params) -> RetrievalIndex:
+    """Build a retrieval index by registry name
+    (``exact`` / ``ivf`` / ``ivfpq`` / ``int8``)."""
+    return _index_class(kind)(**params).build(services)
+
+
+def needs_int8_table(kind: str, params: Mapping) -> bool:
+    """Whether ``build_index(kind, ..., **params)`` is to be handed the
+    snapshot's int8 table: the kind takes one and ``params`` carry none."""
+    return ("int8_table" not in params
+            and _index_class(kind).takes_int8_table(params))
 
 
 def index_kinds() -> Tuple[str, ...]:

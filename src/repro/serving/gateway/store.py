@@ -20,7 +20,8 @@ This store rules that out:
   (:func:`repro.serving.quant.quantize_int8`) alongside the fp arrays: the
   compressed replica is built *inside* the snapshot, so it hot-swaps
   atomically with the embeddings it mirrors and stays row-aligned with the
-  shard layout;
+  shard layout (without one a snapshot quantizes its own on first use:
+  :meth:`EmbeddingSnapshot.int8_table`);
 * **two-phase publish**: subscribed :class:`SnapshotListener`\\ s (the
   gateway's index builder, the sharded tier's worker pool) get
   ``prepare(snapshot)`` *before* the version flip and ``activate(snapshot)``
@@ -42,11 +43,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.quant import quantize_int8
+from repro.serving.quant import Int8Table, quantize_int8
 
 
 class StaleReadError(RuntimeError):
@@ -141,10 +142,11 @@ def _freeze(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
 class EmbeddingSnapshot:
     """One immutable published version of the embedding tables.
 
-    ``quantized`` maps ``"int8"`` (when the store publishes it) to the
-    compressed service table built from exactly this version's ``services``
-    matrix — row-aligned with it, so shard ranges and service ids carry
-    over unchanged.
+    ``int8`` is the int8 service table the store published with this
+    version (``None`` when it publishes none).  :meth:`int8_table` is the
+    one table every int8-scoring index searches — row-aligned with
+    ``services``, so a shard takes its ``rows(lo, hi)`` and service ids
+    carry over unchanged.
 
     Search structures computed from this version's tables (a gateway's ANN
     index) are memoised *on the snapshot* through :meth:`derived`, so they
@@ -157,7 +159,7 @@ class EmbeddingSnapshot:
     queries: np.ndarray
     services: np.ndarray
     shard_bounds: Tuple[int, ...]  # len = num_shards + 1, contiguous ranges
-    quantized: Mapping[str, object] = field(default_factory=dict)
+    int8: Optional[Int8Table] = None
     # Durable location of this version on disk (snapshot.DurableRef), set
     # when the store publishes with a ``durable_dir``.  A gateway saves and
     # restores its trained index payload (IVF-PQ) beside the manifest
@@ -165,8 +167,8 @@ class EmbeddingSnapshot:
     durable: Optional[object] = None
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _derived_lock: threading.Lock = field(default_factory=threading.Lock,
-                                          init=False, repr=False, compare=False)
+    _derived_lock: threading.RLock = field(default_factory=threading.RLock,
+                                           init=False, repr=False, compare=False)
 
     def derived(self, key: Hashable,
                 build: Callable[["EmbeddingSnapshot"], object]) -> object:
@@ -176,8 +178,10 @@ class EmbeddingSnapshot:
         version never waits on anyone.  Only a miss takes this snapshot's
         own lock: concurrent first callers of one key wait for a single
         build instead of each running their own, and nobody holding another
-        version's snapshot is involved.  A ``build`` that raises stores
-        nothing.  The value must be safe to share — read-only once built.
+        version's snapshot is involved.  The lock is reentrant: a ``build``
+        may derive what it needs (an index its :meth:`int8_table`).  A
+        ``build`` that raises stores nothing.  The value must be safe to
+        share — read-only once built.
         """
         try:
             return self._derived[key]
@@ -213,16 +217,14 @@ class EmbeddingSnapshot:
     def all_services(self) -> np.ndarray:
         return self.services
 
-    def quantized_services(self, kind: str):
-        """The compressed service table of one published quantizer kind."""
-        try:
-            return self.quantized[kind]
-        except KeyError:
-            published = ", ".join(sorted(self.quantized)) or "none"
-            raise KeyError(
-                f"no {kind!r} table published with snapshot v{self.version} "
-                f"(published: {published})"
-            ) from None
+    def int8_table(self) -> Int8Table:
+        """The int8 copy of ``services`` every int8-scoring index searches:
+        the published table, else one quantized from ``services`` on first
+        use and memoised here (never written to disk)."""
+        if self.int8 is not None:
+            return self.int8
+        return self.derived("int8", lambda snapshot: quantize_int8(
+            np.asarray(snapshot.services, dtype=np.float64)))
 
     def shard_of(self, service_id: int) -> int:
         """Shard index owning ``service_id`` (contiguous range layout)."""
@@ -234,17 +236,6 @@ class EmbeddingSnapshot:
         """``(service_ids, embeddings)`` of one shard (views, zero copy)."""
         lo, hi = self.shard_bounds[index], self.shard_bounds[index + 1]
         return np.arange(lo, hi, dtype=np.int64), self.services[lo:hi]
-
-    def quantized_shard(self, kind: str, index: int):
-        """``(service_ids, quantized table view)`` of one shard.
-
-        The compressed tables are row-aligned with ``services``, so a shard
-        of codes is the same contiguous row range (zero copy) — what a
-        sharded tier would ship to the worker owning that range.
-        """
-        lo, hi = self.shard_bounds[index], self.shard_bounds[index + 1]
-        table = self.quantized_services(kind)
-        return np.arange(lo, hi, dtype=np.int64), table.rows(lo, hi)
 
     def age(self, now: float) -> float:
         return max(0.0, now - self.published_at)
@@ -336,19 +327,19 @@ class VersionedEmbeddingStore:
             raise ValueError("query and service embeddings must share the same dimensionality")
         shards = min(self.num_shards, max(1, services.shape[0]))
         bounds = tuple(int(b) for b in np.linspace(0, services.shape[0], shards + 1).round())
-        quantized = {}
+        int8 = None
         if "int8" in self.quantization:
             # Freeze the global query-quantization step into the table:
             # every replica hydrating this version then scores the integer
             # path with the same step (bit-identical ranking).
-            quantized["int8"] = quantize_int8(services, queries=queries)
+            int8 = quantize_int8(services, queries=queries)
         return EmbeddingSnapshot(
             version=version,
             published_at=self._clock(),
             queries=queries,
             services=services,
             shard_bounds=bounds,
-            quantized=quantized,
+            int8=int8,
         )
 
     def _persist(self, snapshot: EmbeddingSnapshot, durable_dir: str,
@@ -526,9 +517,6 @@ class VersionedEmbeddingStore:
     @property
     def embedding_dim(self) -> int:
         return self._current.embedding_dim
-
-    def quantized_services(self, kind: str):
-        return self._current.quantized_services(kind)
 
     @classmethod
     def restore(cls, durable_dir: str, version: Optional[int] = None,

@@ -56,15 +56,19 @@ class Int8Index(RetrievalIndex):
     """Brute-force MIPS over an int8 service table (recall ~1, memory / 4).
 
     ``int8_table`` lets a caller that already holds the catalogue's int8
-    codes (the store publishes one per snapshot, see
-    :class:`~repro.serving.gateway.store.VersionedEmbeddingStore`) share it
-    instead of re-quantizing — the gateway wires this up automatically.
+    codes share them instead of re-quantizing: every gateway and shard
+    worker passes its snapshot's
+    :meth:`~repro.serving.gateway.store.EmbeddingSnapshot.int8_table`.
 
     Scoring is integer end to end: the folded query is quantized to int8
     too and scored with :meth:`Int8Table.scores_int`.
     """
 
     name = "int8"
+
+    @classmethod
+    def takes_int8_table(cls, params) -> bool:
+        return True
 
     def __init__(self, chunk: int = 8192,
                  int8_table: Optional[Int8Table] = None) -> None:
@@ -78,15 +82,7 @@ class Int8Index(RetrievalIndex):
         services = np.asarray(services)
         if services.ndim != 2:
             raise ValueError("services must be a (num_services, dim) matrix")
-        if self._prebuilt is not None:
-            if self._prebuilt.codes.shape != services.shape:
-                raise ValueError(
-                    f"prebuilt int8 table shape {self._prebuilt.codes.shape} "
-                    f"does not match services {services.shape}"
-                )
-            self._table = self._prebuilt
-        else:
-            self._table = quantize_int8(services)
+        self._table = _int8_table_for(services, self._prebuilt)
         return self
 
     @property
@@ -131,8 +127,8 @@ class IVFPQIndex(RetrievalIndex):
     shortlist against an int8 copy of the catalogue before the final top-k:
     PQ codes rank the scan cheaply, int8 fixes the near-tie ordering PQ
     blurs.  ``refine=None`` disables the stage (and the int8 table's
-    memory).  ``int8_table`` shares an already-quantized copy (the store
-    publishes one per snapshot) instead of re-quantizing at build.
+    memory).  ``int8_table`` shares an already-quantized copy (a
+    snapshot's ``int8_table()``) instead of re-quantizing at build.
 
     ``rotation="opq"`` trains the residual codebooks through an OPQ learned
     rotation (:class:`~repro.serving.quant.opq.OPQQuantizer`, ``opq_iters``
@@ -140,6 +136,10 @@ class IVFPQIndex(RetrievalIndex):
     """
 
     name = "ivfpq"
+
+    @classmethod
+    def takes_int8_table(cls, params) -> bool:
+        return params.get("refine", "int8") == "int8"
 
     def __init__(self, num_lists: Optional[int] = None, num_probes: Optional[int] = None,
                  num_subspaces: int = 8, num_centroids: int = 256,
@@ -252,17 +252,8 @@ class IVFPQIndex(RetrievalIndex):
         self._sum_ones = np.ones(num_subspaces, dtype=np.float32)
         self._pq = pq
         self._num_services = num_services
-        if self.refine != "int8":
-            self._refine_table = None
-        elif self._prebuilt_int8 is not None:
-            if self._prebuilt_int8.codes.shape != services.shape:
-                raise ValueError(
-                    f"prebuilt int8 table shape {self._prebuilt_int8.codes.shape} "
-                    f"does not match services {services.shape}"
-                )
-            self._refine_table = self._prebuilt_int8
-        else:
-            self._refine_table = quantize_int8(services)
+        self._refine_table = (_int8_table_for(services, self._prebuilt_int8)
+                              if self.refine == "int8" else None)
         return self
 
     @property
@@ -357,45 +348,50 @@ class IVFPQIndex(RetrievalIndex):
     @classmethod
     def from_state(cls, meta: dict, arrays: dict,
                    int8_table: Optional[Int8Table] = None,
-                   params: Optional[dict] = None) -> "IVFPQIndex":
+                   params: Optional[dict] = None) -> Optional["IVFPQIndex"]:
         """Rebuild a serving-ready index from persisted state — no k-means.
 
-        ``params`` carries search-time overrides (``num_probes``,
-        ``refine_factor``); trained structure always comes from ``meta`` /
-        ``arrays``.  ``int8_table`` supplies the refinement table when the
-        persisted index used ``refine="int8"`` (the store publishes one
-        per snapshot, so it is never re-quantized here).
+        ``params`` are the caller's index params.  ``num_probes``,
+        ``refine`` and ``refine_factor`` override the persisted values at
+        search time; any other param that differs from the persisted build
+        (``num_lists``, ``seed``, ``rotation``, ...) asks for a different
+        index, and the result is ``None``.  ``int8_table`` supplies the
+        refinement table when the restored index uses ``refine="int8"``.
         """
         params = dict(params or {})
-        refine = params.pop("refine", meta.get("refine"))
-        rotation = meta.get("rotation")
-        index = cls(
-            num_lists=None,
-            num_probes=params.pop("num_probes", None),
-            num_subspaces=int(meta["num_subspaces"]),
-            num_centroids=int(meta["num_centroids"]),
-            kmeans_iters=int(meta.get("kmeans_iters", 8)),
-            pq_kmeans_iters=int(meta.get("pq_kmeans_iters", 10)),
-            refine=refine,
-            refine_factor=int(params.pop("refine_factor", meta.get("refine_factor", 8))),
-            slack=float(meta.get("slack", 1.3)),
-            int8_table=int8_table,
-            seed=int(meta.get("seed", 0)),
-            rotation=rotation,
-            opq_iters=int(meta.get("opq_iters", 4)),
-        )
-        params.pop("num_lists", None)  # layout is fixed by the persisted slots
-        if params:
-            raise ValueError(f"unknown index restore params: {sorted(params)}")
-
+        search_time = {key: params.pop(key) for key in
+                       ("num_probes", "refine", "refine_factor") if key in params}
+        num_lists = params.pop("num_lists", None)
+        built = {
+            "num_subspaces": int(meta["num_subspaces"]),
+            "num_centroids": int(meta["num_centroids"]),
+            "kmeans_iters": int(meta.get("kmeans_iters", 8)),
+            "pq_kmeans_iters": int(meta.get("pq_kmeans_iters", 10)),
+            "slack": float(meta.get("slack", 1.3)),
+            "seed": int(meta.get("seed", 0)),
+            "rotation": meta.get("rotation"),
+            "opq_iters": int(meta.get("opq_iters", 4)),
+        }
         centroids = np.ascontiguousarray(arrays["centroids"], dtype=np.float32)
         slot_ids = np.asarray(arrays["slot_ids"], dtype=np.int32)
         slot_codes = np.asarray(arrays["slot_codes"], dtype=np.uint8)
         codebooks = np.ascontiguousarray(arrays["codebooks"], dtype=np.float32)
         cell_size = int(meta["cell_size"])
         num_services = int(meta["num_services"])
-        num_subspaces = int(meta["num_subspaces"])
+        num_subspaces = built["num_subspaces"]
         cells = centroids.shape[0]
+        if (any(key not in built or built[key] != value
+                for key, value in params.items())
+                or num_lists is not None
+                and min(num_lists, num_services) != cells):
+            return None
+        index = cls(
+            num_probes=search_time.get("num_probes"),
+            refine=search_time.get("refine", meta.get("refine")),
+            refine_factor=int(search_time.get("refine_factor",
+                                              meta.get("refine_factor", 8))),
+            **built,
+        )
         if (
             codebooks.ndim != 3
             or codebooks.shape[0] != num_subspaces
@@ -408,7 +404,11 @@ class IVFPQIndex(RetrievalIndex):
                 f"slot_codes={slot_codes.shape}, codebooks={codebooks.shape}"
             )
 
-        if rotation == "opq":
+        pq_params = dict(num_subspaces=num_subspaces,
+                         num_centroids=built["num_centroids"],
+                         kmeans_iters=built["pq_kmeans_iters"],
+                         seed=built["seed"])
+        if built["rotation"] == "opq":
             rotation_matrix = arrays.get("rotation")
             if rotation_matrix is None:
                 raise ValueError(
@@ -425,20 +425,10 @@ class IVFPQIndex(RetrievalIndex):
                     f"match padded dim {padded_dim}"
                 )
             pq: ProductQuantizer = OPQQuantizer(
-                num_subspaces=num_subspaces,
-                num_centroids=int(meta["num_centroids"]),
-                kmeans_iters=int(meta.get("pq_kmeans_iters", 10)),
-                seed=int(meta.get("seed", 0)),
-                opq_iters=int(meta.get("opq_iters", 4)),
-            )
+                **pq_params, opq_iters=built["opq_iters"])
             pq.rotation_ = rotation_matrix
         else:
-            pq = ProductQuantizer(
-                num_subspaces=num_subspaces,
-                num_centroids=int(meta["num_centroids"]),
-                kmeans_iters=int(meta.get("pq_kmeans_iters", 10)),
-                seed=int(meta.get("seed", 0)),
-            )
+            pq = ProductQuantizer(**pq_params)
         pq.dim_ = int(meta["dim"])
         pq.padded_dim_ = int(meta["padded_dim"])
         pq.codebooks_ = codebooks
@@ -459,20 +449,14 @@ class IVFPQIndex(RetrievalIndex):
         index._cell_size = cell_size
         index._sum_ones = np.ones(num_subspaces, dtype=np.float32)
         index._num_services = num_services
-        if index.refine == "int8":
-            if int8_table is None:
-                raise ValueError(
-                    "persisted index used refine='int8'; pass the snapshot's "
-                    "int8_table to restore it"
-                )
-            if int8_table.codes.shape != (num_services, int(meta["dim"])):
-                raise ValueError(
-                    f"int8 refine table shape {int8_table.codes.shape} does not "
-                    f"match persisted index ({num_services}, {meta['dim']})"
-                )
-            index._refine_table = int8_table
-        else:
-            index._refine_table = None
+        if index.refine == "int8" and (
+                int8_table is None
+                or int8_table.codes.shape != (num_services, pq.dim_)):
+            raise ValueError(
+                f"a refine='int8' restore needs the snapshot's "
+                f"({num_services}, {pq.dim_}) int8_table, got "
+                f"{None if int8_table is None else int8_table.codes.shape}")
+        index._refine_table = int8_table if index.refine == "int8" else None
         return index
 
     # ------------------------------------------------------------------ #
@@ -564,6 +548,17 @@ class IVFPQIndex(RetrievalIndex):
             rescored = np.matmul(codes, scaled_queries[:, :, None])[:, :, 0]
         rescored[short_ids < 0] = -np.inf
         return rescored
+
+
+def _int8_table_for(services: np.ndarray,
+                    table: Optional[Int8Table]) -> Int8Table:
+    """``table`` checked against ``services``, else ``services`` quantized."""
+    if table is None:
+        return quantize_int8(services)
+    if table.codes.shape != services.shape:
+        raise ValueError(f"prebuilt int8 table shape {table.codes.shape} "
+                         f"does not match services {services.shape}")
+    return table
 
 
 def _balanced_assign(points: np.ndarray, centroids: np.ndarray,

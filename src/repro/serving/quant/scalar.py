@@ -67,13 +67,6 @@ class Int8Quantizer:
             raise RuntimeError("quantizer not fitted")
         return np.asarray(codes, dtype=np.float32) * self.scales_
 
-    def transform_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Fold the scales into fp queries: ``q' . code == q . decode(code)``."""
-        if self.scales_ is None:
-            raise RuntimeError("quantizer not fitted")
-        queries = _check_matrix(queries)
-        return queries.astype(np.float32) * self.scales_
-
 
 @dataclass(frozen=True)
 class Int8Table:

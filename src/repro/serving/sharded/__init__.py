@@ -7,7 +7,7 @@ gateway:
 
 * :mod:`~repro.serving.sharded.worker` — :class:`ShardWorker`: one shard's
   retrieval index of any registered kind at one version, built from the
-  shard's fp rows (and its published int8 rows) and never changed after;
+  shard's fp rows (and its rows of the snapshot's int8 table), never changed;
 * :mod:`~repro.serving.sharded.merge` — :func:`merge_top_k`: exact
   vectorised k-way merging of per-shard top-K candidate lists, preserving
   single-process results bit for bit for exact scoring backends;

@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.gateway.index import index_kinds
+from repro.serving.gateway.index import index_kinds, needs_int8_table
 from repro.serving.gateway.store import StaleVersionError
 from repro.serving.obs.tracing import worker_span
 from repro.serving.sharded.worker import ShardWorker
@@ -121,17 +121,20 @@ def make_pool(
     )
 
 
-def _shard_payload(snapshot, shard: int) -> tuple:
+def _shard_payload(snapshot, shard: int, index: str,
+                   index_params: dict) -> tuple:
     """One shard's ``ShardWorker`` arguments after ``shard`` itself.
 
-    ``(version, services rows, lo, int8 rows or None)`` — the snapshot's own
-    zero-copy row views, so the handoff slices in exactly one place.
+    ``(version, services rows, lo, int8 rows or None)`` — zero-copy row
+    views of the snapshot's tables, so the handoff slices in exactly one
+    place.  The int8 rows are the shard's range of ``snapshot.int8_table()``
+    (one set of scales for every shard, as in the single-process scan),
+    handed over only when ``index`` scores against them.
     """
-    _, services = snapshot.shard(shard)
-    int8_rows = None
-    if "int8" in snapshot.quantized:
-        _, int8_rows = snapshot.quantized_shard("int8", shard)
-    return snapshot.version, services, int(snapshot.shard_bounds[shard]), int8_rows
+    lo, hi = snapshot.shard_bounds[shard:shard + 2]
+    int8_rows = (snapshot.int8_table().rows(lo, hi)
+                 if needs_int8_table(index, index_params) else None)
+    return snapshot.version, snapshot.services[lo:hi], lo, int8_rows
 
 
 class WorkerPool:
@@ -240,7 +243,7 @@ class SerialPool(WorkerPool):
         return [
             ShardWorker(
                 shard,
-                *_shard_payload(snapshot, shard),
+                *_shard_payload(snapshot, shard, self.index, self.index_params),
                 index=self.index,
                 index_params=self.index_params,
             )
@@ -479,7 +482,9 @@ class ProcessPool(WorkerPool):
                 process = self._context.Process(
                     target=_shard_worker_main,
                     args=(
-                        child_conn, shard, *_shard_payload(snapshot, shard),
+                        child_conn, shard,
+                        *_shard_payload(snapshot, shard, self.index,
+                                        self.index_params),
                         self.index, self.index_params, self._nice,
                     ),
                     name=f"shard-worker-{shard}",

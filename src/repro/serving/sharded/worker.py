@@ -9,11 +9,11 @@ construction, from exactly what the pool hands it:
 * the shard's fp embedding rows (``EmbeddingSnapshot.shard`` — a zero-copy
   view in the in-process backends, the same pages inherited copy-on-write by
   a forked process worker),
-* the shard's published int8 rows, when the store publishes them
-  (``EmbeddingSnapshot.quantized_shard("int8", ...)``) — they keep the
-  *global* per-dimension scales and the frozen ``query_scale``, which is
-  what makes sharded ``int8`` scoring bit-identical to the single-process
-  scan on every backend.
+* the shard's rows of the snapshot's int8 table for a kind that scores
+  against one (``snapshot.int8_table().rows(lo, hi)``) — they keep its
+  *global* per-dimension scales and ``query_scale``, which is what makes
+  sharded ``int8`` scoring bit-identical to the single-process scan on
+  every backend, whether or not the store publishes the table.
 
 A worker never changes version: a publish builds a fresh worker per shard (a
 fresh *set*), and which versions are resident is the pool's decision alone
@@ -47,11 +47,10 @@ class ShardWorker:
         """Build ``version``'s index from this shard's rows.
 
         ``services`` holds only the shard's rows (global ids ``lo .. lo +
-        len(services)``).  When the published ``int8_table`` rows are passed
-        and the index kind can consume them (``int8`` scans them, ``ivfpq``
-        refines against them), they are shared instead of re-quantized —
-        preserving the global scales and with them exact parity with the
-        single-process quantized scan.
+        len(services)``).  ``int8_table``, when given, is the shard's rows of
+        the snapshot's int8 table and reaches the index as its
+        ``int8_table`` parameter — the pool decides whether the kind takes
+        one.
         """
         if shard < 0:
             raise ValueError("shard must be non-negative")
@@ -59,8 +58,8 @@ class ShardWorker:
         if services.ndim != 2:
             raise ValueError("services must be a (shard_rows, dim) matrix")
         params = dict(index_params or {})
-        if index in ("int8", "ivfpq") and int8_table is not None:
-            params.setdefault("int8_table", int8_table)
+        if int8_table is not None:
+            params["int8_table"] = int8_table
         self.shard = shard
         self.version = version
         self.lo = int(lo)

@@ -2,8 +2,9 @@
 
 :func:`write_snapshot` lowers one
 :class:`~repro.serving.gateway.store.EmbeddingSnapshot` into sectioned,
-content-addressed chunks (fp tables, int8 scales/codes plus the frozen
-query-quantization step) plus a self-checksummed manifest;
+content-addressed chunks (fp tables and the published int8 table's
+scales/codes plus its frozen query-quantization step — a table the snapshot
+derives for itself is never written) plus a self-checksummed manifest;
 :func:`open_snapshot` mmaps those chunks read-only and rebuilds the
 snapshot — including its int8 table — without re-quantizing anything,
 which is the whole warm-start win.
@@ -75,11 +76,6 @@ class DurableRef:
     manifest_rel: str
     version: int
 
-    def open(self, *, verify: bool = True) -> "DurableSnapshot":
-        manifest = load_manifest(Path(self.root), self.manifest_rel)
-        return DurableSnapshot(Path(self.root), manifest, self.manifest_rel,
-                               verify=verify)
-
     def save_index(self, index, kind: str) -> str:
         """Persist a built index's payload beside this version's manifest."""
         meta, arrays = export_index_state(index)
@@ -103,6 +99,9 @@ class DurableRef:
                    verify: bool = True):
         """Restore a persisted index payload for this version.
 
+        ``int8_table`` is the snapshot's ``int8_table()`` (what ``ivfpq``
+        refines against); ``params`` are the caller's index params, and
+        ``None`` comes back when they ask for another index than this one.
         Raises :class:`SnapshotNotFoundError` when no payload of ``kind``
         was persisted, :class:`SnapshotIntegrityError` when the payload is
         damaged — callers fall back to an in-memory rebuild either way.
@@ -119,13 +118,6 @@ class DurableRef:
             name: open_array(root, [ChunkRef.from_json(r) for r in refs], verify=verify)
             for name, refs in manifest["sections"]["index"]["arrays"].items()
         }
-        if meta.get("refine") == "int8" and int8_table is None:
-            int8_table = self.open(verify=verify).int8_table()
-            if int8_table is None:
-                raise SnapshotIntegrityError(
-                    f"index payload {rel} needs an int8 refine table but "
-                    f"v{self.version} published none"
-                )
         return restore_index_state(meta, arrays, int8_table=int8_table,
                                    params=params)
 
@@ -144,7 +136,7 @@ def _section_arrays(snapshot) -> Dict[str, Tuple[dict, Dict[str, np.ndarray]]]:
              "services": np.asarray(snapshot.services)},
         )
     }
-    table = snapshot.quantized.get("int8")
+    table = snapshot.int8
     if table is not None:
         arrays = {"codes": table.codes, "scales": table.scales}
         if table.query_scale is not None:
@@ -197,7 +189,7 @@ def write_snapshot(snapshot, root, *, rows_per_chunk: Optional[int] = None,
             "num_services": int(snapshot.num_services),
             "embedding_dim": int(snapshot.embedding_dim),
             "shard_bounds": [int(b) for b in snapshot.shard_bounds],
-            "quantization": sorted(snapshot.quantized),
+            "quantization": [] if snapshot.int8 is None else ["int8"],
             **(dict(extra_meta) if extra_meta else {}),
         },
         "sections": sections,
@@ -265,14 +257,6 @@ class DurableSnapshot:
     def array(self, section: str, name: str) -> np.ndarray:
         return open_array(self.root, self._refs(section, name), verify=self.verify)
 
-    def _query_scale(self):
-        """The published int8 query-quantization step, or ``None``."""
-        try:
-            refs = self._refs("int8", "query_scale")
-        except SnapshotIntegrityError:
-            return None
-        return float(open_array(self.root, refs, verify=self.verify)[0])
-
     def int8_table(self):
         """The version's :class:`~repro.serving.quant.scalar.Int8Table`,
         served straight off the mmapped chunks (or ``None``).
@@ -284,25 +268,24 @@ class DurableSnapshot:
             return None
         from repro.serving.quant.scalar import Int8Table
 
+        query_scale = None
+        if "query_scale" in self.manifest["sections"]["int8"]["arrays"]:
+            query_scale = float(self.array("int8", "query_scale")[0])
         return Int8Table(codes=self.array("int8", "codes"),
                          scales=self.array("int8", "scales"),
-                         query_scale=self._query_scale())
+                         query_scale=query_scale)
 
     def to_snapshot(self, *, published_at: float):
         """Rebuild the full in-memory snapshot over mmapped arrays."""
         from repro.serving.gateway.store import EmbeddingSnapshot
 
-        quantized = {}
-        int8 = self.int8_table()
-        if int8 is not None:
-            quantized["int8"] = int8
         return EmbeddingSnapshot(
             version=self.version,
             published_at=published_at,
             queries=self.array("fp", "queries"),
             services=self.array("fp", "services"),
             shard_bounds=self.shard_bounds,
-            quantized=quantized,
+            int8=self.int8_table(),
             durable=self.ref(),
         )
 

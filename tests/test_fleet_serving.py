@@ -41,6 +41,9 @@ from repro.serving.gateway import (
 from repro.serving.obs.health import HealthSnapshot
 from repro.serving.obs.ids import ids_to_u64, key_to_u64, mix64, splitmix64
 
+# Every test stops the threads it starts: see conftest.py.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
+
 DIM = 8
 NUM_QUERIES = 40
 NUM_SERVICES = 30

@@ -29,6 +29,9 @@ from repro.serving.gateway import (
 )
 from repro.serving.sharded import ShardedGateway
 
+# Every test stops the threads it starts: see conftest.py.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
+
 DIM = 8
 NUM_QUERIES = 40
 NUM_SERVICES = 30

@@ -12,6 +12,8 @@ edge cases — against an independently written reference.
 import numpy as np
 import pytest
 
+from repro.serving.gateway.index import ExactIndex, IVFIndex
+from repro.serving.quant import Int8Index, quantize_int8
 from repro.serving.sharded.merge import merge_top_k, shard_candidate_counts
 
 
@@ -140,3 +142,56 @@ class TestMergeRandomizedParity:
         shard_ids, _ = shard_lists(scores, bounds, k)
         counts = shard_candidate_counts(shard_ids)
         assert sum(counts) == 2 * 30  # batch x real candidates
+
+
+class TestIndexTiesAtTheCut:
+    """Real indexes keep the (score desc, id asc) contract at the k-th
+    position too, so a tie group that straddles the cut answers the same
+    single-process, sharded and in the reference."""
+
+    @staticmethod
+    def catalogue():
+        # 20 vectors, each present 3 times (ids i, i + 20, i + 40), with
+        # small-integer entries: every inner product is exact, so copies
+        # tie exactly in any summation order.
+        rng = np.random.default_rng(17)
+        base = rng.integers(-4, 5, size=(20, 8)).astype(np.float64)
+        queries = rng.integers(-4, 5, size=(16, 8)).astype(np.float64)
+        return queries, np.tile(base, (3, 1))
+
+    @pytest.mark.parametrize("kind", ["exact", "int8", "ivf"])
+    def test_single_index_equals_reference_and_merge(self, kind):
+        queries, services = self.catalogue()
+        k, bounds = 10, [0, 30, 60]
+        table = quantize_int8(services)  # one table, sliced per shard
+        if kind == "exact":
+            scores = queries @ services.T
+
+            def make(lo, hi):
+                return ExactIndex().build(services[lo:hi])
+        elif kind == "int8":
+            scores = table.scores_int(queries)
+
+            def make(lo, hi):
+                return Int8Index(int8_table=table.rows(lo, hi)).build(
+                    services[lo:hi])
+        else:
+            scores = queries @ services.T
+
+            def make(lo, hi):  # every list probed: an exact scan
+                return IVFIndex(num_lists=4, num_probes=4).build(
+                    services[lo:hi])
+        expect_ids, expect_scores = reference_top_k(scores, k)
+        ranked = -np.sort(-scores, axis=1)
+        assert (ranked[:, k - 1] == ranked[:, k]).sum() >= 8  # ties at the cut
+        single_ids, single_scores = make(0, 60).search(queries, k)
+        shard_ids, shard_scores = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            ids, block = make(lo, hi).search(queries, k)
+            shard_ids.append(np.where(ids >= 0, ids + lo, ids))
+            shard_scores.append(block)
+        merged_ids, merged_scores = merge_top_k(shard_ids, shard_scores, k)
+        np.testing.assert_array_equal(single_ids, expect_ids)
+        np.testing.assert_array_equal(single_scores, expect_scores)
+        np.testing.assert_array_equal(merged_ids, expect_ids)
+        np.testing.assert_array_equal(merged_scores, expect_scores)

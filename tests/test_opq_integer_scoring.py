@@ -265,13 +265,14 @@ class TestDurableRoundTrip:
             _, trained = gateway._index_for(snapshot).export_state()
         restored = VersionedEmbeddingStore.restore(str(root))
         revived = restored.snapshot()
-        assert set(revived.quantized) == {"int8"}
-        meta, arrays = revived.durable.load_index("ivfpq").export_state()
+        assert revived.int8 is not None
+        meta, arrays = revived.durable.load_index(
+            "ivfpq", int8_table=revived.int8_table()).export_state()
         assert meta["rotation"] == "opq"
         for name in ("rotation", "codebooks", "slot_codes"):
             assert np.array_equal(arrays[name], trained[name]), name
-        original_int8 = snapshot.quantized["int8"]
-        revived_int8 = revived.quantized["int8"]
+        original_int8 = snapshot.int8
+        revived_int8 = revived.int8
         assert revived_int8.query_scale == original_int8.query_scale
         probe = snapshot.queries[:8]
         assert np.array_equal(original_int8.scores_int(probe),

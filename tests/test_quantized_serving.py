@@ -474,14 +474,16 @@ class TestQuantizedStore:
         queries, services = clustered
         store = VersionedEmbeddingStore(queries, services, quantization=("int8",))
         snapshot = store.snapshot()
-        assert set(snapshot.quantized) == {"int8"}
-        int8_table = snapshot.quantized_services("int8")
+        int8_table = snapshot.int8
+        assert snapshot.int8_table() is int8_table  # the published table
         assert int8_table.num_vectors == snapshot.num_services
         with pytest.raises(ValueError):
             int8_table.codes[0, 0] = 1  # immutable like the fp arrays
-        for kind in ("fp8", "pq", "opq"):
-            with pytest.raises(KeyError, match="published: int8"):
-                snapshot.quantized_services(kind)
+        # Without a published table the snapshot derives one, once.
+        bare = VersionedEmbeddingStore(queries, services).snapshot()
+        assert bare.int8 is None
+        assert bare.int8_table() is bare.int8_table()
+        assert bare.int8_table().query_scale is None
         with pytest.raises(ValueError, match="int8"):
             VersionedEmbeddingStore(queries, services, quantization=("fp8",))
 
@@ -512,26 +514,28 @@ class TestQuantizedStore:
         store = VersionedEmbeddingStore(queries, services, num_shards=4,
                                         quantization=("int8",))
         snapshot = store.snapshot()
+        full = snapshot.int8_table()
         for shard in range(snapshot.num_shards):
-            ids, view = snapshot.quantized_shard("int8", shard)
+            ids, _ = snapshot.shard(shard)
             lo, hi = snapshot.shard_bounds[shard], snapshot.shard_bounds[shard + 1]
             assert np.array_equal(ids, np.arange(lo, hi))
-            full = snapshot.quantized_services("int8")
+            view = full.rows(lo, hi)
+            assert np.shares_memory(view.codes, full.codes)  # zero copy
             assert np.array_equal(view.codes, full.codes[lo:hi])
 
     def test_hot_swap_rebuilds_quantized_tables(self, clustered):
         queries, services = clustered
         store = VersionedEmbeddingStore(queries, services, quantization=("int8",))
         before = store.snapshot()
-        table_before = before.quantized_services("int8")
+        table_before = before.int8
         version = store.publish(queries, services * 0.5)
         after = store.snapshot()
-        table_after = after.quantized_services("int8")
+        table_after = after.int8
         assert after.version == version != before.version
         assert table_after is not table_before
         # the rebuilt codes track the *new* fp table, the old snapshot is intact
         assert np.allclose(table_after.decode(), after.services, atol=0.05)
-        assert np.array_equal(table_before.codes, before.quantized_services("int8").codes)
+        assert np.array_equal(table_before.codes, before.int8.codes)
 
 
 # --------------------------------------------------------------------- #
@@ -561,7 +565,7 @@ class TestQuantizedGateway:
             assert first == again and gateway.telemetry.cache_hits >= 1
             rng = np.random.default_rng(9)
             gateway.hot_swap(queries, rng.normal(size=services.shape))
-            assert gateway.store.snapshot().quantized_services("int8") is not None
+            assert gateway.store.snapshot().int8 is not None
             swapped = gateway.rank(3)
             assert swapped != first  # new embeddings, not a stale cached result
             assert len(gateway.cache) <= 1 + 1  # old-version entries dropped
@@ -573,7 +577,7 @@ class TestQuantizedGateway:
                 snapshot = gateway.store.snapshot()
                 index = gateway._index_for(snapshot)
                 # shared object, not a second quantization of the same catalogue
-                assert getter(index) is snapshot.quantized_services("int8")
+                assert getter(index) is snapshot.int8
 
     def test_prebuilt_table_shape_mismatch_rejected(self, clustered):
         _, services = clustered

@@ -25,6 +25,9 @@ from repro.serving.gateway import (
 )
 from repro.serving.obs import sample_percentiles_ms
 
+# Every test stops the threads it starts: see conftest.py.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
+
 
 class FakeClock:
     """Manually advanced clock for deadline / TTL / staleness tests."""

@@ -180,14 +180,14 @@ class TestShardWorker:
         views serves that row range with the published int8 rows intact."""
         snapshot = quantized_store.snapshot()
         ids, services = snapshot.shard(2)
-        _, int8_rows = snapshot.quantized_shard("int8", 2)
-        worker = ShardWorker(2, snapshot.version, services, int(ids[0]),
-                             int8_table=int8_rows, index="int8")
         lo, hi = snapshot.shard_bounds[2], snapshot.shard_bounds[3]
+        worker = ShardWorker(2, snapshot.version, services, int(ids[0]),
+                             int8_table=snapshot.int8_table().rows(lo, hi),
+                             index="int8")
         assert worker.version == snapshot.version
         assert worker.lo == lo and worker.hi == hi
         assert worker.index.table.num_vectors == hi - lo
-        published = snapshot.quantized["int8"]
+        published = snapshot.int8
         assert published.query_scale is not None
         assert worker.index.table.query_scale == published.query_scale
         assert np.array_equal(worker.index.table.scales, published.scales)
@@ -207,6 +207,33 @@ class TestScatterGatherParity:
         assert sharded.rank_batch(query_ids, 10) == single.rank_batch(query_ids, 10)
         sharded.close()
         single.close()
+
+    @pytest.mark.parametrize("workers", ["serial", "process"])
+    def test_int8_matches_single_process_without_a_published_table(
+            self, small, workers):
+        """A store that publishes no int8 table still hands every shard the
+        rows of one snapshot-wide table (regression: each shard quantized
+        its own rows with its own scales, and ids and scores drifted from
+        the single-process scan)."""
+        queries, services = small
+        services = services.copy()
+        # Rescale half the catalogue per dimension, so per-shard peaks (and
+        # with them per-shard scales) differ.
+        services[300:] *= np.linspace(0.25, 4.0, services.shape[1])
+        single = ServingGateway(VersionedEmbeddingStore(queries, services),
+                                index="int8", cache_capacity=0)
+        sharded = ShardedGateway(
+            VersionedEmbeddingStore(queries, services, num_shards=3),
+            index="int8", workers=workers, cache_capacity=0)
+        try:
+            for query_id in range(len(queries)):
+                ids, scores = sharded.search(query_id, 10)
+                want_ids, want_scores = single.search(query_id, 10)
+                assert np.array_equal(ids, want_ids)
+                assert np.array_equal(scores, want_scores)
+        finally:
+            sharded.close()
+            single.close()
 
     def test_thread_backend_matches_serial(self, clustered):
         serial = sharded_gateway(clustered, "exact", workers="serial")
@@ -939,7 +966,7 @@ class TestProcessPoolScatter:
         payloads = [(7, np.zeros((4, queries.shape[1] + 1)), 0, None),
                     (7, services[300:], 300, None)]
         monkeypatch.setattr(pool_module, "_shard_payload",
-                            lambda _snapshot, shard: payloads[shard])
+                            lambda _snapshot, shard, *_: payloads[shard])
         pool.prepare(dataclasses.replace(snapshot, version=7))
         reads = []
         for workers in pool._sets.values():

@@ -283,7 +283,7 @@ class TestReplicationRoundTrip:
         assert np.array_equal(np.asarray(a.queries), np.asarray(b.queries))
         assert np.array_equal(np.asarray(a.services), np.asarray(b.services))
         assert a.shard_bounds == b.shard_bounds
-        int8_a, int8_b = a.quantized["int8"], b.quantized["int8"]
+        int8_a, int8_b = a.int8, b.int8
         assert np.array_equal(np.asarray(int8_a.codes), np.asarray(int8_b.codes))
 
     def test_empty_disk_gateway_boots_from_peer(self, tmp_path):

@@ -178,12 +178,9 @@ class TestSnapshotRoundTrip:
         assert back.shard_bounds == snap.shard_bounds
         assert np.array_equal(back.queries, snap.queries)
         assert np.array_equal(back.services, snap.services)
-        assert np.array_equal(back.quantized["int8"].codes,
-                              snap.quantized["int8"].codes)
-        assert np.array_equal(back.quantized["int8"].scales,
-                              snap.quantized["int8"].scales)
-        assert back.quantized["int8"].query_scale == snap.quantized["int8"].query_scale
-        assert set(back.quantized) == {"int8"}
+        assert np.array_equal(back.int8.codes, snap.int8.codes)
+        assert np.array_equal(back.int8.scales, snap.int8.scales)
+        assert back.int8.query_scale == snap.int8.query_scale
         assert restored.quantization == store.quantization
         assert restored.num_shards == store.num_shards
 
@@ -205,7 +202,7 @@ class TestSnapshotRoundTrip:
         restored = VersionedEmbeddingStore.restore(str(root))
         assert restored.quantization == ("int8",)
         back = restored.snapshot()
-        assert set(back.quantized) == {"int8"}
+        assert back.int8 is not None
         assert np.array_equal(back.services, store.snapshot().services)
         queries, services = embeddings
         assert restored.publish(queries + 1.0, services) == 1
@@ -268,8 +265,8 @@ class TestSnapshotRoundTrip:
         ids, rows = back.shard(1)
         assert (ids[0], ids[-1] + 1) == (lo, hi)
         assert np.array_equal(rows, snap.services[lo:hi])
-        _, int8 = back.quantized_shard("int8", 1)
-        published = snap.quantized["int8"]
+        int8 = back.int8_table().rows(lo, hi)
+        published = snap.int8
         assert np.array_equal(int8.codes, published.codes[lo:hi])
         assert np.array_equal(int8.scales, published.scales)
         assert int8.query_scale == published.query_scale
@@ -491,9 +488,9 @@ class TestIndexPayloads:
         store, root = durable_store
         snap = store.snapshot()
         index = IVFPQIndex(num_subspaces=4, seed=5,
-                           int8_table=snap.quantized["int8"]).build(snap.services)
+                           int8_table=snap.int8).build(snap.services)
         snap.durable.save_index(index, "ivfpq")
-        restored = snap.durable.load_index("ivfpq")
+        restored = snap.durable.load_index("ivfpq", int8_table=snap.int8)
         queries = snap.queries[:16]
         ids_a, scores_a = index.search(queries, 10)
         ids_b, scores_b = restored.search(queries, 10)
@@ -560,6 +557,59 @@ class TestIndexPayloads:
             assert warm.rank(0, 8)
         finally:
             warm.close()
+
+    def test_payload_restores_on_a_store_without_an_int8_table(
+            self, tmp_path, embeddings):
+        """The default store publishes no int8 table; its persisted IVF-PQ
+        payload refines against the table the snapshot derives and is
+        restored, not re-trained (regression: every warm boot warned the
+        payload was unusable and rebuilt)."""
+        queries, services = embeddings
+        store = VersionedEmbeddingStore(queries, services,
+                                        durable_dir=str(tmp_path))
+        with ServingGateway(store, index="ivfpq", cache_capacity=0,
+                            index_params={"num_subspaces": 4}) as gateway:
+            expected = [gateway.search(query_id, 8) for query_id in range(6)]
+            gateway.persist_index()
+        warm_store = VersionedEmbeddingStore.restore(str(tmp_path))
+        assert warm_store.quantization == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ServingGateway(warm_store, index="ivfpq",
+                                cache_capacity=0) as warm:
+                assert warm._restore_index(warm_store.snapshot()) is not None
+                found = [warm.search(query_id, 8) for query_id in range(6)]
+        for (ids, scores), (want_ids, want_scores) in zip(found, expected):
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+
+    @pytest.mark.parametrize("params, restores", [
+        ({"num_probes": 3, "refine_factor": 4}, True),
+        ({"rotation": "opq"}, False),
+        ({"num_lists": 20}, False),
+        ({"num_subspaces": 4}, False),
+        ({"seed": 7}, False),
+    ], ids=["search-time", "rotation", "num_lists", "num_subspaces", "seed"])
+    def test_explicit_build_params_are_not_overridden_by_the_payload(
+            self, durable_store, params, restores):
+        """Search-time params override a restored payload; a build param it
+        was not built with asks for another index, which is built — with
+        no damaged-payload warning (regression: the payload was served)."""
+        store, root = durable_store
+        with ServingGateway(store, index="ivfpq", cache_capacity=0) as gateway:
+            gateway.persist_index()
+        warm_store = VersionedEmbeddingStore.restore(str(root))
+        snapshot = warm_store.snapshot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ServingGateway(warm_store, index="ivfpq", index_params=params,
+                                cache_capacity=0) as warm:
+                assert (warm._restore_index(snapshot) is not None) == restores
+                index = warm._index_for(snapshot)
+                assert warm.rank(0, 8)
+        for key, value in params.items():
+            assert (index.num_cells if key == "num_lists"
+                    else getattr(index, key)) == value
 
     def test_persist_index_requires_durable_snapshot(self, embeddings):
         queries, services = embeddings
