@@ -428,9 +428,10 @@ def deploy_fleet(model, num_replicas: int = 3, policy: Optional[HealthPolicy] = 
     The replicas share the store (embeddings are read-only snapshots, and
     a daily hot-swap's two-phase flip reaches every replica at once) but
     each owns its scheduler, cache, telemetry, and — by default — a
-    dedicated single-thread scoring executor (``cpu_executor="thread"``):
-    numpy releases the GIL during the scan, so per-replica executor
-    threads are what makes in-process replicas scale on multi-core hosts.
+    dedicated two-thread scoring executor (``cpu_executor="thread"``, one
+    thread per batch in flight): numpy releases the GIL during the scan,
+    so per-replica executor threads are what makes in-process replicas
+    scale on multi-core hosts.
     ``gateway_kwargs`` are forwarded to every :class:`ServingGateway`.
     """
     if num_replicas < 1:

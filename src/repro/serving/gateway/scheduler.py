@@ -28,7 +28,16 @@ request-lifecycle controls a loop front-end needs:
 * **cooperative cancellation** — a cancelled request's slot is dropped when
   its batch is formed, so its query is never scored;
 * **graceful shutdown** — :meth:`AsyncBatchScheduler.stop` cancels the
-  drive task and drains the queue, completing every in-flight future.
+  drive task and every batch it has in flight, then drains the queue,
+  completing every in-flight future.
+
+The drive task executes at most :attr:`AsyncBatchScheduler.max_in_flight`
+batches at once.  It is 1 unless the owner's executor can overlap batches:
+a gateway whose scoring runs on worker threads sets it to two, so the next
+batch is planned and scanned while the previous one is still on a thread.
+A due batch then waits for a free slot; batches still leave the queue in
+order, and :meth:`~AsyncBatchScheduler.poll` / :meth:`~AsyncBatchScheduler.flush`
+stay sequential.
 
 The clock is injectable so deadline semantics are unit-testable without
 sleeping (``await`` :meth:`~AsyncBatchScheduler.poll` explicitly, as the
@@ -41,7 +50,7 @@ import asyncio
 import inspect
 import time
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.serving.obs.metrics import Histogram
 from repro.serving.obs.tracing import STATUS_ERROR, STATUS_SHED
@@ -164,6 +173,11 @@ class AsyncBatchScheduler:
     ``telemetry`` (optionally a
     :class:`~repro.serving.gateway.telemetry.GatewayTelemetry`) receives
     queue-depth, overload, deadline-miss, cancellation and loop-lag events.
+
+    ``max_in_flight`` (an attribute, 1 by default) is how many batches the
+    drive task executes at once.  At 1 it awaits each batch inline; above
+    1 each batch runs as its own task, which pays only when the executor
+    hands the work to other threads.
     """
 
     def __init__(
@@ -208,7 +222,13 @@ class AsyncBatchScheduler:
         self.deadline_misses = 0
         self.cancelled_requests = 0
         self.max_queue_depth = 0
+        self.max_in_flight = 1
+        # Requests in batches awaited inline (poll, flush, a depth-1 drive).
         self._in_flight = 0
+        # Batches the drive task runs as tasks (depth > 1), each with its
+        # requests: ``stop()`` fails those of a batch cancelled before its
+        # first step, which never ran ``_run_batch``.
+        self._batches: Dict[asyncio.Task, List[PendingRequest]] = {}
         #: Executor wall-time distribution — a fixed-bucket histogram, so
         #: the scheduler's own footprint stays O(buckets) under sustained
         #: traffic (the per-batch latency list it replaces grew forever).
@@ -232,7 +252,9 @@ class AsyncBatchScheduler:
             pending._future is not None and not pending._future.done()
             for pending in self._queue
         )
-        driving = self._drive_task is not None and not self._drive_task.done()
+        driving = bool(self._batches) or (
+            self._drive_task is not None and not self._drive_task.done()
+        )
         if pinned or self._waiters or driving:
             raise RuntimeError(
                 "scheduler is bound to another event loop with work in flight"
@@ -354,13 +376,15 @@ class AsyncBatchScheduler:
 
     @property
     def in_flight_count(self) -> int:
-        """Requests in the batch currently executing (0 between batches).
+        """Requests in the batches currently executing (0 between batches).
 
-        A stalled executor hides its whole batch from ``pending_count``
-        (the queue drained into it when the batch was taken), so load
-        probes that want "work not yet answered" must sum both counts.
+        The sum over every batch in flight — up to ``max_in_flight`` from
+        the drive task, plus any a ``poll`` / ``flush`` is awaiting.  A
+        stalled executor hides its batches from ``pending_count`` (the
+        queue drained into them when they were taken), so load probes that
+        want "work not yet answered" must sum both counts.
         """
-        return self._in_flight
+        return self._in_flight + sum(map(len, self._batches.values()))
 
     # ------------------------------------------------------------------ #
     # Dispatch side
@@ -403,11 +427,28 @@ class AsyncBatchScheduler:
         possible point.  The batch is visible through
         :attr:`in_flight_count` for as long as it executes.
         """
-        self._in_flight = len(batch)
+        self._in_flight += len(batch)
         try:
             return await self._run_batch(batch)
         finally:
-            self._in_flight = 0
+            self._in_flight -= len(batch)
+
+    def _launch(self, batch: List[PendingRequest]) -> None:
+        """Run one formed batch as its own task; it counts as in flight
+        from now until it is done."""
+        task = self._loop.create_task(self._run_batch(batch))
+        self._batches[task] = batch
+        task.add_done_callback(self._batches.pop)
+
+    def _fail_stopped(self, requests: Sequence[PendingRequest]) -> None:
+        """Fail every unanswered request of a batch ``stop()`` cancelled."""
+        completed = self._clock()
+        for pending in requests:
+            if pending.done:
+                continue
+            pending._fail(asyncio.CancelledError("scheduler stopped"), completed)
+            if pending.trace is not None:
+                pending.trace.finish("cancelled", end_s=completed)
 
     async def _run_batch(self, batch: List[PendingRequest]) -> int:
         now = self._clock()
@@ -451,11 +492,7 @@ class AsyncBatchScheduler:
                     f"for a batch of {len(live)}"
                 )
         except asyncio.CancelledError:
-            completed = self._clock()
-            for pending in live:
-                pending._fail(asyncio.CancelledError("scheduler stopped"), completed)
-                if pending.trace is not None:
-                    pending.trace.finish("cancelled", end_s=completed)
+            self._fail_stopped(live)
             raise
         except BaseException as error:  # propagate to all waiters, keep serving
             completed = self._clock()
@@ -517,6 +554,11 @@ class AsyncBatchScheduler:
 
     async def _drive(self) -> None:
         while True:
+            if len(self._batches) >= self.max_in_flight:
+                # Every slot is taken: a due batch waits for one to free.
+                await asyncio.wait(
+                    list(self._batches), return_when=asyncio.FIRST_COMPLETED)
+                continue
             if not self._queue:
                 self._wake.clear()
                 if self._queue:  # lost race: enqueued between check and clear
@@ -525,7 +567,10 @@ class AsyncBatchScheduler:
                 continue
             now = self._clock()
             if self._due(now):
-                await self._run(self._take())
+                if self.max_in_flight == 1:
+                    await self._run(self._take())
+                else:
+                    self._launch(self._take())
                 continue
             delay = max(0.0, self.max_wait_s - (now - self._queue[0].enqueued_at))
             self._wake.clear()
@@ -540,9 +585,11 @@ class AsyncBatchScheduler:
                     self.telemetry.record_loop_lag(lag)
 
     async def stop(self) -> None:
-        """Cancel the drive task and drain the queue.
+        """Cancel the drive task and its batches, then drain the queue.
 
-        Everything already admitted is completed (or shed, per deadline).
+        Every batch in flight is cancelled: its unanswered requests fail
+        with :class:`asyncio.CancelledError`.  Everything still queued is
+        completed (or shed, per deadline).
         Parked admission waiters (``overload="wait"`` submitters) are
         cancelled — their ``submit`` raises :class:`asyncio.CancelledError`
         instead of enqueueing into a scheduler that no longer dispatches.
@@ -556,6 +603,13 @@ class AsyncBatchScheduler:
             except asyncio.CancelledError:
                 pass
             self._drive_task = None
+        if self._batches:
+            batches = list(self._batches.items())
+            for task, _ in batches:
+                task.cancel()
+            await asyncio.wait([task for task, _ in batches])
+            for _, batch in batches:
+                self._fail_stopped(batch)
         while self._queue or self._waiters or self._reserved:
             self._cancel_waiters()
             await self.flush()

@@ -66,6 +66,10 @@ class ShardedGateway(ServingGateway):
         except BaseException:
             self.pool.close()
             raise
+        # One batch in flight whatever ``cpu_executor`` says: the pool does
+        # the scoring, and a ``ProcessPool`` reads one scatter's pipes at a
+        # time, so a second batch would only wait for the first.
+        self.scheduler.max_in_flight = 1
 
     # ------------------------------------------------------------------ #
     # Two-phase snapshot listener: delegate the table lifecycle to the pool

@@ -400,12 +400,25 @@ class _ProcessSet:
 
     def recv(self, shard: int, cycle: int) -> Optional[tuple]:
         """The next frame off a readable pipe: ``cycle``'s reply, or ``None``
-        for the late reply of a cycle that timed out (keep reading)."""
+        for the late reply of a cycle that timed out (keep reading).
+
+        A frame that does not unpickle, or is not a ``(cycle, tag, ...)``
+        tuple, is a :class:`RuntimeError` naming the shard, like a dead
+        worker: the cycle's reader then settles instead of waiting out the
+        timeout."""
         try:
             reply = self.conns[shard].recv()
         except (EOFError, OSError) as error:
             raise self.gone(shard) from error
+        except Exception as error:  # pickle.UnpicklingError and kin
+            raise self.malformed(shard, f"{type(error).__name__}: {error}") from error
+        if not isinstance(reply, tuple) or len(reply) < 2:
+            raise self.malformed(shard, f"got {type(reply).__name__} {reply!r:.80}")
         return reply[1:] if reply[0] == cycle else None
+
+    @staticmethod
+    def malformed(shard: int, detail: str) -> RuntimeError:
+        return RuntimeError(f"shard worker {shard} sent a malformed frame ({detail})")
 
     def stop(self) -> None:
         """Stop every process and close every pipe; idempotent."""

@@ -13,6 +13,7 @@ sharded tier's scatter/gather across all three worker backends.
 import asyncio
 import multiprocessing
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ from repro.serving.gateway import (
     clustered_embeddings,
 )
 from repro.serving.sharded import ShardedGateway
+
+# The file drives ``cpu_executor="thread"``: ``close()`` must join every
+# owned scoring thread.
+pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
 
 
 class FakeClock:
@@ -47,6 +52,36 @@ class FakeClock:
 @pytest.fixture(scope="module")
 def clustered():
     return clustered_embeddings(200, 1500, 32, num_clusters=10, spread=0.2, seed=5)
+
+
+class GatedExecutor(ThreadPoolExecutor):
+    """A scoring executor that holds every call until the test sets that
+    call's gate (``gates`` lists them in submission order)."""
+
+    def __init__(self, workers=2):
+        super().__init__(max_workers=workers, thread_name_prefix="gated-score")
+        self.gates = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        gate = threading.Event()
+        self.gates.append(gate)
+
+        def held():
+            gate.wait(30.0)
+            return fn(*args, **kwargs)
+
+        return super().submit(held)
+
+    def shutdown(self, *args, **kwargs):
+        for gate in self.gates:
+            gate.set()
+        super().shutdown(*args, **kwargs)
+
+
+async def until(condition):
+    """Yield to the loop until ``condition()`` holds (no sleeping)."""
+    while not condition():
+        await asyncio.sleep(0)
 
 
 def make_scheduler(max_batch_size=4, max_wait_s=0.010, **kwargs):
@@ -280,6 +315,25 @@ class TestAsyncBatchScheduler:
             await scheduler.stop()
 
         asyncio.run(scenario())
+
+    def test_stop_fails_a_batch_cancelled_before_its_first_step(self):
+        """A batch task that ``stop()`` cancels before it ever ran still
+        settles every request it took from the queue."""
+        async def scenario():
+            scheduler, _, batches = make_scheduler()
+            scheduler.max_in_flight = 2
+            handles = [await scheduler.submit(q, 1) for q in range(3)]
+            scheduler._launch(scheduler._take())
+            assert scheduler.in_flight_count == 3
+            await scheduler.stop()
+            outcomes = await asyncio.gather(*(handle.wait() for handle in handles),
+                                            return_exceptions=True)
+            return scheduler, batches, outcomes
+
+        scheduler, batches, outcomes = asyncio.run(scenario())
+        assert batches == []  # never scored
+        assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+        assert scheduler.in_flight_count == 0
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -645,6 +699,152 @@ class TestAsyncGateway:
 
         assert asyncio.run(scenario()) == expected
         gateway.close()
+
+    @pytest.mark.parametrize("tier, cpu_executor, depth", [
+        ("single", None, 1),
+        ("single", "thread", 2),
+        ("sharded", "thread", 1),
+    ])
+    def test_offloaded_scoring_keeps_two_batches_in_flight(
+        self, clustered, tier, cpu_executor, depth
+    ):
+        """With every batch held, the drive task has ``depth`` batches in
+        the executor at once, never more: two when scoring is offloaded,
+        one when it runs inline or scatters through a shard pool."""
+        width = 4
+        kwargs = dict(max_batch_size=width, max_wait_s=0.0, cache_capacity=0,
+                      cpu_executor=cpu_executor)
+        if tier == "single":
+            gateway = self.make_gateway(clustered, **kwargs)
+        else:
+            gateway = TestShardedAsync.make_sharded(clustered, "thread", **kwargs)
+        scheduler = gateway.scheduler
+        score = scheduler.executor
+        inside = [0, 0]  # [now, peak]
+
+        async def scenario():
+            release = asyncio.Event()
+
+            async def counted(batch):
+                inside[0] += 1
+                inside[1] = max(inside)
+                try:
+                    await release.wait()
+                    return await score(batch)
+                finally:
+                    inside[0] -= 1
+
+            scheduler.executor = counted
+            tasks = [asyncio.ensure_future(gateway.search_async(q))
+                     for q in range(4 * width)]
+            await until(lambda: inside[0] == depth)
+            for _ in range(20):  # nothing else gets in while they are held
+                await asyncio.sleep(0)
+            held = (inside[1], scheduler.in_flight_count, scheduler.pending_count)
+            release.set()
+            results = await asyncio.gather(*tasks)
+            await gateway.stop_async()
+            return held, results
+
+        try:
+            held, results = asyncio.run(asyncio.wait_for(scenario(), 30.0))
+            assert held == (depth, depth * width, (4 - depth) * width)
+            assert [ids.tolist() for ids, _ in results] == [
+                gateway.rank(q) for q in range(4 * width)
+            ]
+        finally:
+            gateway.close()
+
+    def test_two_batches_straddle_a_version_flip(self, clustered):
+        """Batch A pins v0 and is held on a scoring thread; v1 is published;
+        batch B pins v1 and finishes first.  Each batch answers entirely at
+        its own version, the served version never moves back, and A's late
+        v0 answers never reach the cache, where they would evict B's."""
+        queries, services = clustered
+        flipped = services[::-1].copy()
+        ids = list(range(4))
+        oracle = [
+            ExactIndex().build(table).search(queries[ids], 10)[0].tolist()
+            for table in (services, flipped)
+        ]
+        executor = GatedExecutor()
+        gateway = self.make_gateway(clustered, max_batch_size=len(ids),
+                                    max_wait_s=0.0, cache_capacity=len(ids),
+                                    cpu_executor=executor)
+        served = []
+
+        async def batch_of(query_ids):
+            return [asyncio.ensure_future(gateway.search_async(q))
+                    for q in query_ids]
+
+        async def scenario():
+            first = await batch_of(ids)
+            await until(lambda: len(executor.gates) == 1)
+            gateway.hot_swap(queries, flipped)
+            second = await batch_of(ids)
+            await until(lambda: len(executor.gates) == 2)
+            served.append(gateway._served_version)
+            executor.gates[1].set()
+            late = await asyncio.gather(*second)
+            served.append(gateway._served_version)
+            executor.gates[0].set()
+            early = await asyncio.gather(*first)
+            served.append(gateway._served_version)
+            cached = sorted(gateway.cache._entries)
+            hits = gateway.cache.hits
+            again = await asyncio.gather(*(await batch_of(ids)))
+            await gateway.stop_async()
+            return early, late, cached, gateway.cache.hits - hits, again
+
+        try:
+            early, late, cached, hits, again = asyncio.run(
+                asyncio.wait_for(scenario(), 30.0))
+        finally:
+            gateway.close()
+            executor.shutdown()
+        assert [answer.tolist() for answer, _ in early] == oracle[0]
+        assert [answer.tolist() for answer, _ in late] == oracle[1]
+        assert [answer.tolist() for answer, _ in again] == oracle[1]
+        assert served == [1, 1, 1]
+        assert cached == [(q, 10, 1) for q in ids]
+        assert hits == len(ids)  # B's entries survived A's late finish
+        assert gateway.summary()["hot_swaps"] == 1
+
+    def test_stop_cancels_both_batches_in_flight(self, clustered):
+        """``stop_async()`` with two held batches: both are cancelled, the
+        queued batch behind them is still answered, and every request is
+        accounted for exactly once."""
+        width = 4
+        executor = GatedExecutor()
+        gateway = self.make_gateway(clustered, max_batch_size=width,
+                                    max_wait_s=0.0, cache_capacity=0,
+                                    cpu_executor=executor)
+        scheduler = gateway.scheduler
+
+        async def scenario():
+            tasks = [asyncio.ensure_future(gateway.search_async(q))
+                     for q in range(3 * width)]
+            await until(lambda: len(executor.gates) == 2)
+            held = (scheduler.in_flight_count, scheduler.pending_count)
+            stopping = asyncio.ensure_future(gateway.stop_async())
+            await until(lambda: len(executor.gates) == 3)  # the drain's batch
+            for gate in executor.gates:
+                gate.set()
+            await stopping
+            return held, await asyncio.gather(*tasks, return_exceptions=True)
+
+        try:
+            held, outcomes = asyncio.run(asyncio.wait_for(scenario(), 30.0))
+        finally:
+            gateway.close()
+            executor.shutdown()
+        assert held == (2 * width, width)
+        cancelled = [isinstance(o, asyncio.CancelledError) for o in outcomes]
+        answered = [isinstance(o, tuple) for o in outcomes]
+        assert cancelled == [True] * (2 * width) + [False] * width
+        assert answered == [False] * (2 * width) + [True] * width
+        assert gateway.summary()["requests"] == width
+        assert scheduler.in_flight_count == 0 and scheduler._batches == {}
 
     def test_rejects_bogus_cpu_executor(self, clustered):
         with pytest.raises(ValueError):

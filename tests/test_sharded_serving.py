@@ -9,6 +9,7 @@ import gc
 import multiprocessing
 import os
 import pathlib
+import pickle
 import signal
 import sys
 import threading
@@ -513,6 +514,38 @@ class TestProcessPool:
         assert [reply.version for reply in replies] == [0, 0]
         pool.close()
         pool.close()  # idempotent
+
+    @pytest.mark.parametrize("garbled", ["unpickling", "not-a-frame"])
+    def test_a_malformed_reply_frame_is_a_typed_error_naming_the_shard(
+            self, small, garbled):
+        """A reply that does not unpickle, or is not a ``(cycle, tag, ...)``
+        tuple, fails the scatter with an error naming the shard — not an
+        exception in the loop's handler and a cycle left waiting out
+        ``timeout_s`` to call the shard silent.  The pipes stay in step."""
+        queries, services = small
+        store = VersionedEmbeddingStore(queries, services, num_shards=2)
+        pool = ProcessPool(2, index="exact", timeout_s=30.0)
+        try:
+            pool.prepare(store.snapshot())
+            pool.activate(store.snapshot())
+            conn = pool._sets[0].conns[1]
+
+            def recv(real=conn.recv):
+                real()  # the worker's frame is consumed ...
+                if garbled == "unpickling":  # ... and comes out corrupt
+                    raise pickle.UnpicklingError("invalid load key, '\\x00'.")
+                return "not a frame"
+
+            conn.recv = recv
+            with pytest.raises(RuntimeError, match="shard worker 1 sent a "
+                               "malformed frame") as raised:
+                asyncio.run(pool.search_async(0, queries[:2], 5))
+            assert "did not reply" not in str(raised.value)
+            del conn.recv
+            replies = asyncio.run(pool.search_async(0, queries[:2], 5))
+            assert [reply.version for reply in replies] == [0, 0]
+        finally:
+            pool.close()
 
     # A failed ``Connection.send`` leaves its pickle buffer (a BytesIO and the
     # memoryview exporting it) in the error's traceback; collected as cyclic
