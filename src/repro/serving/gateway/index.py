@@ -223,15 +223,17 @@ class IVFIndex(RetrievalIndex):
         centroids, assignment = kmeans(
             services, num_lists, iters=max(1, self.kmeans_iters), rng=self.seed
         )
+        # One stable sort groups every cell's ids in ascending order; the
+        # lists are views into it and into one gathered copy of the table.
         # Drop cells that ended empty so every stored list is scannable.
-        self._list_ids, self._list_vectors, kept = [], [], []
-        for cell in range(num_lists):
-            ids = np.nonzero(assignment == cell)[0].astype(np.int64)
-            if ids.size == 0:
-                continue
-            kept.append(cell)
-            self._list_ids.append(ids)
-            self._list_vectors.append(np.ascontiguousarray(services[ids]))
+        order = np.argsort(assignment, kind="stable")
+        counts = np.bincount(assignment, minlength=num_lists)
+        bounds = np.cumsum(counts)[:-1]
+        kept = np.flatnonzero(counts)
+        ids = np.split(order, bounds)
+        vectors = np.split(services[order], bounds)
+        self._list_ids = [ids[cell] for cell in kept]
+        self._list_vectors = [vectors[cell] for cell in kept]
         self._centroids = centroids[kept]
         self._half_sq_norms = 0.5 * np.sum(self._centroids ** 2, axis=1)
         # The inverted lists hold a full copy of every vector; keeping the

@@ -10,7 +10,9 @@ assignment step uses the expanded-distance identity
 
 so the assignment step (:func:`assign`) is BLAS matmuls instead of a
 pairwise-distance tensor, and the update step is one :func:`grouped_mean`
-over all cells instead of a python loop of per-cell masks.  The affinity is
+over all cells instead of a python loop of per-cell masks: a weighted
+``np.bincount`` over the flat ``(cell, column)`` index for float64 input,
+which sums each bucket in row order exactly as the loop does.  The affinity is
 formed ``ASSIGN_BLOCK_ROWS`` rows at a time and argmaxed block by block, so
 the step's temporary is one cache-sized block rather than an ``(n, k)``
 matrix.  The block is a multiple of 96 rows because blocks of that size
@@ -92,15 +94,23 @@ def grouped_mean(points: np.ndarray, assignment: np.ndarray,
     """Mean row of every group at once: ``(means, counts)``.
 
     Equal, bit for bit, to ``points[assignment == g].mean(axis=0)`` per
-    group: ``np.add.at`` is unbuffered, so each group's rows accumulate in
-    index order in the input's float dtype — the arithmetic of the
-    per-group loop without its ``num_groups`` full-length masks, and without
-    a sorted copy of ``points``.  Empty groups come back as zero rows with
-    count 0.
+    group: each group's rows accumulate in index order, from 0.0, in the
+    input's float dtype — the arithmetic of the per-group loop without its
+    ``num_groups`` full-length masks.  Float64 sums are one weighted
+    ``np.bincount`` over the flat index ``assignment * dim + column`` (an
+    ``(n, dim)`` int64 temporary); ``bincount`` accumulates in float64, so
+    float32 sums stay on the unbuffered ``np.add.at``.  Empty groups come
+    back as zero rows with count 0.
     """
-    sums = np.zeros((num_groups, points.shape[1]),
-                    dtype=np.result_type(points.dtype, np.float32))
-    np.add.at(sums, assignment, points)
+    dim = points.shape[1]
+    dtype = np.result_type(points.dtype, np.float32)
+    if dtype == np.float64:
+        flat = assignment[:, None] * dim + np.arange(dim)
+        sums = np.bincount(flat.ravel(), weights=points.ravel(),
+                           minlength=num_groups * dim).reshape(num_groups, dim)
+    else:
+        sums = np.zeros((num_groups, dim), dtype=dtype)
+        np.add.at(sums, assignment, points)
     counts = np.bincount(assignment, minlength=num_groups)
     live = counts > 0
     sums[live] /= counts[live, None].astype(sums.dtype)

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.eval.serving_metrics import (
     compression_report,
@@ -22,6 +23,7 @@ import repro.serving.quant as quant_package
 from repro.serving.gateway import (
     ExactIndex,
     Int8Index,
+    IVFIndex,
     IVFPQIndex,
     ServingGateway,
     VersionedEmbeddingStore,
@@ -47,6 +49,17 @@ from repro.serving.quant.kmeans import (
 
 # The package re-exports the ``kmeans`` function under the submodule's name.
 kmeans_module = importlib.import_module("repro.serving.quant.kmeans")
+
+
+def add_at_grouped_mean(points, assignment, num_groups):
+    """The unbuffered ``np.add.at`` update :func:`grouped_mean` must equal."""
+    sums = np.zeros((num_groups, points.shape[1]),
+                    dtype=np.result_type(points.dtype, np.float32))
+    np.add.at(sums, assignment, points)
+    counts = np.bincount(assignment, minlength=num_groups)
+    live = counts > 0
+    sums[live] /= counts[live, None].astype(sums.dtype)
+    return sums, counts
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +258,50 @@ class TestKMeans:
                               [points[[1, 4, 5]].mean(axis=0),
                                points[[0, 2, 3]].mean(axis=0)])
         assert not means[[1, 3]].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_points=st.integers(1, 300), dim=st.integers(1, 40),
+           num_groups=st.integers(1, 60), used=st.integers(1, 60),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grouped_mean_equals_add_at_bit_for_bit(
+            self, num_points, dim, num_groups, used, dtype, seed):
+        rng = np.random.default_rng(seed)
+        points = (rng.standard_normal((num_points, dim))
+                  * rng.uniform(1e-3, 1e3)).astype(dtype)
+        # Rows land on at most ``used`` groups, so many groups stay empty.
+        groups = rng.choice(num_groups, size=min(used, num_groups), replace=False)
+        assignment = groups[rng.integers(groups.size, size=num_points)]
+        means, counts = grouped_mean(points, assignment, num_groups)
+        expected, expected_counts = add_at_grouped_mean(points, assignment,
+                                                        num_groups)
+        assert means.dtype == expected.dtype and means.shape == expected.shape
+        assert means.tobytes() == expected.tobytes()
+        assert np.array_equal(counts, expected_counts)
+
+    def test_ivf_builds_equal_the_add_at_update(self, small, monkeypatch):
+        _, services = small
+        builds = {
+            "ivf": lambda: IVFIndex(num_lists=24).build(services),
+            "ivfpq": lambda: IVFPQIndex(num_lists=24).build(services),
+        }
+        got = {name: build() for name, build in builds.items()}
+        for module in (kmeans_module, ivfpq_module):
+            monkeypatch.setattr(module, "grouped_mean", add_at_grouped_mean)
+        expected = {name: build() for name, build in builds.items()}
+
+        def ivf_arrays(index):
+            return [index._centroids, *index._list_ids, *index._list_vectors]
+
+        def ivfpq_arrays(index):
+            return list(index.export_state()[1].values())
+
+        for name, arrays in (("ivf", ivf_arrays), ("ivfpq", ivfpq_arrays)):
+            pairs = list(zip(arrays(got[name]), arrays(expected[name]), strict=True))
+            assert pairs
+            for a, b in pairs:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
 
     def test_kmeanspp_init_is_deterministic_and_spreads_seeds(self, clustered):
         _, services = clustered

@@ -242,6 +242,21 @@ class TestReplicationRoundTrip:
         assert_bit_identical(src, dst)
         assert read_pointer(dst) == read_pointer(src)
 
+    def test_both_ends_of_a_session_turn_off_nagle(self, tmp_path):
+        # A META write followed by its DATA write would otherwise wait on
+        # the peer's delayed ACK; the flag must be set on both sockets.
+        _store, src = make_source(tmp_path)
+        with SnapshotServer(src) as server:
+            conn = PeerConnection(server.address, timeout_s=5.0)
+            try:
+                conn.request({"op": "manifest"})  # the session is live now
+                (session,) = server._sessions
+                for sock in (conn._sock, session.request):
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) != 0
+            finally:
+                conn.close()
+
     def test_refetch_transfers_nothing(self, tmp_path):
         _store, src = make_source(tmp_path)
         dst = tmp_path / "dst"
