@@ -31,7 +31,7 @@ def main() -> None:
     fig8 = fig8_temperature.run(settings, values=(0.05, 0.1, 0.5, 1.0))
     print(format_float_table(fig8.rows))
 
-    print("\nSee benchmarks/ for the full-grid versions of these experiments.")
+    print("\nRun `python -m repro.experiments <id>` for the full-grid versions.")
 
 
 if __name__ == "__main__":

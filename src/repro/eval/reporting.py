@@ -1,8 +1,9 @@
-"""Plain-text table formatting for benchmark output.
+"""Plain-text table formatting for experiment output.
 
-The benchmark harness prints the same rows/series the paper reports; these
-helpers render lists of dictionaries as aligned monospace tables so the
-benches stay free of formatting clutter.
+The experiment runner (``python -m repro.experiments``) and the examples
+print the same rows/series the paper reports; these helpers render lists of
+dictionaries as aligned monospace tables so the drivers stay free of
+formatting clutter.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ ALL_MODEL_NAMES: Tuple[str, ...] = BASELINE_NAMES + ("GARCIA",)
 class ExperimentSettings:
     """Scale and optimisation knobs shared by every experiment driver.
 
-    The defaults target the ``tiny`` scale so each benchmark finishes in
-    seconds; pass ``scale="small"`` (and more epochs) for results closer to
-    the published shapes.
+    The defaults target the ``tiny`` scale so each experiment finishes in
+    seconds to minutes; pass ``scale="small"`` (and more epochs) for results
+    closer to the published shapes.
     """
 
     scale: str = "tiny"

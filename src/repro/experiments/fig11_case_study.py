@@ -65,3 +65,17 @@ def run(
             mean_quality = float(np.mean([service.quality_score() for service in services]))
             result.series[f"query{query_id}/{system_name}/mean_quality"] = [mean_quality]
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    garcia = [v[0] for k, v in result.series.items() if k.endswith("GARCIA/mean_quality")]
+    baseline = [v[0] for k, v in result.series.items() if k.endswith("BASELINE/mean_quality")]
+    if len(result.rows) != 2 * 2 * 5:  # two queries × two systems × top-5
+        failures.append(f"expected 20 ranked rows, got {len(result.rows)}")
+    if len(garcia) != 2 or len(baseline) != 2:
+        failures.append("expected one mean quality per query and system")
+    if not all(np.isfinite(value) for value in garcia + baseline):
+        failures.append("a mean quality is not finite")
+    return failures

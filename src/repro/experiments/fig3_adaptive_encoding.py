@@ -8,7 +8,9 @@ and overall.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.data.industrial import INDUSTRIAL_DATASETS
 from repro.experiments.common import ExperimentResult, ExperimentSettings, scenario_for, train_and_evaluate
@@ -39,3 +41,13 @@ def run(settings: Optional[ExperimentSettings] = None,
                 }
             )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    if len(result.rows) != 3 * 2:
+        failures.append(f"expected 6 (window, variant) rows, got {len(result.rows)}")
+    if not all(np.isfinite(row["overall_auc"]) for row in result.rows):
+        failures.append("an overall AUC is not finite")
+    return failures

@@ -56,3 +56,19 @@ def run(settings: Optional[ExperimentSettings] = None,
                 }
             )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    if len(result.rows) != 3 * 5:
+        failures.append(f"expected 15 (window, variant) rows, got {len(result.rows)}")
+    datasets = {row["dataset"] for row in result.rows}
+    full_better = 0
+    for dataset in datasets:
+        rows = {row["variant"]: row for row in result.rows if row["dataset"] == dataset}
+        if rows["GARCIA"]["overall_auc"] >= rows["GARCIA w.o. ALL"]["overall_auc"] - 0.02:
+            full_better += 1
+    if full_better < 2:
+        failures.append(f"GARCIA >= w.o. ALL - 0.02 on only {full_better} windows")
+    return failures

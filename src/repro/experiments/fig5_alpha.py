@@ -8,7 +8,9 @@ is the worst and very large α degrades performance, with the optimum around
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings
 from repro.experiments.sweep import sweep_garcia_hyperparameter
@@ -29,3 +31,17 @@ def run(settings: Optional[ExperimentSettings] = None,
         settings=settings,
         dataset=dataset,
     )
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    alphas = [row["alpha"] for row in result.rows]
+    if alphas != list(DEFAULT_VALUES):
+        failures.append(f"alpha grid {alphas} is not {list(DEFAULT_VALUES)}")
+    if not all(np.isfinite(row["overall_auc"]) for row in result.rows):
+        failures.append("an overall AUC is not finite")
+    # Per-epoch step curves are recorded for every alpha value.
+    if not any(key.endswith("/tail_auc") for key in result.series):
+        failures.append("no per-epoch tail AUC curve was recorded")
+    return failures

@@ -6,7 +6,9 @@ the worst and the optimum sits around 0.01–0.04.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings
 from repro.experiments.sweep import sweep_garcia_hyperparameter
@@ -27,3 +29,14 @@ def run(settings: Optional[ExperimentSettings] = None,
         settings=settings,
         dataset=dataset,
     )
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    betas = [row["beta"] for row in result.rows]
+    if betas != list(DEFAULT_VALUES):
+        failures.append(f"beta grid {betas} is not {list(DEFAULT_VALUES)}")
+    if not all(np.isfinite(row["tail_auc"]) for row in result.rows):
+        failures.append("a tail AUC is not finite")
+    return failures

@@ -8,7 +8,9 @@ help (with small fluctuations attributed to taxonomy noise).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.eval.evaluator import Evaluator
 from repro.experiments.common import ExperimentResult, ExperimentSettings, build_model, scenario_for, train_model
@@ -58,3 +60,14 @@ def run(settings: Optional[ExperimentSettings] = None,
             }
         )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    depths = [row["H"] for row in result.rows]
+    if depths != ["none", 1, 2, 3, 4, 5]:
+        failures.append(f"H column {depths} is not ['none', 1, 2, 3, 4, 5]")
+    if not all(np.isfinite(row["overall_auc"]) for row in result.rows):
+        failures.append("an overall AUC is not finite")
+    return failures

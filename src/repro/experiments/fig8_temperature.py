@@ -7,7 +7,9 @@ positives from negatives.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings
 from repro.experiments.sweep import sweep_garcia_hyperparameter
@@ -29,3 +31,14 @@ def run(settings: Optional[ExperimentSettings] = None,
         dataset=dataset,
         track_steps=False,
     )
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    taus = [row["tau"] for row in result.rows]
+    if taus != list(DEFAULT_VALUES):
+        failures.append(f"tau grid {taus} is not {list(DEFAULT_VALUES)}")
+    if not all(np.isfinite(row["tail_auc"]) for row in result.rows):
+        failures.append("a tail AUC is not finite")
+    return failures

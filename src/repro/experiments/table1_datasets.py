@@ -7,7 +7,7 @@ sizes.  This driver regenerates those statistics for the synthetic stand-ins.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings, all_dataset_names, scenario_for
 
@@ -29,3 +29,18 @@ def run(settings: Optional[ExperimentSettings] = None,
         )
         result.rows.append(stats.as_row())
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    if len(result.rows) != 6:
+        failures.append(f"expected 6 dataset rows, got {len(result.rows)}")
+    # Industrial windows: the head share of page views far exceeds the head
+    # share of queries (the long-tail phenomenon the paper builds on).
+    for row in result.rows[:3]:
+        if not row["pv_head_pct"] > 4 * row["queries_head_pct"]:
+            failures.append(f"{row['dataset']}: head PV share <= 4x head query share")
+    if not any(row["dataset"] == "Sep. A" for row in result.rows):
+        failures.append("Sep. A is missing")
+    return failures

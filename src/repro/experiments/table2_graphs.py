@@ -6,7 +6,7 @@ the size of the intention forest for every dataset.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings, all_dataset_names, scenario_for
 
@@ -28,3 +28,18 @@ def run(settings: Optional[ExperimentSettings] = None,
         )
         result.rows.append(stats.as_row())
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    if len(result.rows) != 6:
+        failures.append(f"expected 6 dataset rows, got {len(result.rows)}")
+    for row in result.rows:
+        if not row["tail_nodes"] > row["head_nodes"]:
+            failures.append(f"{row['dataset']}: tail nodes <= head nodes")
+        if not row["tail_edges"] > row["head_edges"]:
+            failures.append(f"{row['dataset']}: tail edges <= head edges")
+        if not row["intention_nodes"] > 0:
+            failures.append(f"{row['dataset']}: no intention nodes")
+    return failures

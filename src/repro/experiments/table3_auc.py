@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.experiments.common import (
     ALL_MODEL_NAMES,
     ExperimentResult,
@@ -74,3 +76,25 @@ def _improvement_rows(dataset_name: str, per_model: Dict[str, Dict[str, float]])
         )
     rows.append(improvements)
     return rows
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    model_rows = [row for row in result.rows if "vs best" not in str(row["model"])]
+    if len(model_rows) != 6 * 6:
+        failures.append(f"expected 36 (dataset, model) rows, got {len(model_rows)}")
+    if not all(np.isfinite(row["overall_auc"]) for row in model_rows):
+        failures.append("an overall AUC is not finite")
+    # GNN models beat the non-graph Wide&Deep on overall AUC for a majority
+    # of datasets (the paper's first key observation).
+    datasets = {row["dataset"] for row in model_rows}
+    gnn_wins = 0
+    for dataset in datasets:
+        rows = {row["model"]: row for row in model_rows if row["dataset"] == dataset}
+        best_gnn = max(rows[m]["overall_auc"] for m in ("LightGCN", "KGAT", "GARCIA"))
+        if best_gnn > rows["Wide&Deep"]["overall_auc"]:
+            gnn_wins += 1
+    if gnn_wins < len(datasets) // 2:
+        failures.append(f"a GNN beats Wide&Deep on only {gnn_wins} datasets")
+    return failures

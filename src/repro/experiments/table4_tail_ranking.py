@@ -8,7 +8,9 @@ SGL ≈ SimGCL > LightGCN > Wide&Deep.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.data.industrial import INDUSTRIAL_DATASETS
 from repro.experiments.common import (
@@ -63,3 +65,17 @@ def _relative(value: float, reference: float) -> float:
     if reference == 0 or reference != reference:  # zero or NaN
         return float("nan")
     return round(100.0 * (value - reference) / reference, 2)
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Shape gates of a default run: one message per failed gate."""
+    failures = []
+    if len(result.rows) != 3 * 6:
+        failures.append(f"expected 18 (window, model) rows, got {len(result.rows)}")
+    for row in result.rows:
+        name = f"{row['dataset']} / {row['model']}"
+        if row["model"] == "LightGCN" and row["gauc_vs_lightgcn_pct"] != 0.0:
+            failures.append(f"{name}: the reference is not at 0 %")
+        if not (np.isfinite(row["tail_gauc"]) or np.isnan(row["tail_gauc"])):
+            failures.append(f"{name}: tail GAUC is infinite")
+    return failures

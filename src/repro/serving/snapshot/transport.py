@@ -262,6 +262,12 @@ class SnapshotServer:
         server, self._server = self._server, None
         if server is None:
             return
+        # Shutting the listener down wakes serve_forever's select at once on
+        # Linux; elsewhere shutdown() still returns within one poll.
+        try:
+            server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         server.shutdown()  # serve_forever has returned: no more accepts
         self._thread.join()
         with self._lock:
