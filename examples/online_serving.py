@@ -3,51 +3,46 @@
 Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
 
 1. train GARCIA and the deployed baseline (KGAT) offline,
-2. rank with each model's own click head (Eq. 12, ``model.rank``) — the
-   scorer the offline tables evaluate; the gateway steps below serve the
-   inner product of the exported embeddings instead (Sec. V-F.1),
-3. replay a week of simulated user traffic through both buckets and report
-   the relative CTR / Valid-CTR improvement per day,
-4. print the case-study ranked lists (with MAU and rating) for two
+2. print the case-study ranked lists (with MAU and rating) for two
    representative long-tail queries,
-5. redeploy GARCIA behind the high-throughput gateway (ANN retrieval,
+3. redeploy GARCIA behind the high-throughput gateway (ANN retrieval,
    micro-batching, result cache) and report QPS / latency / recall under a
    Zipf request load — the latency story behind the paper's inner-product
    deployment choice (Sec. V-F.1),
-6. publish *quantized* snapshots (an int8 service table) and serve the
+4. publish *quantized* snapshots (an int8 service table) and serve the
    same load through the IVF-PQ index, reporting the memory-vs-recall
    trade-off that lets one shard hold a far larger catalogue under the
    same daily-refresh contract,
-7. scale out: deploy the same model across 4 shard workers behind the
+5. scale out: deploy the same model across 4 shard workers behind the
    scatter/gather gateway (``repro.serving.sharded``) — per-shard top-K
    lists merge exactly, per-shard telemetry shows the near-uniform load,
    and a daily refresh hot-swaps every worker through the two-phase flip,
-8. go asyncio-native: serve an *open-loop* Poisson arrival stream through
+6. go asyncio-native: serve an *open-loop* Poisson arrival stream through
    ``await gateway.search_async(...)`` — thousands of requests can be in
    flight as futures on one event loop (no thread per wait), with a bounded
    admission queue, per-request deadlines and the new queue-depth /
    overload / deadline-miss telemetry,
-9. close the loop: rerun the Fig. 10 bucket test *through the gateway*
+7. run the Fig. 10 bucket test *through the gateway*
    (``repro.serving.abtest``) — sessions hash deterministically into a
    90/10 control/treatment split, each bucket is served by its own gateway
    arm (baseline exact scan vs GARCIA behind IVF), and one run reports the
    daily CTR / Valid-CTR improvement **and** each bucket's QPS / latency
    cost from the same tagged traffic,
-10. watch it run: redeploy the sharded tier with end-to-end tracing on
-    (``repro.serving.obs``), replay traffic, then ask the flight recorder
-    to *explain* the slowest request — the span tree from admission
-    through per-shard scatter to the reply — poll the one-allocation
-    health snapshot, and scrape the same telemetry as a Prometheus text
-    exposition,
-11. replicate it: deploy a 3-replica *fleet* behind the health-aware
-    rendezvous router (``repro.serving.fleet``) and drive a chaos storm
-    through it — one replica killed mid-storm, another stalled — proving
-    the fleet contract live: every admitted session is answered or
-    explicitly shed (none lost, none double-counted), the dead replica is
-    ejected and its sessions fail over with their remaining deadline
-    budget, and the stalled replica's backlog sheds on deadlines instead
-    of wedging the fleet,
-12. survive a restart: publish the quantized store **to disk**
+8. watch it run: redeploy the sharded tier with end-to-end tracing on
+   (``repro.serving.obs``), replay traffic, then ask the flight recorder
+   to *explain* the slowest request — the span tree from admission
+   through per-shard scatter to the reply — poll the one-allocation
+   health snapshot, and scrape the same telemetry as a Prometheus text
+   exposition,
+9. replicate it: deploy a 3-replica *fleet* behind the health-aware
+   rendezvous router (``repro.serving.fleet``) and drive a chaos storm
+   through it — one replica killed mid-storm, another stalled — proving
+   the fleet contract live: every admitted session is answered or
+   explicitly shed (none lost, none double-counted), the dead replica is
+   ejected and its sessions fail over with their remaining deadline
+   budget, and the stalled replica's backlog sheds on deadlines instead
+   of wedging the fleet,
+10. survive a restart: publish the quantized store **to disk**
     (``repro.serving.snapshot`` — chunked, checksummed, content-addressed,
     behind an atomically-flipped manifest pointer), run a daily refresh
     whose delta publish rewrites only the changed chunks, kill the
@@ -55,14 +50,17 @@ Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
     fleet replica straight from the manifest — tables and codes are
     mmapped read-only, no re-quantization, and the ranked lists are
     bit-identical to the pre-kill deployment,
-13. rotate the codes: train the OPQ learned rotation into the IVF-PQ
+11. rotate the codes: train the OPQ learned rotation into the IVF-PQ
     deployment (``rotation="opq"``), persist the index — rotation matrix
     and rotated codebooks — as a sidecar beside the snapshot that carries
     the frozen int8 query scale, bound on-disk retention with
     ``keep_last``, then kill everything and warm-start —
     the restored gateway and a revived fleet replica serve the rotated,
     integer-scored codes bit-identically to the in-memory trainer, with
-    zero retraining.
+    zero retraining,
+12. replicate over the wire: a host with an empty durable dir boots from a
+    peer's ``SnapshotServer`` (manifest first, then only the missing
+    chunks) and serves bit-identically; a re-fetch moves nothing.
 
 Run with:  python examples/online_serving.py
 """
@@ -76,7 +74,6 @@ import numpy as np
 
 from repro.data.industrial import industrial_config
 from repro.eval import format_float_table
-from repro.eval.ab_test import ABTestConfig, OnlineABTest
 from repro.eval.serving_metrics import (
     compression_report,
     summarize_gateway,
@@ -117,20 +114,7 @@ def main() -> None:
     garcia = build_model("GARCIA", scenario, settings)
     train_model(garcia, scenario, settings)
 
-    print("2) Both buckets rank with their model's own click head "
-          "(Eq. 12, model.rank) ...")
-
-    print("3) Running the simulated 7-day bucket (A/B) test ...\n")
-    ab_test = OnlineABTest(
-        scenario.dataset, scenario.oracle,
-        config=ABTestConfig(num_days=7, sessions_per_day=500, top_k=5, seed=0),
-    )
-    outcome = ab_test.run(baseline, garcia, start_date="2022/10/01")
-    print(format_float_table(outcome.as_rows(), title="Fig. 10 style: relative improvement per day (%)"))
-    print(f"\nAggregated absolute gains: CTR {outcome.absolute_ctr_gain():+.3f} pp, "
-          f"Valid CTR {outcome.absolute_valid_ctr_gain():+.3f} pp\n")
-
-    print("4) Case study (Fig. 11 style): ranked lists for two long-tail queries\n")
+    print("2) Case study (Fig. 11 style): ranked lists for two long-tail queries\n")
     frequencies = scenario.dataset.query_frequencies()
     tail_ids = sorted(scenario.head_tail.tail_query_ids, key=lambda q: -frequencies[q])[:2]
     for query_id in tail_ids:
@@ -152,7 +136,7 @@ def main() -> None:
         print(format_float_table(rows))
         print()
 
-    print("5) Gateway deployment: GARCIA behind ANN retrieval + micro-batching + cache\n")
+    print("3) Gateway deployment: GARCIA behind ANN retrieval + micro-batching + cache\n")
     num_requests, batch_size, top_k = 2_000, 32, 5
     stream = zipf_query_ids(scenario.dataset.num_queries, num_requests,
                             exponent=1.1, seed=0)
@@ -188,7 +172,7 @@ def main() -> None:
           "benchmarks/e2e run prices each index kind at serving scale "
           "(iso.index.us_per_query.exact / .ivf).")
 
-    print("\n6) Quantized serving: int8 snapshots behind the IVF-PQ index\n")
+    print("\n4) Quantized serving: int8 snapshots behind the IVF-PQ index\n")
     # Toy-catalogue sizing: a ~60-service table needs few coarse cells, and
     # its PQ codebooks outweigh the codes they compress (at 12k services
     # the defaults amortize them away).
@@ -224,7 +208,7 @@ def main() -> None:
           "24k services; tests/test_quantized_serving.py holds the memory "
           "and recall floors.")
 
-    print("\n7) Sharded serving: one worker per shard, scatter/gather top-K\n")
+    print("\n5) Sharded serving: one worker per shard, scatter/gather top-K\n")
     gateway = deploy_gateway(garcia, index="exact", num_shards=4,
                              workers="thread", top_k=top_k,
                              max_batch_size=batch_size, cache_capacity=0)
@@ -252,7 +236,7 @@ def main() -> None:
           "worker processes.")
     gateway.close()
 
-    print("\n8) Asyncio-native front-end: open-loop load, bounded admission\n")
+    print("\n6) Asyncio-native front-end: open-loop load, bounded admission\n")
     # One event loop holds every in-flight request as a future — no thread
     # per wait — while the same micro-batch deadlines coalesce the scoring.
     # The admission queue is bounded (overload sheds with OverloadError) and
@@ -317,13 +301,13 @@ def main() -> None:
           "coroutine path open-loop at serving scale.")
     gateway.close()
 
-    print("\n9) Gateway-backed A/B: the Fig. 10 bucket test through the "
+    print("\n7) Gateway-backed A/B: the Fig. 10 bucket test through the "
           "serving stack\n")
-    # The quality experiment of step 3 and the serving tier of steps 5-8
-    # finally meet: deterministic session hashing splits traffic 90/10,
-    # each bucket is a real gateway deployment (its own model AND its own
-    # scoring config), and per-bucket telemetry tags make serving cost
-    # reportable per experiment arm — quality and cost from ONE run.
+    # The bucket test runs on the serving tier of steps 3-6: deterministic
+    # session hashing splits traffic 90/10, each bucket is a real gateway
+    # deployment (its own model AND its own scoring config), and per-bucket
+    # telemetry tags make serving cost reportable per experiment arm —
+    # quality and cost from ONE run.
     router = BucketRouter(
         {"control": 0.9, "treatment": 0.1},
         arms={
@@ -355,7 +339,7 @@ def main() -> None:
           "the structural contract (telemetry sums, stable assignment).")
     close_arms(router)
 
-    print("\n10) Observability: trace the sharded tier, explain the slowest "
+    print("\n8) Observability: trace the sharded tier, explain the slowest "
           "request\n")
     # Every request is traced (sample_every=1, slow threshold 0 ms keeps
     # them all) through the sharded scatter/gather path; batch-level spans
@@ -398,7 +382,7 @@ def main() -> None:
           "runs.")
     gateway.close()
 
-    print("\n11) Fleet: 3 replicas, rendezvous routing, a chaos storm\n")
+    print("\n9) Fleet: 3 replicas, rendezvous routing, a chaos storm\n")
     # Three gateway replicas share one versioned store behind the
     # health-aware router: each session has a rendezvous owner, a dead
     # owner's sessions fail over with their remaining deadline budget, and
@@ -463,7 +447,7 @@ def main() -> None:
           "measures the fleet under a mid-traffic publish.")
     fleet.close()
 
-    print("\n12) Durable snapshots: publish to disk, kill the workers, "
+    print("\n10) Durable snapshots: publish to disk, kill the workers, "
           "warm-start from the manifest\n")
     # Everything so far rebuilt the store from the model on every deploy —
     # a restart re-quantizes the whole catalogue (int8 scales) before the
@@ -521,7 +505,7 @@ def main() -> None:
           "or k-means fit at all.")
     replica.close()
 
-    print("\n13) OPQ rotation + integer scoring, snapshot round-trip\n")
+    print("\n11) OPQ rotation + integer scoring, snapshot round-trip\n")
     # The IVF-PQ residual codebooks now train through a learned orthonormal
     # rotation (OPQ: alternating k-means / Procrustes), and the int8 path
     # scores with integer arithmetic end to end under a query-quantization
@@ -586,7 +570,7 @@ def main() -> None:
           "re-quantization at boot.  tests/test_opq_integer_scoring.py "
           "gates the OPQ recall win and the integer path's error bound.")
 
-    print("\n14) Wire replication: an empty-disk replica boots from a peer\n")
+    print("\n12) Wire replication: an empty-disk replica boots from a peer\n")
     # Every durable trick so far assumed the host already owned the disk.
     # A brand-new host joining the fleet has *nothing* — no chunks, no
     # manifest, no pointer.  A SnapshotServer on any healthy host serves

@@ -1,7 +1,7 @@
-"""Evaluation: ranking metrics, per-slice evaluators, the online A/B simulator
-and serving-side load-test metrics (ANN recall, QPS, memory footprint)."""
+"""Evaluation: ranking metrics, per-slice evaluators, the A/B test's click
+accounting and serving-side load-test metrics (ANN recall, QPS, memory footprint)."""
 
-from repro.eval.ab_test import ABTestConfig, ABTestResult, OnlineABTest
+from repro.eval.ab_test import ABTestResult
 from repro.eval.evaluator import EvaluationReport, Evaluator, SliceMetrics
 from repro.eval.metrics import auc, ctr, gauc, hit_rate_at_k, ndcg_at_k
 from repro.eval.reporting import format_float_table, format_table
@@ -22,9 +22,7 @@ __all__ = [
     "SliceMetrics",
     "EvaluationReport",
     "Evaluator",
-    "ABTestConfig",
     "ABTestResult",
-    "OnlineABTest",
     "format_table",
     "format_float_table",
     "LoadTestSummary",

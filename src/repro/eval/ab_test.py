@@ -1,42 +1,26 @@
-"""Simulated online A/B (bucket) testing.
+"""Click accounting for the simulated online A/B (bucket) test.
 
 The paper deploys GARCIA in the Alipay service-search scenario and runs a
 seven-day bucket test against the production baseline, reporting the relative
-improvement of CTR and Valid CTR per day (Fig. 10).  This module reproduces
-the *measurement*: a population of simulated users issues queries according
-to the dataset's traffic distribution, each bucket's ranker returns a top-K
-list, and the ground-truth :class:`~repro.data.synthetic.ClickOracle` decides
-clicks and in-service conversions.
+improvement of CTR and Valid CTR per day (Fig. 10).  This module holds the
+*measurement*: the ground-truth :class:`~repro.data.synthetic.ClickOracle`
+turns a session's top-K list into impressions, clicks and in-service
+conversions (:func:`simulate_impressions`), gives any ranking's expected CTR
+without sampling (:func:`expected_ctr`), and :class:`ABTestResult` holds the
+per-day counters of both buckets.  The one simulator that replays traffic is
+:class:`repro.serving.abtest.OnlineABExperiment`, which routes every session
+through a serving gateway, as the paper's deployment serves it.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.data.schema import ServiceSearchDataset
 from repro.data.synthetic import ClickOracle
-
-
-@dataclass
-class ABTestConfig:
-    """Parameters of the simulated bucket test."""
-
-    num_days: int = 7
-    sessions_per_day: int = 3000
-    top_k: int = 5
-    #: Position-bias discounts applied to the click probability of each slot.
-    position_bias: Sequence[float] = (1.0, 0.75, 0.55, 0.4, 0.3)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_days <= 0 or self.sessions_per_day <= 0 or self.top_k <= 0:
-            raise ValueError("num_days, sessions_per_day and top_k must be positive")
-        if len(self.position_bias) < self.top_k:
-            raise ValueError("position_bias must cover every slot of the top-K list")
 
 
 def date_label(start_date: str, offset: int) -> str:
@@ -79,10 +63,9 @@ def simulate_impressions(
 
     One impression per shown slot; the oracle's click probability is
     discounted by the slot's position bias, and a conversion requires a
-    click first.  The counters accumulate into ``metrics`` — shared by the
-    offline replay (:class:`OnlineABTest`) and the gateway-backed
-    experiment (:class:`repro.serving.abtest.OnlineABExperiment`), so the
-    two backends cannot drift in how a session becomes clicks.
+    click first.  The counters accumulate into ``metrics``; the gateway
+    replay (:class:`repro.serving.abtest.OnlineABExperiment`) calls this once
+    per served session, and :func:`expected_ctr` is its expectation.
     """
     shown = np.asarray(ranked, dtype=np.int64)
     if shown.size == 0:
@@ -96,6 +79,30 @@ def simulate_impressions(
     metrics.impressions += int(shown.size)
     metrics.clicks += int(clicked.sum())
     metrics.conversions += int(converted.sum())
+
+
+def expected_ctr(
+    oracle: ClickOracle,
+    ranked: np.ndarray,
+    traffic: np.ndarray,
+    position_bias: Sequence[float],
+) -> float:
+    """Expected CTR of a ranking under the click oracle, with no sampling.
+
+    ``ranked`` is a ``(num_queries, K)`` matrix whose row ``q`` is the list
+    shown for query ``q``; ``traffic`` weighs the queries (normalised here,
+    so raw query frequencies, or frequencies times a tail mask, both work).
+    The result is ``sum_q traffic[q] * sum_slot p(q, s_slot) * bias[slot] / K``:
+    the click rate that :func:`simulate_impressions` samples, in expectation.
+    """
+    shown = np.asarray(ranked, dtype=np.int64)
+    weights = np.asarray(traffic, dtype=np.float64)
+    if len(position_bias) < shown.shape[1]:
+        raise ValueError("position_bias must cover every slot of the top-K list")
+    query_column = np.repeat(np.arange(shown.shape[0]), shown.shape[1])
+    clicks_p = oracle.click_probability(query_column, shown.reshape(-1)).reshape(shown.shape)
+    per_query = clicks_p @ np.asarray(position_bias[: shown.shape[1]], dtype=np.float64)
+    return float(weights @ per_query / (weights.sum() * shown.shape[1]))
 
 
 @dataclass
@@ -133,70 +140,3 @@ class ABTestResult:
         base = sum(b.conversions for b in self.baseline) / sum(b.impressions for b in self.baseline)
         treat = sum(t.conversions for t in self.treatment) / sum(t.impressions for t in self.treatment)
         return 100.0 * (treat - base)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for day, ctr_gain, valid_gain in zip(self.days, self.ctr_improvement(), self.valid_ctr_improvement()):
-            rows.append(
-                {
-                    "day": day,
-                    "ctr_improvement_pct": round(ctr_gain, 3),
-                    "valid_ctr_improvement_pct": round(valid_gain, 3),
-                }
-            )
-        return rows
-
-
-class OnlineABTest:
-    """Replay simulated traffic against two rankers and compare buckets.
-
-    A *ranker* is anything exposing ``rank(query_id, k) -> sequence of service
-    ids``: a trained model (:meth:`repro.models.base.RankingModel.rank`, its
-    click head over the whole catalogue) or a serving gateway
-    (:func:`repro.serving.gateway.deploy_gateway`, the inner product of the
-    exported embeddings).
-    """
-
-    def __init__(self, dataset: ServiceSearchDataset, oracle: ClickOracle,
-                 config: ABTestConfig = ABTestConfig()) -> None:
-        self.dataset = dataset
-        self.oracle = oracle
-        self.config = config
-        frequencies = dataset.query_frequencies().astype(np.float64)
-        total = frequencies.sum()
-        if total <= 0:
-            raise ValueError("dataset has no query traffic to replay")
-        self._traffic = frequencies / total
-
-    def run(self, baseline_ranker, treatment_ranker, start_date: str = "2022/10/01") -> ABTestResult:
-        """Run the bucket test and return per-day metrics for both buckets."""
-        rng = np.random.default_rng(self.config.seed)
-        days = [date_label(start_date, offset) for offset in range(self.config.num_days)]
-        baseline_days: List[BucketDailyMetrics] = []
-        treatment_days: List[BucketDailyMetrics] = []
-        for _ in range(self.config.num_days):
-            query_sample = rng.choice(
-                self.dataset.num_queries, size=self.config.sessions_per_day, p=self._traffic
-            )
-            # Users are split into two buckets; both see the same query mix in
-            # expectation but are served by different rankers.
-            assignment = rng.random(len(query_sample)) < 0.5
-            baseline_days.append(
-                self._run_bucket(baseline_ranker, query_sample[assignment], rng)
-            )
-            treatment_days.append(
-                self._run_bucket(treatment_ranker, query_sample[~assignment], rng)
-            )
-        return ABTestResult(days=days, baseline=baseline_days, treatment=treatment_days)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _run_bucket(self, ranker, query_ids: np.ndarray, rng: np.random.Generator) -> BucketDailyMetrics:
-        metrics = BucketDailyMetrics()
-        top_k = self.config.top_k
-        for query_id in query_ids:
-            ranked = np.asarray(ranker.rank(int(query_id), top_k), dtype=np.int64)
-            simulate_impressions(self.oracle, int(query_id), ranked[:top_k],
-                                 self.config.position_bias, rng, metrics)
-        return metrics

@@ -175,9 +175,9 @@ class RankingModel(Module):
         """Top-``k`` service ids for one query by :meth:`predict` over the
         whole catalogue, best first.
 
-        This is the ``rank(query_id, k)`` ranker protocol of
-        :class:`~repro.eval.ab_test.OnlineABTest`, so a trained model is a
-        ranker with no serving wrapper.
+        This is the click-head ranking the offline tables evaluate; no
+        deployment serves it (every gateway ranks by the inner product).
+        Fig. 10's notes compare the two scorers' expected CTR.
         """
         if k <= 0:
             raise ValueError("k must be positive")

@@ -3,8 +3,8 @@
 The paper's headline production evidence is a week-long bucket test: a
 fraction of live traffic is routed to GARCIA's bucket, the rest stays on
 the deployed baseline, and the daily relative CTR / Valid-CTR improvement
-is reported (+0.79 pp CTR aggregated).  The offline replay in
-:mod:`repro.eval.ab_test` reproduces the *measurement*; this module
+is reported (+0.79 pp CTR aggregated).  This module is the one simulator
+of that test (Fig. 10 runs it, ``experiments/fig10_online_ab.py``), and it
 reproduces the *deployment shape*: buckets are real serving configurations
 behind the gateway tier, traffic is routed by deterministic session-id
 hashing, and the same experiment that moves CTR also moves serving cost —
@@ -27,9 +27,9 @@ Three pieces:
   every request with its bucket, and scores the returned top-K list
   against the click oracle with a per-session seeded RNG — so the CTR
   outcome is independent of async completion order and reproducible from
-  one seed.  Clicks accumulate through the same
-  :func:`repro.eval.ab_test.simulate_impressions` machinery the offline
-  replay uses.
+  one seed.  Clicks accumulate through
+  :func:`repro.eval.ab_test.simulate_impressions`, whose expectation is
+  :func:`repro.eval.ab_test.expected_ctr`.
 * :class:`GatewayABReport` — the joint outcome: per-day CTR / Valid-CTR
   improvement (via :class:`repro.eval.ab_test.ABTestResult`) alongside
   per-bucket serving cost (QPS, p50/p95/p99, deadline misses, overload
@@ -59,7 +59,8 @@ from repro.serving.gateway import DeadlineExceededError, OverloadError
 from repro.serving.gateway.workload import flash_crowd_gaps, poisson_gaps
 from repro.serving.obs.ids import ids_to_u64, key_to_u64, mix64, mix64_int
 
-#: Position-bias discounts applied per top-K slot (mirrors ABTestConfig).
+#: Position-bias discounts applied per top-K slot (the one copy: Fig. 10's
+#: replay and its expected-CTR notes both read it through the config).
 DEFAULT_POSITION_BIAS: Tuple[float, ...] = (1.0, 0.75, 0.55, 0.4, 0.3)
 
 _SPLIT_TOLERANCE = 1e-6

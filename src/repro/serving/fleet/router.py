@@ -351,7 +351,7 @@ class FleetRouter:
                          deadline_s: Optional[float] = None,
                          tag: Optional[str] = None,
                          session_id: Optional[object] = None) -> List[int]:
-        """Async ranker protocol (the A/B simulator's arm contract)."""
+        """:meth:`search_async` without the scores: the ranked ids."""
         ids, _ = await self.search_async(
             query_id, k, deadline_s=deadline_s, tag=tag, session_id=session_id)
         return [int(service_id) for service_id in ids]

@@ -32,10 +32,7 @@ Deployment metrics      :mod:`~repro.serving.gateway.telemetry` —
                         recall@K against the exact scan
 =====================  =======================================================
 
-:class:`ServingGateway` ties the pieces together and speaks the
-``rank(query_id, k)`` ranker protocol of the offline A/B simulator, as a
-trained model's :meth:`~repro.models.base.RankingModel.rank` does.  The
-request path is
+:class:`ServingGateway` ties the pieces together.  The request path is
 ``await gateway.search_async(...)``; ``search`` / ``rank`` / ``rank_batch``
 run that same path to completion for synchronous callers.
 """

@@ -25,10 +25,10 @@ surface — :meth:`~ServingGateway.search`, :meth:`~ServingGateway.rank`,
 :meth:`~ServingGateway.rank_batch` — runs those same coroutines to
 completion on a loop the gateway creates on the first such call.
 
-The gateway satisfies the ``rank(query_id, k)`` ranker protocol of
-:class:`~repro.eval.ab_test.OnlineABTest`, as a trained model's
-:meth:`~repro.models.base.RankingModel.rank` does, so it can be dropped
-straight into the A/B-test simulator.
+Every arm of the A/B-test simulator
+(:class:`~repro.serving.abtest.OnlineABExperiment`) is a gateway: the
+replay awaits :meth:`ServingGateway.search_async` once per session, so
+both buckets are served by the inner product, as in the paper's deployment.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import asyncio
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -172,8 +173,13 @@ class ServingGateway(SnapshotListener):
         )
         self.tracer = Tracer(clock=clock, recorder=self.flight_recorder,
                              seed=trace_seed, enabled=tracing)
+        # The scheduler calls back through a weak reference: the bound method
+        # would make gateway -> scheduler -> gateway a cycle, so a dropped
+        # gateway, its store and every index built for it would stay in
+        # memory until the cyclic collector next ran.
+        execute = weakref.WeakMethod(self._execute_batch_async)
         self.scheduler = AsyncBatchScheduler(
-            self._execute_batch_async, max_batch_size=max_batch_size,
+            lambda batch: execute()(batch), max_batch_size=max_batch_size,
             max_wait_s=max_wait_s, clock=clock, max_queue=max_queue,
             overload=overload, telemetry=self.telemetry, tracer=self.tracer,
         )
@@ -353,7 +359,7 @@ class ServingGateway(SnapshotListener):
             self.search_async(query_id, k, deadline_s=deadline_s, tag=tag))
 
     def rank(self, query_id: int, k: Optional[int] = None) -> List[int]:
-        """Synchronous single request (the A/B simulator's ranker protocol)."""
+        """Synchronous :meth:`rank_async`: the ranked ids for one query."""
         return self._run(self.rank_async(query_id, k))
 
     def rank_batch(self, query_ids: Sequence[int],
@@ -404,7 +410,7 @@ class ServingGateway(SnapshotListener):
     async def rank_async(self, query_id: int, k: Optional[int] = None,
                          deadline_s: Optional[float] = None,
                          tag: Optional[str] = None) -> List[int]:
-        """Async variant of the A/B simulator's ranker protocol."""
+        """:meth:`search_async` without the scores: the ranked ids."""
         ids, _ = await self.search_async(query_id, k, deadline_s=deadline_s,
                                          tag=tag)
         return [int(service_id) for service_id in ids]

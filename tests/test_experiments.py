@@ -56,6 +56,14 @@ def sep_a_scenario():
     return scenario_for("Sep. A", FAST)
 
 
+FIG10_FAST_ARGS = dict(baseline_model="LightGCN", num_days=2, sessions_per_day=120, top_k=3)
+
+
+@pytest.fixture(scope="module")
+def fig10_fast():
+    return fig10_online_ab.run(FAST, **FIG10_FAST_ARGS)
+
+
 class TestCommonHelpers:
     def test_all_dataset_names(self):
         names = all_dataset_names()
@@ -140,33 +148,43 @@ class TestFigureDrivers:
         assert h_values[0] == "none"
         assert set(h_values[1:]) == {1, 2}
 
-    def test_fig10_ab_test_rows_and_notes(self):
-        result = fig10_online_ab.run(
-            FAST, baseline_model="LightGCN", num_days=2, sessions_per_day=100, top_k=3
-        )
-        assert len(result.rows) == 2
-        assert "ctr_improvement_pct" in result.rows[0]
-        assert "absolute CTR gain" in result.notes
-        assert len(result.series["ctr_improvement_pct"]) == 2
+    def test_fig10_ab_test_rows_and_notes(self, fig10_fast):
+        assert len(fig10_fast.rows) == 2
+        assert "ctr_improvement_pct" in fig10_fast.rows[0]
+        assert "absolute CTR gain" in fig10_fast.notes
+        assert "by inner product" in fig10_fast.notes and "by click head" in fig10_fast.notes
+        assert len(fig10_fast.series["ctr_improvement_pct"]) == 2
 
-    def test_fig10_gateway_backend_reports_ctr_and_cost(self):
-        result = fig10_online_ab.run(
-            FAST, baseline_model="LightGCN", num_days=2, sessions_per_day=120,
-            top_k=3, backend="gateway", treatment_fraction=0.3,
-        )
-        assert len(result.rows) == 2
-        assert "ctr_improvement_pct" in result.rows[0]
-        assert "control_ctr" in result.rows[0] and "treatment_ctr" in result.rows[0]
-        assert result.rows[0]["control_impressions"] > 0
-        assert result.rows[0]["treatment_impressions"] > 0
-        # The joint report carries serving cost from the same run.
-        assert "QPS" in result.notes and "p99" in result.notes
-        assert len(result.series["control_p99_ms"]) == 1
-        assert len(result.series["ctr_improvement_pct"]) == 2
+    def test_fig10_gateway_backend_reports_ctr_and_cost(self, fig10_fast):
+        """Both buckets' CTR, and no wall-clock cost: the result is compared
+        value for value against its tracked file.  A shed session fails."""
+        assert "control_ctr" in fig10_fast.rows[0] and "treatment_ctr" in fig10_fast.rows[0]
+        assert fig10_fast.rows[0]["control_impressions"] > 0
+        assert fig10_fast.rows[0]["treatment_impressions"] > 0
+        assert "QPS" not in fig10_fast.notes and "p99" not in fig10_fast.notes
+        assert set(fig10_fast.series) == {
+            "ctr_improvement_pct", "valid_ctr_improvement_pct", "sessions_shed",
+        }
+        assert fig10_fast.series["sessions_shed"] == [0.0, 0.0]
+        assert not any("shed" in failure for failure in fig10_online_ab.check(fig10_fast))
+        shed = replace(fig10_fast, series={**fig10_fast.series, "sessions_shed": [1.0, 0.0]})
+        assert any("shed" in failure for failure in fig10_online_ab.check(shed))
 
-    def test_fig10_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            fig10_online_ab.run(FAST, backend="quantum")
+    def test_fig10_rejects_unknown_backend(self, monkeypatch):
+        """A bad config is rejected before either model trains."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(fig10_online_ab, "train_model", no_training)
+        with pytest.raises(ValueError, match="positive"):
+            fig10_online_ab.run(FAST, num_days=0)
+
+    def test_fig10_two_runs_are_identical(self, fig10_fast):
+        """What CI compares against the tracked file repeats run to run."""
+        again = fig10_online_ab.run(FAST, **FIG10_FAST_ARGS)
+        assert again.rows == fig10_fast.rows
+        assert again.series == fig10_fast.series
+        assert again.notes == fig10_fast.notes
 
     def test_fig11_case_study_lists(self):
         result = fig11_case_study.run(

@@ -4,7 +4,6 @@ inner-product scan, a model's own click-head ranking, and the extractors."""
 import numpy as np
 import pytest
 
-from repro.eval.ab_test import ABTestConfig, OnlineABTest
 from repro.experiments.common import ALL_MODEL_NAMES, ExperimentSettings, build_model
 from repro.graph.builder import GraphBuildConfig
 from repro.models import LightGCN
@@ -14,6 +13,7 @@ from repro.serving import (
     VersionedEmbeddingStore,
     deploy_gateway,
 )
+from repro.serving.abtest import ABExperimentConfig, BucketRouter, OnlineABExperiment
 from repro.serving.gateway import ExactIndex
 
 
@@ -210,9 +210,13 @@ class TestPipelineAndExtractors:
         assert summary.num_correlation_pairs > 0
 
     def test_pipeline_is_a_valid_ab_ranker(self, tiny_scenario, model):
-        test = OnlineABTest(
-            tiny_scenario.dataset, tiny_scenario.oracle,
-            config=ABTestConfig(num_days=1, sessions_per_day=50, top_k=3, seed=0),
-        )
-        outcome = test.run(model, model)
-        assert outcome.baseline[0].impressions > 0
+        """A model's deployment serves both arms of the A/B replay."""
+        with deploy_gateway(model, index="exact", top_k=3, cache_capacity=0) as gateway:
+            router = BucketRouter({"control": 0.5, "treatment": 0.5},
+                                  arms={"control": gateway, "treatment": gateway})
+            report = OnlineABExperiment(
+                tiny_scenario.dataset, tiny_scenario.oracle, router,
+                ABExperimentConfig(num_days=1, sessions_per_day=50, top_k=3,
+                                   rate_qps=None, seed=0),
+            ).run()
+        assert report.daily["control"][0].impressions > 0

@@ -1,9 +1,11 @@
 """Tests for the serving gateway: ANN recall, batching, caching, hot-swap."""
 
 import asyncio
+import gc
 import inspect
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -448,17 +450,23 @@ class TestServingGateway:
             assert gateway.hot_swap_from_model(model) == 1
 
     def test_gateway_is_a_valid_ab_ranker(self, tiny_scenario):
-        from repro.eval.ab_test import ABTestConfig, OnlineABTest
         from repro.models import LightGCN
+        from repro.serving.abtest import (
+            ABExperimentConfig,
+            BucketRouter,
+            OnlineABExperiment,
+        )
 
         model = LightGCN(tiny_scenario.graph, embedding_dim=8, seed=0)
-        test = OnlineABTest(
-            tiny_scenario.dataset, tiny_scenario.oracle,
-            config=ABTestConfig(num_days=1, sessions_per_day=50, top_k=3, seed=0),
-        )
         with deploy_gateway(model, index="ivf", top_k=3) as gateway:
-            outcome = test.run(gateway, gateway)
-        assert outcome.baseline[0].impressions > 0
+            router = BucketRouter({"control": 0.5, "treatment": 0.5},
+                                  arms={"control": gateway, "treatment": gateway})
+            report = OnlineABExperiment(
+                tiny_scenario.dataset, tiny_scenario.oracle, router,
+                ABExperimentConfig(num_days=1, sessions_per_day=50, top_k=3,
+                                   rate_qps=None, seed=0),
+            ).run()
+        assert report.daily["control"][0].impressions > 0
 
     def test_pipeline_ann_scoring_mode(self, clustered, exact_top10):
         """ANN ranking is the gateway's job; ``ExactIndex`` is the exact scan."""
@@ -475,6 +483,25 @@ class TestServingGateway:
         assert set(candidates[positions[0]].tolist()) <= {1, 2, 3}
         with pytest.raises(ValueError, match="unknown index kind"):
             ServingGateway(VersionedEmbeddingStore(queries, services), index="ann")
+
+    def test_dropped_gateway_is_freed_without_the_cycle_collector(self, clustered):
+        """A closed gateway's store and indexes go as soon as it is dropped.
+
+        Left to the cyclic collector, a process that boots a deployment
+        again would hold every earlier index until the next collection, and
+        its memory high-water mark would depend on when that ran.
+        """
+        gateway = self.make_gateway(clustered, index="ivfpq", cpu_executor="thread")
+        assert gateway.rank(3)
+        gateway.close()
+        store = weakref.ref(gateway.store)
+        gc.collect()
+        gc.disable()
+        try:
+            del gateway
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 # --------------------------------------------------------------------- #
