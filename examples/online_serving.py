@@ -50,14 +50,13 @@ Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
     fleet replica straight from the manifest — tables and codes are
     mmapped read-only, no re-quantization, and the ranked lists are
     bit-identical to the pre-kill deployment,
-11. rotate the codes: train the OPQ learned rotation into the IVF-PQ
-    deployment (``rotation="opq"``), persist the index — rotation matrix
-    and rotated codebooks — as a sidecar beside the snapshot that carries
-    the frozen int8 query scale, bound on-disk retention with
-    ``keep_last``, then kill everything and warm-start —
-    the restored gateway and a revived fleet replica serve the rotated,
-    integer-scored codes bit-identically to the in-memory trainer, with
-    zero retraining,
+11. persist the trained index: deploy IVF-PQ with int8 integer scoring,
+    persist the index — coarse cells, PQ codebooks and codes — as a
+    sidecar beside the snapshot that carries the frozen int8 query scale,
+    bound on-disk retention with ``keep_last``, then kill everything and
+    warm-start — the restored gateway and a revived fleet replica serve
+    the integer-scored codes bit-identically to the in-memory trainer,
+    with zero retraining,
 12. replicate over the wire: a host with an empty durable dir boots from a
     peer's ``SnapshotServer`` (manifest first, then only the missing
     chunks) and serves bit-identically; a re-fetch moves nothing.
@@ -505,19 +504,17 @@ def main() -> None:
           "or k-means fit at all.")
     replica.close()
 
-    print("\n11) OPQ rotation + integer scoring, snapshot round-trip\n")
-    # The IVF-PQ residual codebooks now train through a learned orthonormal
-    # rotation (OPQ: alternating k-means / Procrustes), and the int8 path
-    # scores with integer arithmetic end to end under a query-quantization
-    # step frozen at publish time.  Both artifacts are content-addressed
-    # chunks: the query scale rides with the snapshot's int8 table, the
-    # rotation with the IVF-PQ index's sidecar, so a restart serves the
-    # rotated codes without retraining anything.
-    opq_dir = tempfile.mkdtemp(prefix="garcia-opq-snapshots-")
-    opq_params = dict(num_lists=8, num_probes=6, num_subspaces=4,
-                      num_centroids=16, rotation="opq")
-    gateway = deploy_gateway(garcia, index="ivfpq", index_params=opq_params,
-                             quantization=("int8",), durable_dir=opq_dir,
+    print("\n11) IVF-PQ + integer scoring, snapshot round-trip\n")
+    # The int8 path scores with integer arithmetic end to end under a
+    # query-quantization step frozen at publish time.  Both trained
+    # artifacts are content-addressed chunks: the query scale rides with the
+    # snapshot's int8 table, the IVF-PQ cells and codebooks with the index's
+    # sidecar, so a restart serves the codes without retraining anything.
+    ivfpq_dir = tempfile.mkdtemp(prefix="garcia-ivfpq-snapshots-")
+    ivfpq_params = dict(num_lists=8, num_probes=6, num_subspaces=4,
+                        num_centroids=16)
+    gateway = deploy_gateway(garcia, index="ivfpq", index_params=ivfpq_params,
+                             quantization=("int8",), durable_dir=ivfpq_dir,
                              keep_last=2, top_k=top_k,
                              max_batch_size=batch_size, cache_capacity=0)
 
@@ -528,47 +525,46 @@ def main() -> None:
         gateway.store.publish(snapshot.queries + np.float32(0.001),
                               snapshot.services)
     manifests = sorted(
-        p.name for p in (Path(opq_dir) / "manifests").glob("v*.json")
+        p.name for p in (Path(ivfpq_dir) / "manifests").glob("v*.json")
         if "-index-" not in p.name)
     print(f"Three refreshes with keep_last=2 left {manifests} on disk — "
           "older manifests and their unreferenced chunks were pruned after "
           "each activate.")
     after_refresh = [gateway.rank(query_id, top_k) for query_id in probe_ids]
-    # Persist the trained index (coarse centroids, rotated codebooks and the
-    # rotation itself) so the warm start below restores it instead of
-    # re-running k-means.
+    # Persist the trained index (coarse centroids, slot layout, codebooks
+    # and codes) so the warm start below restores it instead of re-running
+    # k-means.
     gateway.persist_index()
     snapshot = gateway.store.snapshot()
     meta, arrays = snapshot.durable.load_index(
         "ivfpq", int8_table=snapshot.int8).export_state()
-    rotation = arrays["rotation"]
+    codebooks = arrays["codebooks"]
     print(f"Persisted the IVF-PQ index at version {snapshot.version}: "
-          f"rotation={meta['rotation']!r}, a {rotation.shape[0]}x"
-          f"{rotation.shape[1]} orthonormal matrix in its sidecar; int8 query "
-          f"scale frozen = "
-          f"{snapshot.int8.query_scale:.6f}.")
+          f"{arrays['centroids'].shape[0]} cells, {codebooks.shape[0]} "
+          f"codebooks of {codebooks.shape[1]} centroids in its sidecar; int8 "
+          f"query scale frozen = {snapshot.int8.query_scale:.6f}.")
     gateway.close()
 
-    warm = deploy_gateway(warm_start=opq_dir, index="ivfpq", top_k=top_k,
+    warm = deploy_gateway(warm_start=ivfpq_dir, index="ivfpq", top_k=top_k,
                           max_batch_size=batch_size, cache_capacity=0)
     after_warm = [warm.rank(query_id, top_k) for query_id in probe_ids]
-    assert after_warm == after_refresh, "OPQ warm start must be bit-identical"
+    assert after_warm == after_refresh, "IVF-PQ warm start must be bit-identical"
     warm.close()
 
-    replica = FleetReplica("opq-lazarus", ServingGateway(
-        VersionedEmbeddingStore.restore(opq_dir), index="ivfpq",
+    replica = FleetReplica("ivfpq-lazarus", ServingGateway(
+        VersionedEmbeddingStore.restore(ivfpq_dir), index="ivfpq",
         top_k=top_k, cache_capacity=0))
     replica.kill()
-    replica.revive(warm_start=opq_dir)
+    replica.revive(warm_start=ivfpq_dir)
     revived = [replica.gateway.rank(query_id, top_k) for query_id in probe_ids]
     assert revived == after_refresh, "revived replica must serve identically"
     replica.close()
     print("Warm-started gateway AND revived fleet replica rank the probe "
-          "queries bit-identically to the in-memory trainer: the rotation, "
-          "the rotated codebooks and the frozen query scale all came back "
-          "off the mmapped chunks — no k-means, no Procrustes, no "
-          "re-quantization at boot.  tests/test_opq_integer_scoring.py "
-          "gates the OPQ recall win and the integer path's error bound.")
+          "queries bit-identically to the in-memory trainer: the cells, the "
+          "codebooks and the frozen query scale all came back off the "
+          "mmapped chunks — no k-means, no re-quantization at boot.  "
+          "tests/test_opq_integer_scoring.py gates the integer path's error "
+          "bound and the int8 refinement's recall lift over plain PQ.")
 
     print("\n12) Wire replication: an empty-disk replica boots from a peer\n")
     # Every durable trick so far assumed the host already owned the disk.
@@ -580,7 +576,7 @@ def main() -> None:
     from repro.serving.snapshot import SnapshotFetcher, SnapshotServer
 
     empty_dir = tempfile.mkdtemp(prefix="garcia-newhost-")
-    with SnapshotServer(opq_dir) as server:
+    with SnapshotServer(ivfpq_dir) as server:
         newcomer = deploy_gateway(warm_start=empty_dir, index="ivfpq",
                                   remote_peer=server.address, top_k=top_k,
                                   max_batch_size=batch_size, cache_capacity=0)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import weakref
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -169,23 +170,33 @@ class FleetReplica:
                 or self._clock() < self._stalled_until)
 
     def _wrap_backend(self) -> None:
-        original = self.gateway._search_backend_async
+        # The wrapper lives in the gateway's ``__dict__``, so it holds the
+        # replica and the gateway's own backend weakly: strong references
+        # would make gateway -> wrapper -> gateway a cycle, and a closed
+        # fleet would keep its gateways, stores and indexes in memory until
+        # the cyclic collector next ran.  Once the replica is gone the
+        # wrapper passes straight through.
+        replica_ref = weakref.ref(self)
+        original_ref = weakref.WeakMethod(self.gateway._search_backend_async)
 
         async def chaotic_backend(
             snapshot, query_matrix: np.ndarray, k: int, spans=None
         ) -> Tuple[np.ndarray, np.ndarray]:
-            if self._dead:
-                raise ReplicaDeadError(f"replica {self.name!r} is dead")
-            now = self._clock()
-            if now < self._stalled_until:
-                await asyncio.sleep(self._stalled_until - now)
-                if self._dead:  # killed while stalled
-                    raise ReplicaDeadError(f"replica {self.name!r} is dead")
-            if self._slow_factor > 1.0:
-                started = self._clock()
+            replica, original = replica_ref(), original_ref()
+            if replica is None:
+                return await original(snapshot, query_matrix, k, spans=spans)
+            if replica._dead:
+                raise ReplicaDeadError(f"replica {replica.name!r} is dead")
+            now = replica._clock()
+            if now < replica._stalled_until:
+                await asyncio.sleep(replica._stalled_until - now)
+                if replica._dead:  # killed while stalled
+                    raise ReplicaDeadError(f"replica {replica.name!r} is dead")
+            if replica._slow_factor > 1.0:
+                started = replica._clock()
                 result = await original(snapshot, query_matrix, k, spans=spans)
-                elapsed = self._clock() - started
-                await asyncio.sleep(elapsed * (self._slow_factor - 1.0))
+                elapsed = replica._clock() - started
+                await asyncio.sleep(elapsed * (replica._slow_factor - 1.0))
                 return result
             return await original(snapshot, query_matrix, k, spans=spans)
 

@@ -658,8 +658,7 @@ def deploy_gateway(model=None, index: str = "ivf", index_params: Optional[dict] 
     ``quantization=("int8",)`` publishes an int8 service table with every
     snapshot so it hot-swaps with the fp arrays; pick ``index="ivfpq"`` /
     ``"int8"`` to also *search* through quantized codes (both reuse the
-    published int8 table; ``index_params={"rotation": "opq"}`` trains the
-    IVF-PQ residual codebooks through the learned OPQ rotation).
+    published int8 table).
 
     With ``num_shards > 1`` the one-call deployment becomes the sharded
     tier: a :class:`~repro.serving.sharded.ShardedGateway` runs one

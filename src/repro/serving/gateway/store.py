@@ -246,8 +246,8 @@ class VersionedEmbeddingStore:
 
     ``dtype`` sets the fp snapshot precision (default ``float32``).
     ``quantization=("int8",)`` publishes an int8 service table with every
-    snapshot; ``"int8"`` is the only kind (PQ and OPQ codes belong to the
-    IVF-PQ index that searches them: ``index_params={"rotation": "opq"}``).
+    snapshot; ``"int8"`` is the only kind (PQ codes belong to the IVF-PQ
+    index that searches them).
     The int8 table freezes the global query-quantization step from the
     snapshot's query table, so the end-to-end integer scoring path ranks
     bit-identically on every replica.

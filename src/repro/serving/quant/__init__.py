@@ -12,8 +12,6 @@ telemetry:
 * :mod:`~repro.serving.quant.pq` — product quantization: k-means sub-space
   codebooks, byte codes, and asymmetric-distance (ADC) lookup tables that
   score queries against codes without decompressing;
-* :mod:`~repro.serving.quant.opq` — OPQ: a learned orthonormal rotation
-  (alternating k-means / SVD Procrustes) in front of the PQ codebooks;
 * :mod:`~repro.serving.quant.ivfpq` — the quantized retrieval indexes
   (:class:`IVFPQIndex`, :class:`Int8Index`) registered with the gateway's
   :func:`~repro.serving.gateway.index.build_index`;
@@ -22,14 +20,13 @@ telemetry:
 
 The :class:`~repro.serving.gateway.store.VersionedEmbeddingStore` publishes
 one :func:`quantize_int8` table alongside the fp snapshot, so quantized
-replicas hot-swap atomically with the embeddings they mirror.  PQ and OPQ
-codes live only inside the :class:`IVFPQIndex` that searches them.
+replicas hot-swap atomically with the embeddings they mirror.  PQ codes
+live only inside the :class:`IVFPQIndex` that searches them.
 """
 
 from __future__ import annotations
 
 from repro.serving.quant.kmeans import kmeans
-from repro.serving.quant.opq import OPQQuantizer
 from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Quantizer, Int8Table, quantize_int8
 
@@ -50,7 +47,6 @@ __all__ = [
     "Int8Quantizer",
     "Int8Table",
     "IVFPQIndex",
-    "OPQQuantizer",
     "ProductQuantizer",
     "kmeans",
     "quantize_int8",

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.serving.gateway.index import RetrievalIndex
 from repro.serving.quant.kmeans import ASSIGN_BLOCK_ROWS, grouped_mean, kmeans
-from repro.serving.quant.opq import OPQQuantizer
 from repro.serving.quant.pq import ProductQuantizer
 from repro.serving.quant.scalar import Int8Table, quantize_int8
 
@@ -129,10 +128,6 @@ class IVFPQIndex(RetrievalIndex):
     blurs.  ``refine=None`` disables the stage (and the int8 table's
     memory).  ``int8_table`` shares an already-quantized copy (a
     snapshot's ``int8_table()``) instead of re-quantizing at build.
-
-    ``rotation="opq"`` trains the residual codebooks through an OPQ learned
-    rotation (:class:`~repro.serving.quant.opq.OPQQuantizer`, ``opq_iters``
-    alternation rounds) — same scan loop, better codes.
     """
 
     name = "ivfpq"
@@ -146,8 +141,7 @@ class IVFPQIndex(RetrievalIndex):
                  kmeans_iters: int = 8, pq_kmeans_iters: int = 10,
                  refine: Optional[str] = "int8", refine_factor: int = 8,
                  slack: float = 1.3, int8_table: Optional[Int8Table] = None,
-                 seed: int = 0, rotation: Optional[str] = None,
-                 opq_iters: int = 4) -> None:
+                 seed: int = 0) -> None:
         if num_lists is not None and num_lists <= 0:
             raise ValueError("num_lists must be positive")
         if num_probes is not None and num_probes <= 0:
@@ -158,10 +152,6 @@ class IVFPQIndex(RetrievalIndex):
             raise ValueError("refine_factor must be positive")
         if slack < 1.0:
             raise ValueError("slack must be >= 1")
-        if rotation not in (None, "opq"):
-            raise ValueError("rotation must be None or 'opq'")
-        if opq_iters < 0:
-            raise ValueError("opq_iters must be >= 0")
         self.num_lists = num_lists
         self.num_probes = num_probes
         self.num_subspaces = num_subspaces
@@ -171,8 +161,6 @@ class IVFPQIndex(RetrievalIndex):
         self.refine = refine
         self.refine_factor = refine_factor
         self.slack = slack
-        self.rotation = rotation
-        self.opq_iters = opq_iters
         self._prebuilt_int8 = int8_table
         self.seed = seed
         self._pq: Optional[ProductQuantizer] = None
@@ -209,19 +197,11 @@ class IVFPQIndex(RetrievalIndex):
         live = counts > 0
         centroids[live] = means[live]
         residuals = services - centroids[assignment]
-        if self.rotation == "opq":
-            pq: ProductQuantizer = OPQQuantizer(
-                num_subspaces=self.num_subspaces,
-                num_centroids=self.num_centroids,
-                kmeans_iters=self.pq_kmeans_iters, seed=self.seed,
-                opq_iters=self.opq_iters,
-            ).fit(residuals)
-        else:
-            pq = ProductQuantizer(
-                num_subspaces=self.num_subspaces,
-                num_centroids=self.num_centroids,
-                kmeans_iters=self.pq_kmeans_iters, seed=self.seed,
-            ).fit(residuals)
+        pq = ProductQuantizer(
+            num_subspaces=self.num_subspaces,
+            num_centroids=self.num_centroids,
+            kmeans_iters=self.pq_kmeans_iters, seed=self.seed,
+        ).fit(residuals)
         codes = pq.encode(residuals)
 
         # Slot-major layout: cell c owns slots [c * size, (c + 1) * size);
@@ -332,8 +312,6 @@ class IVFPQIndex(RetrievalIndex):
             "slack": float(self.slack),
             "dim": int(self._pq.dim_),
             "padded_dim": int(self._pq.padded_dim_),
-            "rotation": self.rotation,
-            "opq_iters": int(self.opq_iters),
         }
         arrays = {
             "centroids": self._centroids,
@@ -341,8 +319,6 @@ class IVFPQIndex(RetrievalIndex):
             "slot_codes": self._slot_codes,
             "codebooks": self._pq.codebooks_,
         }
-        if self.rotation == "opq":
-            arrays["rotation"] = self._pq.rotation_
         return meta, arrays
 
     @classmethod
@@ -354,10 +330,12 @@ class IVFPQIndex(RetrievalIndex):
         ``params`` are the caller's index params.  ``num_probes``,
         ``refine`` and ``refine_factor`` override the persisted values at
         search time; any other param that differs from the persisted build
-        (``num_lists``, ``seed``, ``rotation``, ...) asks for a different
-        index, and the result is ``None``.  ``int8_table`` supplies the
-        refinement table when the restored index uses ``refine="int8"``.
+        (``num_lists``, ``seed``, ...) asks for a different index, and the
+        result is ``None``.  ``int8_table`` supplies the refinement table
+        when the restored index uses ``refine="int8"``.
         """
+        if meta.get("rotation") is not None:  # OPQ-era payload: rotated codes
+            return None
         params = dict(params or {})
         search_time = {key: params.pop(key) for key in
                        ("num_probes", "refine", "refine_factor") if key in params}
@@ -369,8 +347,6 @@ class IVFPQIndex(RetrievalIndex):
             "pq_kmeans_iters": int(meta.get("pq_kmeans_iters", 10)),
             "slack": float(meta.get("slack", 1.3)),
             "seed": int(meta.get("seed", 0)),
-            "rotation": meta.get("rotation"),
-            "opq_iters": int(meta.get("opq_iters", 4)),
         }
         centroids = np.ascontiguousarray(arrays["centroids"], dtype=np.float32)
         slot_ids = np.asarray(arrays["slot_ids"], dtype=np.int32)
@@ -404,31 +380,10 @@ class IVFPQIndex(RetrievalIndex):
                 f"slot_codes={slot_codes.shape}, codebooks={codebooks.shape}"
             )
 
-        pq_params = dict(num_subspaces=num_subspaces,
-                         num_centroids=built["num_centroids"],
-                         kmeans_iters=built["pq_kmeans_iters"],
-                         seed=built["seed"])
-        if built["rotation"] == "opq":
-            rotation_matrix = arrays.get("rotation")
-            if rotation_matrix is None:
-                raise ValueError(
-                    "persisted index used rotation='opq' but no rotation "
-                    "array was stored"
-                )
-            rotation_matrix = np.ascontiguousarray(
-                rotation_matrix, dtype=np.float32
-            )
-            padded_dim = int(meta["padded_dim"])
-            if rotation_matrix.shape != (padded_dim, padded_dim):
-                raise ValueError(
-                    f"rotation matrix shape {rotation_matrix.shape} does not "
-                    f"match padded dim {padded_dim}"
-                )
-            pq: ProductQuantizer = OPQQuantizer(
-                **pq_params, opq_iters=built["opq_iters"])
-            pq.rotation_ = rotation_matrix
-        else:
-            pq = ProductQuantizer(**pq_params)
+        pq = ProductQuantizer(num_subspaces=num_subspaces,
+                              num_centroids=built["num_centroids"],
+                              kmeans_iters=built["pq_kmeans_iters"],
+                              seed=built["seed"])
         pq.dim_ = int(meta["dim"])
         pq.padded_dim_ = int(meta["padded_dim"])
         pq.codebooks_ = codebooks

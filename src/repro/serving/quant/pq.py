@@ -57,12 +57,8 @@ class ProductQuantizer:
         return self.padded_dim_ // self.num_subspaces
 
     def fit(self, vectors: np.ndarray) -> "ProductQuantizer":
+        """Per-sub-space k-means over the (zero-padded) training matrix."""
         vectors = self._pad(np.asarray(vectors, dtype=np.float32), fit=True)
-        self._fit_padded(vectors)
-        return self
-
-    def _fit_padded(self, vectors: np.ndarray) -> None:
-        """Per-sub-space k-means over an already padded/projected matrix."""
         rng = np.random.default_rng(self.seed)
         num_centroids = min(self.num_centroids, vectors.shape[0])
         dsub = self.subspace_dim
@@ -75,16 +71,13 @@ class ProductQuantizer:
                                   rng=rng, init=self.init)
             codebooks[m] = centroids.astype(np.float32)
         self.codebooks_ = codebooks
+        return self
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
         """``(n, dim)`` float matrix -> ``(n, M)`` uint8 code matrix."""
         if self.codebooks_ is None:
             raise RuntimeError("quantizer not fitted")
-        vectors = self._project(self._pad(np.asarray(vectors, dtype=np.float32)))
-        return self._assign_padded(vectors)
-
-    def _assign_padded(self, vectors: np.ndarray) -> np.ndarray:
-        """Nearest-centroid codes for an already padded/projected matrix."""
+        vectors = self._pad(np.asarray(vectors, dtype=np.float32))
         dsub = self.subspace_dim
         codes = np.empty((vectors.shape[0], self.num_subspaces), dtype=np.uint8)
         for m in range(self.num_subspaces):
@@ -99,15 +92,11 @@ class ProductQuantizer:
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != self.num_subspaces:
             raise ValueError(f"codes must be (n, {self.num_subspaces})")
-        return self._unproject(self._reconstruct_projected(codes))[:, :self.dim_]
-
-    def _reconstruct_projected(self, codes: np.ndarray) -> np.ndarray:
-        """Centroid lookup in code space, before any un-projection."""
         dsub = self.subspace_dim
         out = np.empty((codes.shape[0], self.padded_dim_), dtype=np.float32)
         for m in range(self.num_subspaces):
             out[:, m * dsub:(m + 1) * dsub] = self.codebooks_[m][codes[:, m]]
-        return out
+        return out[:, :self.dim_]
 
     # ------------------------------------------------------------------ #
     # Asymmetric-distance (ADC) scoring
@@ -123,7 +112,7 @@ class ProductQuantizer:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
-        queries = self._project(self._pad(queries))
+        queries = self._pad(queries)
         dsub = self.subspace_dim
         num_centroids = self.codebooks_.shape[1]
         tables = np.empty(
@@ -146,14 +135,6 @@ class ProductQuantizer:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _project(self, padded: np.ndarray) -> np.ndarray:
-        """Map padded vectors into code space (identity; OPQ rotates here)."""
-        return padded
-
-    def _unproject(self, padded: np.ndarray) -> np.ndarray:
-        """Map code-space reconstructions back to padded input space."""
-        return padded
-
     def _pad(self, vectors: np.ndarray, fit: bool = False) -> np.ndarray:
         """Zero-pad columns so dim divides evenly into sub-spaces.
 

@@ -9,7 +9,7 @@ and an atomically-flipped ``MANIFEST`` pointer
 int8 scales/codes (with the frozen integer-scoring query scale), kinds
 registered in :data:`~repro.serving.snapshot.format.SECTION_ARRAYS` — onto
 that container, and trained index payloads (IVF-PQ cells, PQ codebooks and
-the learned OPQ rotation) into sidecar manifests beside it.
+codes) into sidecar manifests beside it.
 ``write_snapshot`` publishes a delta (only chunks absent from the store hit
 disk); ``open_snapshot`` mmaps everything read-only so a replica
 warm-starts without re-quantizing or re-training anything.

@@ -16,8 +16,8 @@ chunks and the publish reduces to one small manifest plus the atomic
 pointer flip.
 
 Index payloads (a trained :class:`~repro.serving.quant.ivfpq.IVFPQIndex`'s
-coarse centroids, slot layout, residual codebooks and, with OPQ, the learned
-rotation) ride in sidecar manifests next to the version manifest, sharing
+coarse centroids, slot layout, residual codebooks and codes) ride in sidecar
+manifests next to the version manifest, sharing
 the same chunk store — a warm-started gateway restores its ANN index
 instead of re-running k-means.
 """

@@ -73,8 +73,9 @@ CHUNK_SUFFIX = ".chunk"
 #:   makes the end-to-end integer scoring path bit-identical on every
 #:   replica that hydrates the version.
 #:
-#: PQ / OPQ codebooks and the learned rotation are not snapshot sections:
-#: they belong to the IVF-PQ index and persist in its sidecar manifest.
+#: PQ codebooks and codes are not snapshot sections: they belong to the
+#: IVF-PQ index and persist in its sidecar manifest.  An older manifest's
+#: ``pq`` / ``opq`` sections are skipped: the codec reads only these kinds.
 SECTION_ARRAYS = {
     "fp": ("queries", "services"),
     "int8": ("codes", "scales", "query_scale"),

@@ -10,6 +10,8 @@ minimal-disruption and no-double-count properties live in
 """
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.serving.abtest import (
 from repro.serving.fleet import (
     ChaosController,
     ChaosEvent,
+    FleetReplica,
     FleetRouter,
     FleetUnavailableError,
     HealthPolicy,
@@ -784,6 +787,45 @@ class TestFleetLifecycle:
 
         run(scenario())
         fleet.close()
+
+    def test_closed_fleet_is_freed_without_the_cycle_collector(self):
+        """A closed fleet's gateways and store go as soon as it is dropped.
+
+        The chaos wrapper sits in each gateway's ``__dict__``; holding its
+        replica or the gateway's own backend strongly would keep every
+        gateway, store and index alive until the cyclic collector ran.
+        """
+        fleet = make_fleet(2)
+
+        async def scenario():
+            await fleet.search_async(1, session_id=1)
+            await fleet.stop_async()
+
+        run(scenario())
+        fleet.close()
+        gateways = [weakref.ref(replica.gateway) for replica in fleet.replicas]
+        store = weakref.ref(fleet.replicas[0].gateway.store)
+        gc.collect()
+        gc.disable()
+        try:
+            del fleet
+            assert [gateway() for gateway in gateways] == [None, None]
+            assert store() is None
+        finally:
+            gc.enable()
+
+    def test_gateway_outliving_its_replica_serves_unwrapped(self):
+        store = make_store()
+        gateway = ServingGateway(store, index="exact", top_k=5,
+                                 cache_capacity=0)
+        try:
+            expected = gateway.rank(2)
+            replica = FleetReplica("gone", gateway)
+            replica.kill()
+            del replica
+            assert gateway.rank(2) == expected
+        finally:
+            gateway.close()
 
     def test_replica_weight_validation(self):
         with pytest.raises(ValueError):

@@ -583,21 +583,40 @@ class TestIndexPayloads:
             assert np.array_equal(ids, want_ids)
             assert np.array_equal(scores, want_scores)
 
-    @pytest.mark.parametrize("params, restores", [
-        ({"num_probes": 3, "refine_factor": 4}, True),
-        ({"rotation": "opq"}, False),
-        ({"num_lists": 20}, False),
-        ({"num_subspaces": 4}, False),
-        ({"seed": 7}, False),
+    @pytest.mark.parametrize("params, opq_era, restores", [
+        ({"num_probes": 3, "refine_factor": 4}, False, True),
+        ({}, True, False),
+        ({"num_lists": 20}, False, False),
+        ({"num_subspaces": 4}, False, False),
+        ({"seed": 7}, False, False),
     ], ids=["search-time", "rotation", "num_lists", "num_subspaces", "seed"])
     def test_explicit_build_params_are_not_overridden_by_the_payload(
-            self, durable_store, params, restores):
+            self, durable_store, monkeypatch, params, opq_era, restores):
         """Search-time params override a restored payload; a build param it
         was not built with asks for another index, which is built — with
-        no damaged-payload warning (regression: the payload was served)."""
+        no damaged-payload warning (regression: the payload was served).
+
+        An OPQ-era payload (meta ``rotation="opq"`` plus a ``rotation``
+        array; its codes live in a rotated space, stood in for here by
+        reversed codebooks) is never served as plain PQ: it is cold-built
+        the same way, and answers like a fresh plain build."""
         store, root = durable_store
+        if opq_era:
+            plain_export = IVFPQIndex.export_state
+
+            def opq_era_export(index):
+                meta, arrays = plain_export(index)
+                pdim = meta["padded_dim"]
+                rotation = np.linalg.qr(np.random.default_rng(3).normal(
+                    size=(pdim, pdim)))[0].astype(np.float32)
+                return ({**meta, "rotation": "opq", "opq_iters": 4},
+                        {**arrays, "rotation": rotation,
+                         "codebooks": arrays["codebooks"][:, ::-1].copy()})
+
+            monkeypatch.setattr(IVFPQIndex, "export_state", opq_era_export)
         with ServingGateway(store, index="ivfpq", cache_capacity=0) as gateway:
             gateway.persist_index()
+        monkeypatch.undo()
         warm_store = VersionedEmbeddingStore.restore(str(root))
         snapshot = warm_store.snapshot()
         with warnings.catch_warnings():
@@ -606,7 +625,13 @@ class TestIndexPayloads:
                                 cache_capacity=0) as warm:
                 assert (warm._restore_index(snapshot) is not None) == restores
                 index = warm._index_for(snapshot)
-                assert warm.rank(0, 8)
+                found = [warm.search(query_id, 8) for query_id in range(8)]
+        fresh = IVFPQIndex(**params, int8_table=snapshot.int8_table()).build(
+            snapshot.all_services())
+        for query_id, (ids, scores) in enumerate(found):
+            want_ids, want_scores = fresh.search(snapshot.query([query_id]), 8)
+            assert np.array_equal(ids, want_ids[0])
+            assert np.array_equal(scores, want_scores[0])
         for key, value in params.items():
             assert (index.num_cells if key == "num_lists"
                     else getattr(index, key)) == value
