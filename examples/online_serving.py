@@ -25,9 +25,9 @@ Mirrors Sec. V-F of the paper (Fig. 9 / Fig. 10 / Fig. 11):
 7. run the Fig. 10 bucket test *through the gateway*
    (``repro.serving.abtest``) — sessions hash deterministically into a
    90/10 control/treatment split, each bucket is served by its own gateway
-   arm (baseline exact scan vs GARCIA behind IVF), and one run reports the
-   daily CTR / Valid-CTR improvement **and** each bucket's QPS / latency
-   cost from the same tagged traffic,
+   arm (baseline exact scan vs GARCIA behind IVF), each day's sessions go
+   through ``search_async`` as one burst, and the run reports the daily
+   CTR / Valid-CTR improvement,
 8. watch it run: redeploy the sharded tier with end-to-end tracing on
    (``repro.serving.obs``), replay traffic, then ask the flight recorder
    to *explain* the slowest request — the span tree from admission
@@ -103,6 +103,13 @@ from repro.serving.gateway import (
 
 
 def main() -> None:
+    # Steps 10-12 write their snapshots under one scratch directory, which
+    # is removed on exit even when an assert fails.
+    with tempfile.TemporaryDirectory(prefix="garcia-") as scratch:
+        walk_through(scratch)
+
+
+def walk_through(scratch: str) -> None:
     settings = ExperimentSettings(scale="tiny", embedding_dim=16,
                                   pretrain_epochs=1, finetune_epochs=3, learning_rate=5e-3)
 
@@ -303,10 +310,8 @@ def main() -> None:
     print("\n7) Gateway-backed A/B: the Fig. 10 bucket test through the "
           "serving stack\n")
     # The bucket test runs on the serving tier of steps 3-6: deterministic
-    # session hashing splits traffic 90/10, each bucket is a real gateway
-    # deployment (its own model AND its own scoring config), and per-bucket
-    # telemetry tags make serving cost reportable per experiment arm —
-    # quality and cost from ONE run.
+    # session hashing splits traffic 90/10, and each bucket is a real
+    # gateway deployment (its own model AND its own scoring config).
     router = BucketRouter(
         {"control": 0.9, "treatment": 0.1},
         arms={
@@ -321,21 +326,21 @@ def main() -> None:
     experiment = OnlineABExperiment(
         scenario.dataset, scenario.oracle, router,
         config=ABExperimentConfig(num_days=3, sessions_per_day=600, top_k=top_k,
-                                  rate_qps=2_000.0, seed=0),
+                                  seed=0),
     )
     report = experiment.run(start_date="2022/10/01")
     print(format_float_table(
         report.joint_rows(),
-        title="Joint report: daily CTR per bucket + relative improvement (%)"))
-    print("\n" + format_float_table(
-        report.cost_rows(), title="Per-bucket serving cost (same run)"))
-    summary = report.summary()
-    print(f"\nGARCIA's bucket gains {summary['absolute_ctr_gain_pp']:+.3f} pp CTR "
-          f"({summary['absolute_valid_ctr_gain_pp']:+.3f} pp Valid CTR) while its "
-          "serving cost is measured on the same tagged traffic — the "
-          "paper's +0.79 pp week-long bucket test (Fig. 10), now replayed "
+        title="Daily CTR per bucket + relative improvement (%)"))
+    outcome = report.ab_result()
+    print(f"\nGARCIA's bucket ({report.sessions['treatment']} of "
+          f"{sum(report.sessions.values())} sessions) gains "
+          f"{outcome.absolute_ctr_gain():+.3f} pp CTR "
+          f"({outcome.absolute_valid_ctr_gain():+.3f} pp Valid CTR) — the "
+          "paper's +0.79 pp week-long bucket test (Fig. 10), replayed "
           "through the gateway tier.  tests/test_gateway_abtest.py holds "
-          "the structural contract (telemetry sums, stable assignment).")
+          "the structural contract (every session answered or shed once, "
+          "stable assignment).")
     close_arms(router)
 
     print("\n8) Observability: trace the sharded tier, explain the slowest "
@@ -453,7 +458,7 @@ def main() -> None:
     # first request.  ``durable_dir`` persists every published version as
     # checksummed, content-addressed chunks behind an atomically-flipped
     # MANIFEST pointer, and a warm start mmaps them back.
-    snap_dir = tempfile.mkdtemp(prefix="garcia-snapshots-")
+    snap_dir = tempfile.mkdtemp(prefix="snapshots-", dir=scratch)
     gateway = deploy_gateway(garcia, index="int8", num_shards=4,
                              workers="process", quantization=("int8",),
                              durable_dir=snap_dir, top_k=top_k,
@@ -510,7 +515,7 @@ def main() -> None:
     # artifacts are content-addressed chunks: the query scale rides with the
     # snapshot's int8 table, the IVF-PQ cells and codebooks with the index's
     # sidecar, so a restart serves the codes without retraining anything.
-    ivfpq_dir = tempfile.mkdtemp(prefix="garcia-ivfpq-snapshots-")
+    ivfpq_dir = tempfile.mkdtemp(prefix="ivfpq-snapshots-", dir=scratch)
     ivfpq_params = dict(num_lists=8, num_probes=6, num_subspaces=4,
                         num_centroids=16)
     gateway = deploy_gateway(garcia, index="ivfpq", index_params=ivfpq_params,
@@ -575,7 +580,7 @@ def main() -> None:
     # each checksum-verified before it lands) before the usual mmap boot.
     from repro.serving.snapshot import SnapshotFetcher, SnapshotServer
 
-    empty_dir = tempfile.mkdtemp(prefix="garcia-newhost-")
+    empty_dir = tempfile.mkdtemp(prefix="newhost-", dir=scratch)
     with SnapshotServer(ivfpq_dir) as server:
         newcomer = deploy_gateway(warm_start=empty_dir, index="ivfpq",
                                   remote_peer=server.address, top_k=top_k,

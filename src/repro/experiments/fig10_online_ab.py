@@ -44,7 +44,7 @@ def run(
     settings = settings if settings is not None else ExperimentSettings()
     # Checked before either model trains: a bad config costs nothing.
     config = ABExperimentConfig(num_days=num_days, sessions_per_day=sessions_per_day,
-                                top_k=top_k, rate_qps=None, seed=settings.seed)
+                                top_k=top_k, seed=settings.seed)
     scenario = scenario_for(dataset, settings)
     models = {"control": build_model(baseline_model, scenario, settings)}
     train_model(models["control"], scenario, settings)

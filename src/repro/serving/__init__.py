@@ -18,13 +18,13 @@ retrieval indexes, a versioned embedding store with atomic daily hot-swap,
 an asyncio-native micro-batching request scheduler (bounded admission
 queue, per-request deadlines, cooperative cancellation — the gateway's
 synchronous ``search`` / ``rank`` / ``rank_batch`` run the same coroutines
-to completion) plus an LRU+TTL result cache, and serving telemetry.  Its
+to completion) plus an LRU result cache, and serving telemetry.  Its
 scale-out deployment lives in :mod:`repro.serving.sharded`: one worker per
 store shard (serial / thread / process backends) behind a scatter/gather
 gateway with exact top-K merging and per-shard telemetry; the scatter
 overlaps per-shard work on the event loop.  The
 experimentation tier lives in :mod:`repro.serving.abtest`: deterministic
-bucketed traffic routing over gateway arms with joint CTR + serving-cost
+bucketed traffic routing over gateway arms with daily CTR / Valid-CTR
 reporting (the paper's Fig. 10 bucket test replayed *through* the serving
 stack).  The replicated tier lives in :mod:`repro.serving.fleet`: a
 health-aware :class:`FleetRouter` front-end over N gateway replicas

@@ -6,10 +6,8 @@ the deployed baseline, and the daily relative CTR / Valid-CTR improvement
 is reported (+0.79 pp CTR aggregated).  This module is the one simulator
 of that test (Fig. 10 runs it, ``experiments/fig10_online_ab.py``), and it
 reproduces the *deployment shape*: buckets are real serving configurations
-behind the gateway tier, traffic is routed by deterministic session-id
-hashing, and the same experiment that moves CTR also moves serving cost —
-QPS, latency percentiles and deadline misses land per bucket in
-:meth:`~repro.serving.gateway.telemetry.GatewayTelemetry.bucket_rows`.
+behind the gateway tier, and traffic is routed by deterministic session-id
+hashing.
 
 Three pieces:
 
@@ -23,28 +21,26 @@ Three pieces:
   the same model under different index/quantization/replication
   configurations).
 * :class:`OnlineABExperiment` — replays day-partitioned session streams
-  *open-loop* (seeded Poisson arrivals) through ``search_async``, tags
-  every request with its bucket, and scores the returned top-K list
-  against the click oracle with a per-session seeded RNG — so the CTR
-  outcome is independent of async completion order and reproducible from
-  one seed.  Clicks accumulate through
+  through ``search_async``, each day as one open-loop burst, and scores
+  the returned top-K list against the click oracle with a per-session
+  seeded RNG — so the CTR outcome is independent of async completion
+  order and reproducible from one seed.  Clicks accumulate through
   :func:`repro.eval.ab_test.simulate_impressions`, whose expectation is
   :func:`repro.eval.ab_test.expected_ctr`.
-* :class:`GatewayABReport` — the joint outcome: per-day CTR / Valid-CTR
-  improvement (via :class:`repro.eval.ab_test.ABTestResult`) alongside
-  per-bucket serving cost (QPS, p50/p95/p99, deadline misses, overload
-  rejections, sessions shed before scoring).
+* :class:`GatewayABReport` — the outcome: per-day CTR / Valid-CTR
+  improvement (via :class:`repro.eval.ab_test.ABTestResult`) plus the
+  sessions routed to, and shed by, each bucket.
 
-Sessions shed by admission control or deadlines produce *no impressions* —
-an under-provisioned treatment bucket loses quality through serving cost,
-which is exactly the coupling the joint report exists to expose.
+Sessions shed by an arm's own admission control (``max_queue``) or
+deadline (``default_deadline_s``) produce *no impressions*: an
+under-provisioned bucket loses quality, and ``shed`` says how much traffic
+it lost.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +52,6 @@ from repro.eval.ab_test import (
     simulate_impressions,
 )
 from repro.serving.gateway import DeadlineExceededError, OverloadError
-from repro.serving.gateway.workload import flash_crowd_gaps, poisson_gaps
 from repro.serving.obs.ids import ids_to_u64, key_to_u64, mix64, mix64_int
 
 #: Position-bias discounts applied per top-K slot (the one copy: Fig. 10's
@@ -65,18 +60,16 @@ DEFAULT_POSITION_BIAS: Tuple[float, ...] = (1.0, 0.75, 0.55, 0.4, 0.3)
 
 _SPLIT_TOLERANCE = 1e-6
 
-_LOAD_SHAPES = ("poisson", "flash_crowd")
-
 
 class BucketRouter:
     """Deterministic session-id hashing into config-driven traffic buckets.
 
     ``splits`` maps bucket name to its traffic fraction (must sum to 1);
     ``arms`` (optional) maps each bucket to the gateway serving it — two
-    buckets may share one gateway object (an A/A test, separable through
-    per-bucket telemetry tags), or each may own a different model /
-    index / quantization configuration.  ``salt`` decorrelates experiments:
-    the same user population re-buckets independently under a new salt.
+    buckets may share one gateway object (an A/A test), or each may own a
+    different model / index / quantization configuration.  ``salt``
+    decorrelates experiments: the same user population re-buckets
+    independently under a new salt.
     """
 
     def __init__(self, splits: Mapping[str, float],
@@ -162,20 +155,6 @@ class ABExperimentConfig:
     num_days: int = 7
     sessions_per_day: int = 5_000
     top_k: int = 5
-    #: Open-loop Poisson arrival rate per day's replay; ``None`` submits the
-    #: whole day as one burst (still open loop: nothing waits on completions).
-    rate_qps: Optional[float] = 2_000.0
-    #: Per-request deadline; sessions past it are shed *before* scoring and
-    #: produce no impressions (quality pays for serving cost).
-    deadline_s: Optional[float] = None
-    #: Arrival shape when ``rate_qps`` is set: ``"poisson"`` (stationary)
-    #: or ``"flash_crowd"`` — a seeded window of sessions arriving at
-    #: ``spike_factor`` times the base rate (a promo burst inside the day).
-    load_shape: str = "poisson"
-    spike_factor: float = 10.0
-    #: Spike window as fractions of the day's session stream.
-    spike_start: float = 0.45
-    spike_width: float = 0.1
     position_bias: Sequence[float] = DEFAULT_POSITION_BIAS
     seed: int = 0
     control: str = "control"
@@ -187,25 +166,11 @@ class ABExperimentConfig:
             raise ValueError("num_days, sessions_per_day and top_k must be positive")
         if len(self.position_bias) < self.top_k:
             raise ValueError("position_bias must cover every slot of the top-K list")
-        if self.rate_qps is not None and self.rate_qps <= 0:
-            raise ValueError("rate_qps must be positive (or None for burst)")
-        if self.load_shape not in _LOAD_SHAPES:
-            raise ValueError(
-                f"load_shape must be one of {_LOAD_SHAPES}, "
-                f"got {self.load_shape!r}")
-        if self.spike_factor < 1.0:
-            raise ValueError("spike_factor must be >= 1.0")
-        if not (0.0 <= self.spike_start
-                and self.spike_start + self.spike_width <= 1.0
-                and self.spike_width > 0.0):
-            raise ValueError(
-                "the spike window [spike_start, spike_start + spike_width) "
-                "must lie inside [0, 1]")
 
 
 @dataclass
 class GatewayABReport:
-    """Joint quality + serving-cost outcome of one bucket test."""
+    """CTR outcome of one bucket test, with the traffic each bucket saw."""
 
     days: List[str]
     buckets: Tuple[str, ...]
@@ -217,9 +182,6 @@ class GatewayABReport:
     sessions: Dict[str, int]
     #: Sessions shed before scoring (overload + deadline), per bucket.
     shed: Dict[str, int]
-    #: Per-bucket serving-cost rows (gateway telemetry ``bucket_rows``).
-    cost: List[Dict[str, float]] = field(default_factory=list)
-    day_wall_s: List[float] = field(default_factory=list)
 
     def ab_result(self) -> ABTestResult:
         """The control/treatment slice in the Fig. 10 result shape."""
@@ -255,62 +217,24 @@ class GatewayABReport:
             })
         return rows
 
-    def cost_rows(self) -> List[Dict[str, float]]:
-        """Per-bucket serving cost, enriched with routing/shed counters."""
-        by_bucket = {row["bucket"]: dict(row) for row in self.cost}
-        rows = []
-        for bucket in self.buckets:
-            row = by_bucket.get(bucket, {"bucket": bucket})
-            row["sessions_routed"] = float(self.sessions.get(bucket, 0))
-            row["sessions_shed"] = float(self.shed.get(bucket, 0))
-            rows.append(row)
-        return rows
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers: aggregated gains + total shed traffic."""
-        result = self.ab_result()
-        return {
-            "absolute_ctr_gain_pp": result.absolute_ctr_gain(),
-            "absolute_valid_ctr_gain_pp": result.absolute_valid_ctr_gain(),
-            "sessions_total": float(sum(self.sessions.values())),
-            "sessions_shed_total": float(sum(self.shed.values())),
-            "replay_wall_s": float(sum(self.day_wall_s)),
-        }
-
-    def as_payload(self) -> Dict[str, object]:
-        """JSON-serialisable dump (the bench's results file)."""
-        return {
-            "days": list(self.days),
-            "buckets": list(self.buckets),
-            "control": self.control,
-            "treatment": self.treatment,
-            "joint_rows": self.joint_rows(),
-            "cost_rows": self.cost_rows(),
-            "ctr_improvement_pct": self.ctr_improvement(),
-            "valid_ctr_improvement_pct": self.valid_ctr_improvement(),
-            "sessions": {name: int(count) for name, count in self.sessions.items()},
-            "sessions_shed": {name: int(count) for name, count in self.shed.items()},
-            "summary": self.summary(),
-        }
-
 
 class OnlineABExperiment:
     """Replay bucketed session traffic through the gateway tier, open-loop.
 
     ``dataset`` supplies the query-traffic distribution
     (``query_frequencies``), ``oracle`` decides clicks, and ``router`` maps
-    hashed session ids to the gateways serving each bucket.  Every request
-    goes through ``search_async`` carrying its bucket as a telemetry tag,
-    so one run yields both the Fig. 10 CTR series and the per-bucket
-    QPS/p99/shed breakdown.
+    hashed session ids to the gateways serving each bucket.  Each day's
+    sessions are submitted together through ``search_async`` (one burst:
+    nothing waits on a completion before the next submit), and one run
+    yields the Fig. 10 CTR series.
 
     Determinism: bucket assignment is a pure hash of (salt, session id);
-    query sampling and arrival gaps derive from ``config.seed``; and each
-    session's click draw is seeded by ``(seed, day, session id)`` — the CTR
-    outcome does not depend on the order async completions land in.  With
-    unbounded admission and no deadline the whole report is reproducible
+    query sampling derives from ``config.seed``; and each session's click
+    draw is seeded by ``(seed, day, session id)`` — the CTR outcome does
+    not depend on the order async completions land in.  With unbounded
+    admission and no deadline on the arms the whole report is reproducible
     from one seed; with shedding enabled, *which* sessions are shed is
-    timing-dependent by design (that is the serving-cost coupling).
+    timing-dependent.
     """
 
     def __init__(self, dataset, oracle, router: BucketRouter,
@@ -339,7 +263,7 @@ class OnlineABExperiment:
     # Driving
     # ------------------------------------------------------------------ #
     def run(self, start_date: Optional[str] = None) -> GatewayABReport:
-        """Run every day's replay and assemble the joint report."""
+        """Run every day's replay and assemble the report."""
         config = self.config
         start = config.start_date if start_date is None else start_date
         days = [date_label(start, offset) for offset in range(config.num_days)]
@@ -349,7 +273,6 @@ class OnlineABExperiment:
         }
         sessions: Dict[str, int] = {bucket: 0 for bucket in self.router.buckets}
         shed: Dict[str, int] = {bucket: 0 for bucket in self.router.buckets}
-        day_wall_s: List[float] = []
         next_session_id = 0
         for day_index in range(config.num_days):
             query_ids = rng.choice(
@@ -363,11 +286,10 @@ class OnlineABExperiment:
             bucket_indices = self.router.assign_indices(session_ids)
             metrics = {bucket: BucketDailyMetrics() for bucket in self.router.buckets}
             day_shed = {bucket: 0 for bucket in self.router.buckets}
-            elapsed = asyncio.run(
+            asyncio.run(
                 self._replay_day(day_index, session_ids, query_ids,
                                  bucket_indices, metrics, day_shed)
             )
-            day_wall_s.append(elapsed)
             for position, bucket in enumerate(self.router.buckets):
                 daily[bucket].append(metrics[bucket])
                 sessions[bucket] += int((bucket_indices == position).sum())
@@ -380,25 +302,20 @@ class OnlineABExperiment:
             daily=daily,
             sessions=sessions,
             shed=shed,
-            cost=self._gather_cost_rows(),
-            day_wall_s=day_wall_s,
         )
 
     async def _replay_day(self, day_index: int, session_ids: np.ndarray,
                           query_ids: np.ndarray, bucket_indices: np.ndarray,
                           metrics: Dict[str, BucketDailyMetrics],
-                          day_shed: Dict[str, int]) -> float:
-        """One day's open-loop replay on a fresh event loop."""
+                          day_shed: Dict[str, int]) -> None:
+        """One day's burst replay on a fresh event loop."""
         config = self.config
         buckets = self.router.buckets
 
         async def one_session(session_id: int, query_id: int, bucket: str) -> None:
             gateway = self.router.arm(bucket)
             try:
-                ids, _ = await gateway.search_async(
-                    int(query_id), k=config.top_k,
-                    deadline_s=config.deadline_s, tag=bucket,
-                )
+                ids, _ = await gateway.search_async(int(query_id), k=config.top_k)
             except (OverloadError, DeadlineExceededError):
                 day_shed[bucket] += 1
                 return
@@ -410,39 +327,12 @@ class OnlineABExperiment:
                 config.position_bias, click_rng, metrics[bucket],
             )
 
-        gaps: Optional[np.ndarray] = None
-        if config.rate_qps is not None:
-            arrival_rng = np.random.default_rng((config.seed, 7919, day_index))
-            if config.load_shape == "flash_crowd":
-                gaps = flash_crowd_gaps(
-                    len(session_ids), config.rate_qps,
-                    spike_factor=config.spike_factor,
-                    spike_start=config.spike_start,
-                    spike_width=config.spike_width, rng=arrival_rng,
-                )
-            else:
-                gaps = poisson_gaps(
-                    len(session_ids), config.rate_qps, rng=arrival_rng
-                )
-        loop = asyncio.get_running_loop()
-        next_at = loop.time()
-        tasks = []
-        started = time.perf_counter()
         try:
-            for position, (session_id, query_id) in enumerate(
-                zip(session_ids, query_ids)
-            ):
-                if gaps is not None:
-                    next_at += float(gaps[position])
-                    delay = next_at - loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                bucket = buckets[bucket_indices[position]]
-                tasks.append(
-                    asyncio.ensure_future(one_session(session_id, query_id, bucket))
-                )
-            await asyncio.gather(*tasks)
-            elapsed = time.perf_counter() - started
+            await asyncio.gather(*(
+                one_session(session_id, query_id, buckets[bucket_index])
+                for session_id, query_id, bucket_index
+                in zip(session_ids, query_ids, bucket_indices)
+            ))
         finally:
             # Each day runs under its own asyncio.run loop; stop every arm's
             # drive task — even when a session errored — so the scheduler is
@@ -450,15 +340,6 @@ class OnlineABExperiment:
             # that is about to close.
             for gateway in self.router.unique_arms():
                 await gateway.stop_async()
-        return elapsed
-
-    def _gather_cost_rows(self) -> List[Dict[str, float]]:
-        """Per-bucket telemetry rows across the (deduplicated) arm gateways."""
-        rows: List[Dict[str, float]] = []
-        for gateway in self.router.unique_arms():
-            rows.extend(gateway.telemetry.bucket_rows())
-        order = {bucket: index for index, bucket in enumerate(self.router.buckets)}
-        return sorted(rows, key=lambda row: order.get(row["bucket"], len(order)))
 
 
 def close_arms(router: BucketRouter) -> None:

@@ -23,8 +23,8 @@ module             contents
 =================  ====================================================
 
 A fleet exposes the gateway's async surface (``search_async`` /
-``rank_async`` / ``telemetry.bucket_rows()``), so A/B arms, the load
-drivers, and the example serve through it unchanged.
+``rank_async`` / ``stop_async`` / ``telemetry.summary()``), so A/B arms,
+the load drivers, and the example serve through it unchanged.
 """
 
 from repro.serving.fleet.chaos import ChaosController, ChaosEvent

@@ -68,8 +68,7 @@ class FleetReplica:
     # Request path
     # ------------------------------------------------------------------ #
     async def submit_async(self, query_id: int, k: Optional[int] = None,
-                           deadline_s: Optional[float] = None,
-                           tag: Optional[str] = None) -> PendingRequest:
+                           deadline_s: Optional[float] = None) -> PendingRequest:
         """Admit one request on this replica (raises if known-dead).
 
         Admission-time death is cheap to detect here; death *after*
@@ -78,8 +77,7 @@ class FleetReplica:
         """
         if self._dead:
             raise ReplicaDeadError(f"replica {self.name!r} is dead")
-        return await self.gateway.submit_async(
-            query_id, k, deadline_s=deadline_s, tag=tag)
+        return await self.gateway.submit_async(query_id, k, deadline_s=deadline_s)
 
     # ------------------------------------------------------------------ #
     # Probe surface (what the router's health policy reads)

@@ -3,7 +3,7 @@
 :class:`FleetRouter` stands in front of N :class:`FleetReplica` gateways
 and exposes the same async request surface a single gateway does
 (``search_async`` / ``rank_async`` / ``stop_async`` / ``close`` plus a
-``telemetry`` with ``bucket_rows()``), so anything that serves through a
+``telemetry`` with ``summary()``), so anything that serves through a
 gateway — the A/B tier, the load drivers, the example — can serve through
 a fleet unchanged.
 
@@ -28,7 +28,7 @@ Routing, per request:
    on a dead attempt is not granted back.
 4. **Explicit shed.**  A request that exhausts its retries or finds no
    eligible replica raises :class:`FleetUnavailableError` — a subclass of
-   ``OverloadError``, so every existing driver and the A/B cost ledger
+   ``OverloadError``, so every existing driver and the A/B replay
    account it as shed traffic.  Nothing is silently dropped: every
    admitted request ends in exactly one reply, one deadline miss, or one
    explicit shed.
@@ -262,7 +262,6 @@ class FleetRouter:
     # ------------------------------------------------------------------ #
     async def search_async(self, query_id: int, k: Optional[int] = None,
                            deadline_s: Optional[float] = None,
-                           tag: Optional[str] = None,
                            session_id: Optional[object] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:
         """One fleet search: route, failover if needed, reply or shed.
@@ -270,7 +269,7 @@ class FleetRouter:
         ``session_id`` is the routing key (sticky placement); it defaults
         to ``query_id`` so plain gateway callers stay session-sticky per
         query.  All gateway semantics carry through: ``OverloadError`` /
-        ``DeadlineExceededError`` on shed, telemetry attributed to ``tag``.
+        ``DeadlineExceededError`` on shed.
         """
         entered = self.clock()
         if self.chaos is not None:
@@ -285,7 +284,7 @@ class FleetRouter:
             if deadline_at is not None:
                 remaining = deadline_at - self.clock()
                 if remaining <= 0.0:
-                    self.telemetry.record_deadline_miss(tag=tag)
+                    self.telemetry.record_deadline_miss()
                     raise DeadlineExceededError(
                         f"fleet deadline exhausted after "
                         f"{len(attempted)} attempt(s)")
@@ -295,15 +294,15 @@ class FleetRouter:
                 replica, route_policy = self.route(session_key, exclude=attempted)
             except FleetUnavailableError:
                 self._unavailable.inc()
-                self.telemetry.record_overload(tag=tag)
+                self.telemetry.record_overload()
                 raise
             attempted.append(replica.name)
             if route_policy == "least_loaded":
                 self._fallbacks.inc()
             try:
                 result = await self._attempt(
-                    replica, route_policy, query_id, k, remaining, tag,
-                    entered, attempt=len(attempted) - 1)
+                    replica, route_policy, query_id, k, remaining, entered,
+                    attempt=len(attempted) - 1)
             except ReplicaDeadError:
                 self._mark_dead(replica)
                 failover_error: Exception = ReplicaDeadError(
@@ -314,16 +313,16 @@ class FleetRouter:
                 failover_error = OverloadError(
                     f"replica {replica.name!r} shed the request at admission")
             except DeadlineExceededError:
-                self.telemetry.record_deadline_miss(tag=tag)
+                self.telemetry.record_deadline_miss()
                 raise
             else:
                 self.telemetry.record_request(
-                    self.clock() - entered, cache_hit=False, tag=tag)
+                    self.clock() - entered, cache_hit=False)
                 self._routed.labels(replica.name).inc()
                 return result
             if len(attempted) > self.max_failovers:
                 self._unavailable.inc()
-                self.telemetry.record_overload(tag=tag)
+                self.telemetry.record_overload()
                 raise FleetUnavailableError(
                     f"request exhausted {self.max_failovers} failover(s); "
                     f"attempted {attempted}") from failover_error
@@ -331,11 +330,10 @@ class FleetRouter:
 
     async def _attempt(self, replica: FleetReplica, route_policy: str,
                        query_id: int, k: Optional[int],
-                       deadline_s: Optional[float], tag: Optional[str],
-                       entered: float, attempt: int):
+                       deadline_s: Optional[float], entered: float,
+                       attempt: int):
         """One admission + wait on one replica (failover unit)."""
-        pending = await replica.submit_async(
-            query_id, k, deadline_s=deadline_s, tag=tag)
+        pending = await replica.submit_async(query_id, k, deadline_s=deadline_s)
         if pending.trace is not None:
             pending.trace.add_span(
                 "fleet_router", entered, self.clock(),
@@ -344,16 +342,15 @@ class FleetRouter:
             return await pending.wait()
         except asyncio.CancelledError:
             pending.cancel()
-            self.telemetry.record_cancelled(tag=tag)
+            self.telemetry.record_cancelled()
             raise
 
     async def rank_async(self, query_id: int, k: Optional[int] = None,
                          deadline_s: Optional[float] = None,
-                         tag: Optional[str] = None,
                          session_id: Optional[object] = None) -> List[int]:
         """:meth:`search_async` without the scores: the ranked ids."""
         ids, _ = await self.search_async(
-            query_id, k, deadline_s=deadline_s, tag=tag, session_id=session_id)
+            query_id, k, deadline_s=deadline_s, session_id=session_id)
         return [int(service_id) for service_id in ids]
 
     # ------------------------------------------------------------------ #

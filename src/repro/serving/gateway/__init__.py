@@ -62,7 +62,6 @@ from repro.serving.gateway.store import (
 from repro.serving.gateway.telemetry import GatewayTelemetry
 from repro.serving.gateway.workload import (
     clustered_embeddings,
-    flash_crowd_gaps,
     poisson_gaps,
     zipf_query_ids,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "build_index",
     "clustered_embeddings",
     "deploy_gateway",
-    "flash_crowd_gaps",
     "index_kinds",
     "poisson_gaps",
     "zipf_query_ids",

@@ -112,9 +112,8 @@ class ServingGateway(SnapshotListener):
       plan → score/scatter → merge → reply spans); finished traces land in
       the gateway's :class:`~repro.serving.obs.flight.FlightRecorder`,
       which always keeps slow/shed/error traces and samples 1 in
-      ``trace_sample_every`` ordinary ones into a ring of
-      ``flight_recorder_capacity``; ``slow_trace_ms`` is the always-keep
-      latency threshold,
+      ``trace_sample_every`` ordinary ones into a ring of 256 traces;
+      ``slow_trace_ms`` is the always-keep latency threshold,
     * ``telemetry_enabled=False`` turns every telemetry record into a no-op,
     * :meth:`health` condenses the telemetry into a poll-cheap
       :class:`~repro.serving.obs.health.HealthSnapshot`, and
@@ -124,15 +123,13 @@ class ServingGateway(SnapshotListener):
     def __init__(self, store: VersionedEmbeddingStore, index: str = "ivf",
                  index_params: Optional[dict] = None, top_k: int = 10,
                  max_batch_size: int = 64, max_wait_s: float = 0.002,
-                 cache_capacity: int = 4096, cache_ttl_s: Optional[float] = None,
+                 cache_capacity: int = 4096,
                  max_staleness_s: Optional[float] = None,
                  max_queue: Optional[int] = None, overload: str = "wait",
                  default_deadline_s: Optional[float] = None,
                  cpu_executor=None, loop_confined: bool = False,
                  telemetry_enabled: bool = True, tracing: bool = False,
-                 trace_sample_every: int = 16,
-                 flight_recorder_capacity: int = 256,
-                 slow_trace_ms: float = 50.0, trace_seed: int = 0,
+                 trace_sample_every: int = 16, slow_trace_ms: float = 50.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         # ``loop_confined`` is accepted and ignored: benchmarks/e2e/workloads.py
         # still passes it; remove with the next [benchmark] PR.
@@ -163,16 +160,14 @@ class ServingGateway(SnapshotListener):
                 "cpu_executor must be None, 'thread', or a concurrent.futures"
                 f".Executor, got {cpu_executor!r}")
         self._cpu_executor: Optional[Executor] = cpu_executor
-        self.cache = LRUTTLCache(capacity=cache_capacity, ttl_s=cache_ttl_s,
-                                 clock=clock)
+        self.cache = LRUTTLCache(capacity=cache_capacity)
         self.telemetry = GatewayTelemetry(clock=clock, enabled=telemetry_enabled)
         self.flight_recorder = FlightRecorder(
-            capacity=flight_recorder_capacity,
             sample_every=trace_sample_every,
             slow_s=slow_trace_ms * 1e-3,
         )
         self.tracer = Tracer(clock=clock, recorder=self.flight_recorder,
-                             seed=trace_seed, enabled=tracing)
+                             enabled=tracing)
         # The scheduler calls back through a weak reference: the bound method
         # would make gateway -> scheduler -> gateway a cycle, so a dropped
         # gateway, its store and every index built for it would stay in
@@ -352,11 +347,9 @@ class ServingGateway(SnapshotListener):
             await self.scheduler.stop()
 
     def search(self, query_id: int, k: Optional[int] = None,
-               deadline_s: Optional[float] = None,
-               tag: Optional[str] = None) -> Tuple[np.ndarray, np.ndarray]:
+               deadline_s: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Synchronous :meth:`search_async`: ``(ids, scores)`` for one query."""
-        return self._run(
-            self.search_async(query_id, k, deadline_s=deadline_s, tag=tag))
+        return self._run(self.search_async(query_id, k, deadline_s=deadline_s))
 
     def rank(self, query_id: int, k: Optional[int] = None) -> List[int]:
         """Synchronous :meth:`rank_async`: the ranked ids for one query."""
@@ -368,8 +361,7 @@ class ServingGateway(SnapshotListener):
         return self._run(self.rank_batch_async(query_ids, k))
 
     async def search_async(self, query_id: int, k: Optional[int] = None,
-                           deadline_s: Optional[float] = None,
-                           tag: Optional[str] = None
+                           deadline_s: Optional[float] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:
         """Async single search: admit, batch, score, gather — on one loop.
 
@@ -377,11 +369,9 @@ class ServingGateway(SnapshotListener):
         the request inherits ``default_deadline_s`` unless ``deadline_s``
         overrides it, and awaiting caller cancellation propagates into the
         scheduler: a request cancelled before its batch executes is dropped
-        without being scored.  ``tag`` attributes the request's telemetry to
-        a named stream (the A/B bucket).
+        without being scored.
         """
-        pending = await self.submit_async(query_id, k, deadline_s=deadline_s,
-                                          tag=tag)
+        pending = await self.submit_async(query_id, k, deadline_s=deadline_s)
         try:
             return await pending.wait()
         except asyncio.CancelledError:
@@ -389,8 +379,7 @@ class ServingGateway(SnapshotListener):
             raise
 
     async def submit_async(self, query_id: int, k: Optional[int] = None,
-                           deadline_s: Optional[float] = None,
-                           tag: Optional[str] = None) -> PendingRequest:
+                           deadline_s: Optional[float] = None) -> PendingRequest:
         """Admit one request and return its :class:`PendingRequest` handle.
 
         The replica-handle form of :meth:`search_async`: a fleet front-end
@@ -402,17 +391,14 @@ class ServingGateway(SnapshotListener):
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         pending = await self.scheduler.submit(
-            query_id, k if k is not None else self.top_k, deadline_s=deadline_s,
-            tag=tag)
+            query_id, k if k is not None else self.top_k, deadline_s=deadline_s)
         self.scheduler.start()  # idempotent: the drive task for the current loop
         return pending
 
     async def rank_async(self, query_id: int, k: Optional[int] = None,
-                         deadline_s: Optional[float] = None,
-                         tag: Optional[str] = None) -> List[int]:
+                         deadline_s: Optional[float] = None) -> List[int]:
         """:meth:`search_async` without the scores: the ranked ids."""
-        ids, _ = await self.search_async(query_id, k, deadline_s=deadline_s,
-                                         tag=tag)
+        ids, _ = await self.search_async(query_id, k, deadline_s=deadline_s)
         return [int(service_id) for service_id in ids]
 
     async def rank_batch_async(self, query_ids: Sequence[int],
@@ -563,8 +549,7 @@ class ServingGateway(SnapshotListener):
                 results.append(asyncio.CancelledError("request cancelled"))
                 continue
             self.telemetry.record_request(max(0.0, now - pending.enqueued_at),
-                                          cache_hit=key in hit_keys,
-                                          tag=pending.tag)
+                                          cache_hit=key in hit_keys)
             if spans is not None and pending.trace is not None:
                 spans.graft_into(pending.trace)
             results.append(value)

@@ -82,16 +82,12 @@ class PendingRequest:
         k: int,
         enqueued_at: float,
         deadline_at: Optional[float] = None,
-        tag: Optional[str] = None,
         trace=None,
     ) -> None:
         self.query_id = query_id
         self.k = k
         self.enqueued_at = enqueued_at
         self.deadline_at = deadline_at
-        #: Telemetry attribution tag (e.g. the A/B experiment bucket); every
-        #: answered/shed event for this request is recorded under it.
-        self.tag = tag
         #: The request's :class:`~repro.serving.obs.tracing.Trace`, or None
         #: when tracing is off; instrumentation sites guard on it.
         self.trace = trace
@@ -282,7 +278,6 @@ class AsyncBatchScheduler:
         k: int,
         deadline_s: Optional[float],
         entered_at: Optional[float] = None,
-        tag: Optional[str] = None,
     ) -> PendingRequest:
         """Build the handle; the deadline counts from ``entered_at``.
 
@@ -299,25 +294,23 @@ class AsyncBatchScheduler:
         deadline_at = None if deadline_s is None else entered_at + float(deadline_s)
         trace = None
         if self.tracer is not None and self.tracer.enabled:
-            trace = self.tracer.start_request(query_id, tag=tag, start_s=entered_at)
+            trace = self.tracer.start_request(query_id, start_s=entered_at)
             # Stage marks, not spans: the admission span materialises only
             # if something inspects the trace.
             trace.admission_end_s = now
             trace.queue_depth = len(self._queue)
         return PendingRequest(int(query_id), int(k), now,
-                              deadline_at=deadline_at, tag=tag, trace=trace)
+                              deadline_at=deadline_at, trace=trace)
 
-    def _reject_overload(
-        self, tag: Optional[str] = None, query_id: Optional[int] = None
-    ) -> None:
+    def _reject_overload(self, query_id: int) -> None:
         self.overload_rejections += 1
         if self.telemetry is not None:
-            self.telemetry.record_overload(tag=tag)
+            self.telemetry.record_overload()
         if self.tracer is not None and self.tracer.enabled:
             # Shed requests still leave a trace: a zero-length admission
             # span, finished "shed" — the flight recorder always keeps it.
             now = self._clock()
-            trace = self.tracer.start_request(query_id, tag=tag, start_s=now)
+            trace = self.tracer.start_request(query_id, start_s=now)
             trace.add_span("admission", now, now, status=STATUS_SHED)
             trace.finish(STATUS_SHED, end_s=now, reason="overload")
         raise OverloadError(
@@ -335,8 +328,7 @@ class AsyncBatchScheduler:
         return pending
 
     async def submit(
-        self, query_id: int, k: int, deadline_s: Optional[float] = None,
-        tag: Optional[str] = None,
+        self, query_id: int, k: int, deadline_s: Optional[float] = None
     ) -> PendingRequest:
         """Enqueue under the configured backpressure policy.
 
@@ -354,7 +346,7 @@ class AsyncBatchScheduler:
             self._waiters or len(self._queue) + self._reserved >= self.max_queue
         ):
             if self.overload == "reject":
-                self._reject_overload(tag=tag, query_id=query_id)
+                self._reject_overload(query_id)
             waiter = self._loop.create_future()
             self._waiters.append(waiter)
             try:
@@ -367,7 +359,7 @@ class AsyncBatchScheduler:
                 raise
             self._reserved -= 1
         return self._enqueue(
-            self._make_pending(query_id, k, deadline_s, entered_at=entered, tag=tag)
+            self._make_pending(query_id, k, deadline_s, entered_at=entered)
         )
 
     @property
@@ -458,12 +450,12 @@ class AsyncBatchScheduler:
             if pending.cancelled:
                 self.cancelled_requests += 1
                 if self.telemetry is not None:
-                    self.telemetry.record_cancelled(tag=pending.tag)
+                    self.telemetry.record_cancelled()
                 continue  # cancel() already finished its trace
             if pending.deadline_at is not None and now >= pending.deadline_at:
                 self.deadline_misses += 1
                 if self.telemetry is not None:
-                    self.telemetry.record_deadline_miss(tag=pending.tag)
+                    self.telemetry.record_deadline_miss()
                 if trace is not None:
                     trace.add_span(
                         "queue", pending.enqueued_at, now, status=STATUS_SHED

@@ -19,22 +19,15 @@ records one :meth:`GatewayTelemetry.record_shard` sample per worker (shard
 wall time, queries scored, candidates contributed to the gather), and
 :meth:`GatewayTelemetry.shard_rows` condenses them into per-shard
 latency/QPS breakdowns whose totals add up to the gateway-level counters.
+Distinct shards are capped (``max_shards``): past the cap, new shards
+collapse into one explicit overflow row so totals stay exact while
+cardinality stays bounded.
 
 The asyncio-native request path adds the loop-front-end dimension: queue
 depth at admission (the backpressure signal), overload rejections and
 deadline misses (the two ways a request is shed before scoring), cancelled
 requests, and event-loop lag (how late the drive task's deadline sleeps
 fire — the canary for CPU work blocking the loop).
-
-The experimentation tier (:mod:`repro.serving.abtest`) adds a *bucket*
-dimension: a request may carry a tag (its experiment bucket), every
-``record_request`` / shed event is then also attributed to that tag, and
-:meth:`GatewayTelemetry.bucket_rows` condenses the tagged samples into
-per-bucket QPS / latency-percentile / shed-count breakdowns whose totals
-add up to the gateway-level counters.  Distinct tags and shards are capped
-(``max_tags`` / ``max_shards``): past the cap, new keys collapse into one
-explicit ``__overflow__`` row so totals stay exact while cardinality stays
-bounded.
 
 Two export surfaces carry the same numbers as ``summary()``:
 :meth:`GatewayTelemetry.export_prometheus` (text exposition) and
@@ -72,19 +65,11 @@ class GatewayTelemetry:
         self,
         clock: Callable[[], float] = time.monotonic,
         enabled: bool = True,
-        max_tags: int = 64,
         max_shards: int = 256,
-        latency_boundaries=None,
     ) -> None:
         self._clock = clock
         self.enabled = enabled
-        self.max_tags = max_tags
         self.max_shards = max_shards
-        self._latency_boundaries = (
-            DEFAULT_LATENCY_BOUNDARIES
-            if latency_boundaries is None
-            else tuple(latency_boundaries)
-        )
         self.reset()
 
     def reset(self) -> None:
@@ -92,7 +77,7 @@ class GatewayTelemetry:
         self._last_request_at: Optional[float] = None
         registry = MetricsRegistry()
         self.registry = registry
-        bounds = self._latency_boundaries
+        bounds = DEFAULT_LATENCY_BOUNDARIES
         self._latency = registry.histogram(
             "gateway_request_latency_seconds",
             help="End-to-end latency of answered requests.",
@@ -144,33 +129,6 @@ class GatewayTelemetry:
             "gateway_cancelled_requests_total",
             help="Requests cancelled by the caller before scoring.",
         )
-        self._tag_latency = registry.family(
-            "histogram",
-            "gateway_bucket_latency_seconds",
-            help="Per-experiment-bucket request latency.",
-            label_names=("bucket",),
-            boundaries=bounds,
-        )
-        self._tag_hits = registry.family(
-            "counter",
-            "gateway_bucket_cache_hits_total",
-            label_names=("bucket",),
-        )
-        self._tag_overloads = registry.family(
-            "counter",
-            "gateway_bucket_overload_rejections_total",
-            label_names=("bucket",),
-        )
-        self._tag_deadline_misses = registry.family(
-            "counter",
-            "gateway_bucket_deadline_misses_total",
-            label_names=("bucket",),
-        )
-        self._tag_cancelled = registry.family(
-            "counter",
-            "gateway_bucket_cancelled_requests_total",
-            label_names=("bucket",),
-        )
         self._shard_latency = registry.family(
             "histogram",
             "gateway_shard_latency_seconds",
@@ -191,24 +149,14 @@ class GatewayTelemetry:
         self.last_swap_version: Optional[int] = None
         self.recall_at_k: Optional[float] = None
         self.recall_k: Optional[int] = None
-        # Bounded key interners: one admission decision shared by every
-        # per-tag / per-shard family, so a capped tag lands in the same
-        # overflow row everywhere.
-        self._tag_keys: Dict[str, str] = {}
+        # Bounded key interner: one admission decision shared by every
+        # per-shard family, so a capped shard lands in the same overflow
+        # row everywhere.
         self._shard_keys: Dict[int, int] = {}
-        self.tag_first_at: Dict[str, float] = {}
-        self.tag_last_at: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Bounded key admission
     # ------------------------------------------------------------------ #
-    def _tag_key(self, tag: str) -> str:
-        key = self._tag_keys.get(tag)
-        if key is None:
-            key = tag if len(self._tag_keys) < self.max_tags else OVERFLOW_LABEL
-            self._tag_keys[tag] = key
-        return key
-
     def _shard_key(self, shard: int) -> int:
         key = self._shard_keys.get(shard)
         if key is None:
@@ -223,9 +171,7 @@ class GatewayTelemetry:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record_request(
-        self, latency_s: float, cache_hit: bool, tag: Optional[str] = None
-    ) -> None:
+    def record_request(self, latency_s: float, cache_hit: bool) -> None:
         if not self.enabled:
             return
         now = self._clock()
@@ -237,13 +183,6 @@ class GatewayTelemetry:
             self._cache_hits.inc()
         else:
             self._cache_misses.inc()
-        if tag is not None:
-            key = self._tag_key(tag)
-            self._tag_latency.labels(key).observe(latency_s)
-            if cache_hit:
-                self._tag_hits.labels(key).inc()
-            self.tag_first_at.setdefault(key, now - latency_s)
-            self.tag_last_at[key] = now
 
     def record_batch(self, size: int, backend_queries: int) -> None:
         if not self.enabled:
@@ -283,26 +222,20 @@ class GatewayTelemetry:
         self._gathered.inc(int(candidates))
 
     # Loop-front-end events (admission control, deadlines, the drive task).
-    def record_overload(self, tag: Optional[str] = None) -> None:
+    def record_overload(self) -> None:
         if not self.enabled:
             return
         self._overloads.inc()
-        if tag is not None:
-            self._tag_overloads.labels(self._tag_key(tag)).inc()
 
-    def record_deadline_miss(self, tag: Optional[str] = None) -> None:
+    def record_deadline_miss(self) -> None:
         if not self.enabled:
             return
         self._deadline_misses.inc()
-        if tag is not None:
-            self._tag_deadline_misses.labels(self._tag_key(tag)).inc()
 
-    def record_cancelled(self, tag: Optional[str] = None) -> None:
+    def record_cancelled(self) -> None:
         if not self.enabled:
             return
         self._cancelled.inc()
-        if tag is not None:
-            self._tag_cancelled.labels(self._tag_key(tag)).inc()
 
     def record_queue_depth(self, depth: int) -> None:
         """Queue depth observed at one admission."""
@@ -439,65 +372,6 @@ class GatewayTelemetry:
                 }
             )
         rows.sort(key=lambda row: row["shard"])
-        return rows
-
-    @property
-    def tags(self) -> List[str]:
-        """Every tag that recorded at least one event (sorted)."""
-        seen = {key for (key,), _ in self._tag_latency.items()}
-        for family in (
-            self._tag_overloads,
-            self._tag_deadline_misses,
-            self._tag_cancelled,
-        ):
-            seen.update(key for (key,), _ in family.items())
-        return sorted(seen)
-
-    def bucket_rows(self) -> List[Dict[str, float]]:
-        """Per-tag (experiment-bucket) serving-cost rows, one dict per tag.
-
-        A tag's ``qps`` relates its answered requests to the span between
-        its own first and last request, so two buckets sharing one gateway
-        report the rates *their* traffic actually sustained.  Summing
-        ``requests`` / ``deadline_misses`` / ``overload_rejections`` /
-        ``cancelled`` across rows reproduces the gateway-level counters
-        whenever every request carried a tag; tags past the ``max_tags``
-        cap share one explicit ``__overflow__`` row.
-        """
-        rows = []
-        for tag in self.tags:
-            hist = self._tag_latency.get(tag)
-            requests = hist.count if hist else 0
-            if requests:
-                span = max(self.tag_last_at[tag] - self.tag_first_at[tag], 1e-12)
-                qps = requests / span
-                p50 = hist.percentile(50) * 1e3
-                p95 = hist.percentile(95) * 1e3
-                p99 = hist.percentile(99) * 1e3
-            else:
-                qps = 0.0
-                p50 = p95 = p99 = float("nan")
-            hits_counter = self._tag_hits.get(tag)
-            hits = hits_counter.value if hits_counter else 0
-
-            def _count(family, key=tag):
-                counter = family.get(key)
-                return float(counter.value if counter else 0)
-
-            rows.append(
-                {
-                    "bucket": tag,
-                    "requests": float(requests),
-                    "qps": qps,
-                    "p50_ms": p50,
-                    "p95_ms": p95,
-                    "p99_ms": p99,
-                    "cache_hit_rate": hits / requests if requests else 0.0,
-                    "deadline_misses": _count(self._tag_deadline_misses),
-                    "overload_rejections": _count(self._tag_overloads),
-                    "cancelled_requests": _count(self._tag_cancelled),
-                }
-            )
         return rows
 
     def summary(self) -> Dict[str, float]:

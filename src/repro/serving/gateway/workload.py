@@ -9,17 +9,13 @@ heavy-tailed.  These helpers produce seeded workloads with both properties:
 * :func:`zipf_query_ids` — a Zipf-distributed stream of query ids, the
   load shape used by the throughput bench (hot queries repeat, which also
   exercises the result cache);
-* :func:`poisson_gaps` / :func:`flash_crowd_gaps` — seeded inter-arrival
-  gaps for open-loop replay: a stationary Poisson process, and the same
-  process with a windowed rate spike (a flash crowd — promo traffic,
-  a viral query — arriving at ``spike_factor`` times the base rate).
-  Shared by the A/B tier's day replay and the serving/fleet benches so
-  every driver speaks the same arrival language.
+* :func:`poisson_gaps` — seeded inter-arrival gaps of a stationary
+  Poisson process, for open-loop replay.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -66,49 +62,10 @@ def zipf_query_ids(num_queries: int, num_requests: int, exponent: float = 1.1,
     return permutation[ranks].astype(np.int64)
 
 
-def poisson_gaps(num_requests: int, rate_qps: float, seed: int = 0,
-                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Seeded inter-arrival gaps of a stationary Poisson process.
-
-    Pass ``rng`` to continue an existing seeded stream (the A/B replay
-    derives one per day); otherwise ``seed`` starts a fresh one.
-    """
+def poisson_gaps(num_requests: int, qps: float, seed: int = 0) -> np.ndarray:
+    """Seeded inter-arrival gaps of a stationary Poisson process at ``qps``."""
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    if rate_qps <= 0:
-        raise ValueError("rate_qps must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return rng.exponential(1.0 / rate_qps, size=num_requests)
-
-
-def flash_crowd_gaps(num_requests: int, base_qps: float,
-                     spike_factor: float = 10.0, spike_start: float = 0.45,
-                     spike_width: float = 0.1, seed: int = 0,
-                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Poisson gaps with a flash-crowd window at ``spike_factor`` x rate.
-
-    The window is defined over the *request stream*: the sessions in
-    ``[spike_start, spike_start + spike_width)`` of the stream arrive at
-    ``spike_factor * base_qps`` — the same population compressed into a
-    fraction of the wall-clock (which is what a crowd is).  With
-    ``spike_factor=1`` this degenerates to :func:`poisson_gaps` exactly
-    (same draws, same gaps).
-    """
-    if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
-    if base_qps <= 0:
-        raise ValueError("base_qps must be positive")
-    if spike_factor < 1.0:
-        raise ValueError("spike_factor must be >= 1.0")
-    if not (0.0 <= spike_start and spike_start + spike_width <= 1.0
-            and spike_width > 0.0):
-        raise ValueError("the spike window must lie inside [0, 1]")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / base_qps, size=num_requests)
-    lo = int(round(spike_start * num_requests))
-    hi = min(num_requests, max(lo + 1, int(round((spike_start + spike_width)
-                                                 * num_requests))))
-    gaps[lo:hi] /= spike_factor
-    return gaps
+    if qps <= 0:
+        raise ValueError("qps must be positive")
+    return np.random.default_rng(seed).exponential(1.0 / qps, size=num_requests)

@@ -76,7 +76,6 @@ class Trace:
 
     __slots__ = (
         "query_id",
-        "tag",
         "status",
         "_tracer",
         "_records",
@@ -99,16 +98,14 @@ class Trace:
         tracer: "Tracer",
         raw_id: int,
         query_id,
-        tag: Optional[str],
         start_s: float,
     ) -> None:
-        # Hot path: everything beyond these eight stores — the root record,
+        # Hot path: everything beyond these seven stores — the root record,
         # the records list, the id finalise, the stage-mark slots — is
         # deferred.  Unset __slots__ raise AttributeError, which the cold
         # paths absorb with getattr defaults.
         self._raw_id = raw_id
         self.query_id = query_id
-        self.tag = tag
         self.status = STATUS_OK
         self._tracer = tracer
         self._finished = False
@@ -298,7 +295,7 @@ class Trace:
 
         lines = [
             f"trace {self.trace_id:#018x} query={self.query_id!r} "
-            f"tag={self.tag!r} status={self.status} "
+            f"status={self.status} "
             f"{self.duration_s * 1e3:.3f}ms"
         ]
 
@@ -417,7 +414,6 @@ class Tracer:
     def start_request(
         self,
         query_id=None,
-        tag: Optional[str] = None,
         start_s: Optional[float] = None,
     ) -> Optional[Trace]:
         if not self.enabled:
@@ -426,7 +422,7 @@ class Tracer:
         self.traces_started += 1
         if start_s is None:
             start_s = self.clock()
-        return Trace(self, raw_id, query_id, tag, start_s)
+        return Trace(self, raw_id, query_id, start_s)
 
     def batch_context(self) -> int:
         """A fresh deterministic id for one micro-batch's shared spans."""

@@ -59,7 +59,7 @@ def run_ab(scenario, control, treatment, **config):
     router = BucketRouter({"control": 0.5, "treatment": 0.5},
                           arms={"control": control, "treatment": treatment})
     return OnlineABExperiment(scenario.dataset, scenario.oracle, router,
-                              ABExperimentConfig(rate_qps=None, **config)).run()
+                              ABExperimentConfig(**config)).run()
 
 
 class TestEvaluator:

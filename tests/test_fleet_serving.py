@@ -38,7 +38,6 @@ from repro.serving.gateway import (
     OverloadError,
     ServingGateway,
     VersionedEmbeddingStore,
-    flash_crowd_gaps,
     poisson_gaps,
 )
 from repro.serving.obs.health import HealthSnapshot
@@ -80,13 +79,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def drive_fleet(fleet, session_ids, deadline_s=None, tag=None):
+async def drive_fleet(fleet, session_ids, deadline_s=None):
     """Drive sessions through the fleet; returns (answered, shed, missed)."""
     answered = shed = missed = 0
     for session_id in session_ids:
         try:
             await fleet.search_async(int(session_id) % NUM_QUERIES,
-                                     deadline_s=deadline_s, tag=tag,
+                                     deadline_s=deadline_s,
                                      session_id=int(session_id))
         except OverloadError:
             shed += 1
@@ -380,10 +379,9 @@ class TestFailover:
         def wrap(replica):
             original = replica.submit_async
 
-            def capture(query_id, k=None, deadline_s=None, tag=None,
-                        _original=original):
+            def capture(query_id, k=None, deadline_s=None, _original=original):
                 granted.append(deadline_s)
-                return _original(query_id, k, deadline_s=deadline_s, tag=tag)
+                return _original(query_id, k, deadline_s=deadline_s)
 
             replica.submit_async = capture
 
@@ -626,19 +624,25 @@ class TestFleetObservability:
         fleet.close()
 
     def test_bucket_rows_attribute_fleet_traffic_by_tag(self):
+        # Fleet traffic is counted once at the router and once on the
+        # replica that answered it; a request carries no tag.
         fleet = make_fleet(2)
 
         async def scenario():
             for session in range(40):
-                tag = "treatment" if session % 4 == 0 else "control"
                 await fleet.search_async(session % NUM_QUERIES,
-                                         session_id=session, tag=tag)
+                                         session_id=session)
+            with pytest.raises(TypeError):
+                await fleet.search_async(0, session_id=0, tag="treatment")
             await fleet.stop_async()
 
         run(scenario())
-        rows = {row["bucket"]: row for row in fleet.telemetry.bucket_rows()}
-        assert rows["treatment"]["requests"] == 10
-        assert rows["control"]["requests"] == 30
+        summary = fleet.summary()
+        assert summary["requests"] == 40.0
+        assert fleet.telemetry.health().requests == 40.0
+        assert sum(row["routed"] for row in fleet.replica_rows()) == 40.0
+        assert sum(replica.gateway.summary()["requests"]
+                   for replica in fleet.replicas) == 40.0
         fleet.close()
 
 
@@ -667,8 +671,7 @@ class TestFleetAsABArm:
         router = BucketRouter(
             {"control": 0.5, "treatment": 0.5},
             arms={"control": control, "treatment": treatment}, salt=7)
-        defaults = dict(num_days=1, sessions_per_day=120, top_k=5,
-                        rate_qps=None, seed=3)
+        defaults = dict(num_days=1, sessions_per_day=120, top_k=5, seed=3)
         defaults.update(config_kwargs)
         experiment = OnlineABExperiment(
             _StubDataset(), _StubOracle(), router,
@@ -680,11 +683,10 @@ class TestFleetAsABArm:
         report = self._run(fleet)
         assert report.sessions["treatment"] > 0
         assert report.shed == {"control": 0, "treatment": 0}
-        # The fleet's bucket_rows land in the cost report like a gateway's.
-        fleet_rows = [row for row in report.cost
-                      if row.get("bucket") == "treatment"]
-        assert fleet_rows and fleet_rows[0]["requests"] == float(
-            report.sessions["treatment"])
+        # The fleet answered exactly the sessions routed to its bucket.
+        assert fleet.summary()["requests"] == float(report.sessions["treatment"])
+        assert report.daily["treatment"][0].impressions == (
+            5 * report.sessions["treatment"])
         fleet.close()
 
     def test_fleet_arm_with_mid_storm_kill_counts_impressions_once(self):
@@ -715,35 +717,47 @@ class TestLoadShapes:
                                   poisson_gaps(100, 50.0, seed=5))
 
     def test_flash_crowd_degenerates_to_poisson(self):
-        np.testing.assert_array_equal(
-            flash_crowd_gaps(500, 80.0, spike_factor=1.0, seed=2),
-            poisson_gaps(500, 80.0, seed=2))
+        # The mean gap of a Poisson stream at ``qps`` is 1 / qps.
+        gaps = poisson_gaps(20_000, 80.0, seed=2)
+        assert gaps.mean() == pytest.approx(1.0 / 80.0, rel=0.03)
+        assert (gaps > 0).all()
 
     def test_flash_crowd_spike_window_is_faster(self):
-        gaps = flash_crowd_gaps(4_000, 100.0, spike_factor=10.0,
-                                spike_start=0.45, spike_width=0.1, seed=0)
-        spike = gaps[1_800:2_200].mean()
-        base = gaps[:1_800].mean()
-        assert base / spike > 5.0  # 10x rate => ~10x smaller gaps
+        # Ten times the rate from the same seed: every gap is ten times
+        # shorter (the draws are the same, only the scale changes).
+        np.testing.assert_allclose(poisson_gaps(4_000, 100.0, seed=0),
+                                   10.0 * poisson_gaps(4_000, 1_000.0, seed=0))
 
     def test_flash_crowd_validation(self):
         with pytest.raises(ValueError):
-            flash_crowd_gaps(10, 100.0, spike_factor=0.5)
+            poisson_gaps(0, 100.0)
         with pytest.raises(ValueError):
-            flash_crowd_gaps(10, 100.0, spike_start=0.95, spike_width=0.1)
+            poisson_gaps(10, 0.0)
+        import repro.serving.gateway as gateway_package
+
+        assert not hasattr(gateway_package, "flash_crowd_gaps")
 
     def test_ab_config_flash_crowd_replay(self):
-        config = ABExperimentConfig(
-            num_days=1, sessions_per_day=80, top_k=5, rate_qps=2_000.0,
-            load_shape="flash_crowd", spike_factor=5.0, seed=3)
-        control = ServingGateway(make_store(), index="exact", top_k=5,
-                                 cache_capacity=0)
-        router = BucketRouter({"control": 0.5, "treatment": 0.5},
-                              arms={"control": control, "treatment": control},
-                              salt=7)
-        report = OnlineABExperiment(_StubDataset(), _StubOracle(), router,
-                                    config).run()
-        assert sum(report.sessions.values()) == 80
+        # A two-day burst replay through one shared arm is reproducible.
+        outcomes = []
+        for _ in range(2):
+            control = ServingGateway(make_store(), index="exact", top_k=5,
+                                     cache_capacity=0)
+            router = BucketRouter({"control": 0.5, "treatment": 0.5},
+                                  arms={"control": control, "treatment": control},
+                                  salt=7)
+            report = OnlineABExperiment(
+                _StubDataset(), _StubOracle(), router,
+                ABExperimentConfig(num_days=2, sessions_per_day=80, top_k=5,
+                                   seed=3)).run()
+            control.close()
+            outcomes.append([
+                (m.impressions, m.clicks, m.conversions)
+                for bucket in report.buckets for m in report.daily[bucket]
+            ])
+            assert sum(report.sessions.values()) == 160
+            assert control.summary()["requests"] == 160.0
+        assert outcomes[0] == outcomes[1]
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
 """Tests for the gateway-backed A/B tier (``repro.serving.abtest``).
 
 Covers the deterministic bucket router (hash stability across instances
-and salts, split-fraction accuracy, string ids, arm routing), the
-per-bucket telemetry tags threaded through the scheduler/gateway layers
-(tagged request/shed attribution, sums-to-totals decomposition, A/A
-separability on one shared gateway), and the end-to-end
-:class:`OnlineABExperiment` (joint CTR + cost report, seed determinism,
-single-process vs sharded arm parity, async/sync ranking parity).
+and salts, split-fraction accuracy, string ids, arm routing), the request
+ledger the arms' telemetry keeps (every offered request counted exactly
+once as answered, shed or cancelled, through the scheduler and gateway
+layers), and the end-to-end :class:`OnlineABExperiment` (CTR report, seed
+determinism, completion-order independence, single-process vs sharded arm
+parity, async/sync ranking parity, shed sessions).
 """
 
 import asyncio
@@ -91,9 +91,21 @@ def make_router(control_gateway=None, treatment_gateway=None,
     )
 
 
+def ledger(report) -> list:
+    """Every bucket's per-day click counters, in bucket order."""
+    return [(m.impressions, m.clicks, m.conversions)
+            for bucket in report.buckets for m in report.daily[bucket]]
+
+
+def offered(telemetry) -> float:
+    """Answered + shed + cancelled: every request the telemetry saw."""
+    summary = telemetry.summary()
+    return (summary["requests"] + summary["overload_rejections"]
+            + summary["deadline_misses"] + summary["cancelled_requests"])
+
+
 def run_experiment(router, **config_kwargs) -> tuple:
-    defaults = dict(num_days=2, sessions_per_day=150, top_k=5,
-                    rate_qps=None, seed=3)
+    defaults = dict(num_days=2, sessions_per_day=150, top_k=5, seed=3)
     defaults.update(config_kwargs)
     experiment = OnlineABExperiment(StubDataset(), StubOracle(), router,
                                     ABExperimentConfig(**defaults))
@@ -170,21 +182,26 @@ class TestBucketRouter:
 
 
 # --------------------------------------------------------------------- #
-# Per-bucket telemetry tags (scheduler + gateway layers)
+# The request ledger (scheduler + gateway layers)
 # --------------------------------------------------------------------- #
 class TestBucketTelemetryTags:
+    """Each request is counted exactly once: answered + shed + cancelled
+    = offered, in ``summary()`` and ``health()`` alike."""
+
     def test_tagged_sync_requests_land_in_bucket_rows(self):
         gateway = make_gateway(rank_good_first=True)
         try:
             for query_id in range(6):
-                gateway.search(query_id, tag="control" if query_id % 2 else "treatment")
-            rows = {row["bucket"]: row for row in gateway.telemetry.bucket_rows()}
-            assert rows["control"]["requests"] == 3.0
-            assert rows["treatment"]["requests"] == 3.0
-            assert sum(row["requests"] for row in rows.values()) == (
-                gateway.summary()["requests"]
-            )
-            assert np.isfinite(rows["control"]["p99_ms"])
+                gateway.search(query_id)
+            assert gateway.summary()["requests"] == 6.0
+            assert gateway.health().requests == 6.0
+            assert offered(gateway.telemetry) == 6.0
+            assert np.isfinite(gateway.summary()["p99_ms"])
+            # A request carries no tag: passing one is a TypeError, and
+            # nothing was admitted for it.
+            with pytest.raises(TypeError):
+                gateway.search(0, tag="treatment")
+            assert offered(gateway.telemetry) == 6.0
         finally:
             gateway.close()
 
@@ -192,8 +209,10 @@ class TestBucketTelemetryTags:
         gateway = make_gateway(rank_good_first=True)
         try:
             gateway.search(0)
-            assert gateway.telemetry.bucket_rows() == []
             assert gateway.summary()["requests"] == 1.0
+            assert not hasattr(gateway.telemetry, "bucket_rows")
+            # The exposition holds gateway-level families only.
+            assert "gateway_bucket" not in gateway.telemetry.export_prometheus()
         finally:
             gateway.close()
 
@@ -203,15 +222,15 @@ class TestBucketTelemetryTags:
 
             async def drive():
                 await asyncio.gather(*[
-                    gateway.search_async(i, tag="a" if i < 4 else "b")
-                    for i in range(10)
+                    gateway.search_async(i) for i in range(10)
                 ])
                 await gateway.stop_async()
 
             asyncio.run(drive())
-            rows = {row["bucket"]: row for row in gateway.telemetry.bucket_rows()}
-            assert rows["a"]["requests"] == 4.0
-            assert rows["b"]["requests"] == 6.0
+            health = gateway.health()
+            assert gateway.summary()["requests"] == 10.0
+            assert health.requests == 10.0 and health.shed_rate == 0.0
+            assert offered(gateway.telemetry) == 10.0
         finally:
             gateway.close()
 
@@ -226,24 +245,23 @@ class TestBucketTelemetryTags:
         )
 
         async def drive():
-            await scheduler.submit(0, 5, deadline_s=0.05, tag="treatment")
-            await scheduler.submit(1, 5, tag="control")
+            await scheduler.submit(0, 5, deadline_s=0.05)
+            await scheduler.submit(1, 5)
             with pytest.raises(OverloadError):
-                await scheduler.submit(2, 5, tag="treatment")
+                await scheduler.submit(2, 5)
             clock_now[0] = 1.0  # expire the first request's deadline
             await scheduler.flush()
 
         asyncio.run(drive())
-        rows = {row["bucket"]: row for row in telemetry.bucket_rows()}
         # Answered-request latency is recorded by the gateway layer; at the
-        # raw scheduler level only the shed events carry tags — and both
-        # land on the bucket that actually suffered them.
-        assert rows["treatment"]["overload_rejections"] == 1.0
-        assert rows["treatment"]["deadline_misses"] == 1.0
-        assert "control" not in rows
+        # raw scheduler level each shed event is counted once.
         summary = telemetry.summary()
         assert summary["overload_rejections"] == 1.0
         assert summary["deadline_misses"] == 1.0
+        assert scheduler.overload_rejections == 1
+        assert scheduler.deadline_misses == 1
+        health = telemetry.health()
+        assert health.overload_rejections + health.deadline_misses == 2.0
 
     def test_cancelled_requests_attributed_to_tag(self):
         telemetry = GatewayTelemetry()
@@ -253,15 +271,20 @@ class TestBucketTelemetryTags:
         )
 
         async def drive():
-            doomed = await scheduler.submit(0, 5, tag="treatment")
-            await scheduler.submit(1, 5, tag="control")
+            doomed = await scheduler.submit(0, 5)
+            survivor = await scheduler.submit(1, 5)
             doomed.cancel()
             await scheduler.flush()
+            return survivor
 
-        asyncio.run(drive())
-        rows = {row["bucket"]: row for row in telemetry.bucket_rows()}
-        assert rows["treatment"]["cancelled_requests"] == 1.0
+        survivor = asyncio.run(drive())
+        assert survivor.done and not survivor.cancelled
         assert telemetry.summary()["cancelled_requests"] == 1.0
+        assert telemetry.health().cancelled_requests == 1.0
+        assert scheduler.cancelled_requests == 1
+        # Requests are recorded by the gateway layer: one offered request
+        # at this level, the cancelled one.
+        assert offered(telemetry) == 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -281,13 +304,12 @@ class TestOnlineABExperiment:
             # The constructed quality gap shows up as a positive CTR delta.
             assert all(value > 0 for value in report.ctr_improvement())
             assert all(np.isfinite(value) for value in report.ctr_improvement())
-            # Cost rows: one per bucket, finite latency, routed counts match.
-            cost = {row["bucket"]: row for row in report.cost_rows()}
-            assert set(cost) == {"control", "treatment"}
-            for bucket, row in cost.items():
-                assert row["requests"] == report.sessions[bucket]
-                assert np.isfinite(row["p99_ms"])
-                assert row["qps"] > 0
+            assert report.ab_result().absolute_ctr_gain() > 0
+            # Each arm answered exactly the sessions routed to it.
+            for bucket in report.buckets:
+                arm = router.arm(bucket)
+                assert arm.summary()["requests"] == report.sessions[bucket]
+                assert report.shed[bucket] == 0
             rows = report.joint_rows()
             assert len(rows) == 2 and "ctr_improvement_pct" in rows[0]
         finally:
@@ -299,25 +321,28 @@ class TestOnlineABExperiment:
             router = make_router(split=0.5)
             try:
                 _, report = run_experiment(router)
-                outcomes.append((
-                    [(m.impressions, m.clicks, m.conversions)
-                     for bucket in report.buckets for m in report.daily[bucket]],
-                    dict(report.sessions),
-                ))
+                outcomes.append((ledger(report), dict(report.sessions)))
             finally:
                 close_arms(router)
         assert outcomes[0] == outcomes[1]
 
     def test_telemetry_sums_to_gateway_totals(self):
-        router = make_router(split=0.3)
+        # Under admission control some sessions are shed; answered plus
+        # shed still accounts for every session routed.
+        router = make_router(
+            control_gateway=make_gateway(False, max_queue=8, overload="reject"),
+            treatment_gateway=make_gateway(True),
+            split=0.3,
+        )
         try:
             _, report = run_experiment(router)
-            bucket_requests = sum(row["requests"] for row in report.cost)
-            gateway_requests = sum(
-                gateway.summary()["requests"] for gateway in router.unique_arms()
-            )
-            assert bucket_requests == gateway_requests
-            assert bucket_requests == sum(report.sessions.values())
+            arms = router.unique_arms()
+            answered = sum(arm.summary()["requests"] for arm in arms)
+            shed = sum(arm.summary()["overload_rejections"]
+                       + arm.summary()["deadline_misses"] for arm in arms)
+            assert answered + shed == sum(report.sessions.values())
+            assert shed == sum(report.shed.values())
+            assert report.shed["control"] > 0 and report.shed["treatment"] == 0
         finally:
             close_arms(router)
 
@@ -328,13 +353,15 @@ class TestOnlineABExperiment:
                               salt=11)
         try:
             _, report = run_experiment(router)
-            cost = {row["bucket"]: row for row in report.cost_rows()}
-            assert set(cost) == {"control", "treatment"}
-            assert cost["control"]["requests"] == report.sessions["control"]
-            assert cost["treatment"]["requests"] == report.sessions["treatment"]
-            # One shared arm: the telemetry decomposes one gateway's totals.
-            assert (cost["control"]["requests"] + cost["treatment"]["requests"]
-                    == gateway.summary()["requests"])
+            assert report.sessions["control"] > 0
+            assert report.sessions["treatment"] > 0
+            # One shared arm answered both buckets' sessions, once each.
+            assert (gateway.summary()["requests"] + sum(report.shed.values())
+                    == sum(report.sessions.values()))
+            assert offered(gateway.telemetry) == sum(report.sessions.values())
+            # Both buckets were served.
+            for bucket in report.buckets:
+                assert all(day.impressions > 0 for day in report.daily[bucket])
         finally:
             gateway.close()
 
@@ -350,38 +377,38 @@ class TestOnlineABExperiment:
             )
             try:
                 _, report = run_experiment(router)
-                ledgers.append([
-                    (m.impressions, m.clicks, m.conversions)
-                    for bucket in report.buckets for m in report.daily[bucket]
-                ])
+                ledgers.append(ledger(report))
             finally:
                 close_arms(router)
         assert ledgers[0] == ledgers[1]
 
     def test_poisson_paced_replay_matches_burst_ctr(self):
-        # Open-loop pacing changes *when* requests land, not what they
-        # return or how sessions click — the quality ledger is identical.
+        # A two-day burst replay is reproducible, and its quality ledger
+        # does not depend on the order completions land in: batches of one
+        # complete session by session, while offloaded scoring keeps two
+        # batches in flight on worker threads.
         ledgers = []
-        for rate_qps in (None, 5_000.0):
-            router = make_router(split=0.5)
+        for arm_kwargs in ({}, {}, {"max_batch_size": 1},
+                           {"max_batch_size": 7, "cpu_executor": "thread"}):
+            router = make_router(
+                control_gateway=make_gateway(False, **arm_kwargs),
+                treatment_gateway=make_gateway(True, **arm_kwargs),
+                split=0.5,
+            )
             try:
-                _, report = run_experiment(router, num_days=1,
-                                           sessions_per_day=80,
-                                           rate_qps=rate_qps)
-                ledgers.append([
-                    (m.impressions, m.clicks, m.conversions)
-                    for bucket in report.buckets for m in report.daily[bucket]
-                ])
+                _, report = run_experiment(router, num_days=2,
+                                           sessions_per_day=80)
+                ledgers.append((ledger(report), dict(report.sessions)))
             finally:
                 close_arms(router)
-        assert ledgers[0] == ledgers[1]
+        assert all(entry == ledgers[0] for entry in ledgers[1:])
 
     def test_async_routing_matches_sync_ranking(self):
         gateway = make_gateway(rank_good_first=True)
         try:
 
             async def ranked_async():
-                ids, _ = await gateway.search_async(3, k=5, tag="treatment")
+                ids, _ = await gateway.search_async(3, k=5)
                 await gateway.stop_async()
                 return list(ids)
 
@@ -395,9 +422,14 @@ class TestOnlineABExperiment:
         with pytest.raises(ValueError):
             ABExperimentConfig(num_days=0)
         with pytest.raises(ValueError):
-            ABExperimentConfig(rate_qps=-1.0)
+            ABExperimentConfig(sessions_per_day=0)
         with pytest.raises(ValueError):
             ABExperimentConfig(top_k=9)  # beyond the default position bias
+        # Every day is one burst: there is no pacing or deadline to set.
+        for removed in ("rate_qps", "deadline_s", "load_shape",
+                        "spike_factor", "spike_start", "spike_width"):
+            with pytest.raises(TypeError):
+                ABExperimentConfig(**{removed: 1.0})
 
     def test_experiment_requires_arms_and_known_roles(self):
         armless = BucketRouter({"control": 0.5, "treatment": 0.5})
@@ -414,36 +446,45 @@ class TestOnlineABExperiment:
             close_arms(router)
 
     def test_payload_and_summary_are_json_ready(self):
+        # What Fig. 10 writes to its results file — the joint rows, both
+        # improvement series and the shed counts — round-trips through JSON
+        # without numpy scalars.
         import json
 
         router = make_router(split=0.5)
         try:
             _, report = run_experiment(router, num_days=1, sessions_per_day=60)
-            payload = report.as_payload()
-            json.dumps(payload)  # must round-trip without numpy scalars
-            assert payload["buckets"] == ["control", "treatment"]
-            assert len(payload["joint_rows"]) == 1
-            assert len(payload["cost_rows"]) == 2
-            assert payload["sessions"]["control"] + payload["sessions"]["treatment"] == 60
-            summary = report.summary()
-            assert summary["sessions_total"] == 60.0
-            assert np.isfinite(summary["absolute_ctr_gain_pp"])
-            assert summary["replay_wall_s"] > 0
+            payload = {
+                "rows": report.joint_rows(),
+                "ctr_improvement_pct": report.ctr_improvement(),
+                "valid_ctr_improvement_pct": report.valid_ctr_improvement(),
+                "sessions_shed": [float(report.shed[bucket])
+                                  for bucket in report.buckets],
+            }
+            assert json.loads(json.dumps(payload)) == payload
+            assert report.buckets == ("control", "treatment")
+            assert len(payload["rows"]) == 1
+            assert report.sessions["control"] + report.sessions["treatment"] == 60
+            assert np.isfinite(report.ab_result().absolute_ctr_gain())
         finally:
             close_arms(router)
 
     def test_shed_sessions_produce_no_impressions(self):
-        # A deadline of zero sheds every session before scoring: quality
-        # collapses to zero impressions while the shed counters fill — the
-        # serving-cost/quality coupling the joint report exists to expose.
-        router = make_router(split=0.5)
+        # Arms whose every request carries a zero deadline shed each
+        # session before scoring: quality collapses to zero impressions
+        # while the shed counters fill.
+        router = make_router(
+            control_gateway=make_gateway(False, default_deadline_s=0.0),
+            treatment_gateway=make_gateway(True, default_deadline_s=0.0),
+            split=0.5,
+        )
         try:
-            _, report = run_experiment(router, num_days=1, sessions_per_day=40,
-                                       deadline_s=0.0)
+            _, report = run_experiment(router, num_days=1, sessions_per_day=40)
             assert sum(report.shed.values()) == 40
             for bucket in report.buckets:
                 assert all(day.impressions == 0 for day in report.daily[bucket])
-            cost = {row["bucket"]: row for row in report.cost_rows()}
-            assert sum(row["deadline_misses"] for row in cost.values()) == 40
+                arm = router.arm(bucket)
+                assert arm.summary()["deadline_misses"] == report.shed[bucket]
+                assert arm.summary()["requests"] == 0.0
         finally:
             close_arms(router)

@@ -236,7 +236,7 @@ class TestSharedPercentileHelper:
 
 
 def _drive_telemetry(telemetry, clock, rounds):
-    """A fixed per-round recording mix over a bounded tag/shard universe."""
+    """A fixed per-round recording mix over a bounded shard universe."""
     for index in range(rounds):
         clock.advance(0.001)
         telemetry.record_queue_depth(index % 7)
@@ -246,19 +246,18 @@ def _drive_telemetry(telemetry, clock, rounds):
             telemetry.record_shard(
                 shard, latency_s=0.002, queries=6, candidates=5
             )
-        telemetry.record_request(
-            0.004, cache_hit=index % 3 == 0, tag=("a", "b")[index % 2]
-        )
+        telemetry.record_request(0.004, cache_hit=index % 3 == 0)
         if index % 11 == 0:
-            telemetry.record_overload(tag="a")
+            telemetry.record_overload()
         if index % 13 == 0:
-            telemetry.record_deadline_miss(tag="b")
+            telemetry.record_deadline_miss()
+        if index % 17 == 0:
+            telemetry.record_cancelled()
 
 
 def _container_sizes(telemetry):
     """Every bounded container's size: must not grow with traffic."""
     sizes = {
-        "tag_keys": len(telemetry._tag_keys),
         "shard_keys": len(telemetry._shard_keys),
         "families": len(telemetry.registry.families()),
     }
@@ -289,20 +288,28 @@ class TestTelemetryBoundedMemory:
         assert not hasattr(telemetry, "latencies")
 
     def test_tag_overflow_row_bounds_cardinality(self):
+        # The shard is the one capped label dimension (requests carry no
+        # tag): 40 interleaved scatter samples over 8 shard ids under
+        # ``max_shards=2`` keep two named rows plus the overflow row, and
+        # the totals stay exact.
+        with pytest.raises(TypeError):
+            GatewayTelemetry(max_tags=2)
         clock = FakeClock()
-        telemetry = GatewayTelemetry(clock=clock, max_tags=2)
+        telemetry = GatewayTelemetry(clock=clock, max_shards=2)
         for index in range(40):
             clock.advance(0.001)
-            telemetry.record_request(
-                0.002, cache_hit=False, tag=f"bucket-{index % 8}"
+            telemetry.record_shard(
+                index % 8, latency_s=0.002, queries=1, candidates=2
             )
-        rows = {row["bucket"]: row for row in telemetry.bucket_rows()}
-        assert set(rows) == {"bucket-0", "bucket-1", OVERFLOW_LABEL}
-        assert sum(row["requests"] for row in rows.values()) == 40
-        assert rows[OVERFLOW_LABEL]["requests"] == 30
-        # The interner remembers every tag string it admitted or spilled,
+        rows = {row["shard"]: row for row in telemetry.shard_rows()}
+        assert set(rows) == {0.0, 1.0, float(OVERFLOW_SHARD)}
+        assert sum(row["batches"] for row in rows.values()) == 40
+        assert rows[float(OVERFLOW_SHARD)]["batches"] == 30
+        assert telemetry.gathered_candidates == 80
+        # The interner remembers every shard id it admitted or spilled,
         # but the metric families stay capped.
-        assert telemetry._tag_latency.series_count == 2
+        assert len(telemetry._shard_keys) == 8
+        assert telemetry._shard_latency.series_count == 3
 
     def test_shard_overflow_row_bounds_cardinality(self):
         clock = FakeClock()

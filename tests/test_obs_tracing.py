@@ -144,14 +144,17 @@ class TestEndToEndTracing:
         try:
 
             async def run():
-                await gateway.search_async(3, tag="treatment")
+                await gateway.search_async(3)
                 await gateway.stop_async()
 
             asyncio.run(run())
             trace = gateway.flight_recorder.dump()[-1]
-            assert trace.tag == "treatment"
+            assert trace.query_id == 3 and not hasattr(trace, "tag")
             rendered = gateway.explain(trace)
-            assert "tag='treatment'" in rendered
+            # The header line names the query and the terminal status.
+            header = rendered.splitlines()[0]
+            assert "query=3 " in header and "status=ok " in header
+            assert "tag=" not in rendered
             for name in ("request", "admission", "queue", "scatter",
                          "shard_worker", "merge", "reply"):
                 assert f"- {name} " in rendered or rendered.startswith(

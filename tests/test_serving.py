@@ -217,6 +217,6 @@ class TestPipelineAndExtractors:
             report = OnlineABExperiment(
                 tiny_scenario.dataset, tiny_scenario.oracle, router,
                 ABExperimentConfig(num_days=1, sessions_per_day=50, top_k=3,
-                                   rate_qps=None, seed=0),
+                                   seed=0),
             ).run()
         assert report.daily["control"][0].impressions > 0

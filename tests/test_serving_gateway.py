@@ -32,7 +32,7 @@ pytestmark = pytest.mark.usefixtures("no_leaked_threads_or_pins")
 
 
 class FakeClock:
-    """Manually advanced clock for deadline / TTL / staleness tests."""
+    """Manually advanced clock for deadline / staleness tests."""
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = start
@@ -332,13 +332,22 @@ class TestLRUTTLCache:
         assert cache.evictions == 1
 
     def test_ttl_expiry(self):
-        clock = FakeClock()
-        cache = LRUTTLCache(capacity=8, ttl_s=1.0, clock=clock)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        clock.advance(1.5)
-        assert cache.get("a") is None
-        assert cache.expirations == 1
+        # Entries carry no age (the version key bounds staleness): an entry
+        # survives until capacity eviction or ``invalidate_version``
+        # removes it.
+        for removed in ("ttl_s", "clock"):
+            with pytest.raises(TypeError):
+                LRUTTLCache(capacity=8, **{removed: 1.0})
+        cache = LRUTTLCache(capacity=2)
+        cache.put((1, 5, 0), "old")
+        for _ in range(1_000):
+            assert cache.get((1, 5, 0)) == "old"
+        cache.put((2, 5, 0), "v0")
+        cache.put((3, 5, 1), "v1")  # evicts the least recently used entry
+        assert cache.get((1, 5, 0)) is None and cache.evictions == 1
+        assert cache.invalidate_version(0) == 1
+        assert cache.get((2, 5, 0)) is None
+        assert cache.get((3, 5, 1)) == "v1" and len(cache) == 1
 
     def test_zero_capacity_disables_caching(self):
         cache = LRUTTLCache(capacity=0)
@@ -464,7 +473,7 @@ class TestServingGateway:
             report = OnlineABExperiment(
                 tiny_scenario.dataset, tiny_scenario.oracle, router,
                 ABExperimentConfig(num_days=1, sessions_per_day=50, top_k=3,
-                                   rate_qps=None, seed=0),
+                                   seed=0),
             ).run()
         assert report.daily["control"][0].impressions > 0
 
